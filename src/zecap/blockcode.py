@@ -150,16 +150,25 @@ class ZeroErrorReport:
     paths_agree: bool | None
 
 
-def _per_position_supports(
+def _enumerate_supports(
     code: QuantumBlockCode,
     channel: QuantumChannel,
     eps: float,
+    enumeration_cap: int,
     tol: Tolerances,
-) -> tuple[list[frozenset[int]], list[np.ndarray]]:
+) -> tuple[tuple[frozenset[tuple[int, ...]], ...], list[np.ndarray]]:
+    """Reachable word set of each codeword, and each state's outcome table."""
     tables = [
         outcome_probabilities(channel, s, code.povm, tol) for s in code.source.states
     ]
-    return [support_set(p, eps) for p in tables], tables
+    supports = [sorted(support_set(p, eps)) for p in tables]
+    word_sets = []
+    for cw in code.codewords:
+        size = math.prod(len(supports[c]) for c in cw)
+        if size > enumeration_cap:
+            raise SizeLimitError(size, enumeration_cap, what="output words")
+        word_sets.append(frozenset(itertools.product(*(supports[c] for c in cw))))
+    return tuple(word_sets), tables
 
 
 def build_code(
@@ -235,16 +244,7 @@ def reachable_supports(
     SizeLimitError
         If some codeword's support product exceeds ``enumeration_cap`` words.
     """
-    supports, _ = _per_position_supports(code, channel, eps, tol)
-    out = []
-    for cw in code.codewords:
-        size = math.prod(len(supports[c]) for c in cw)
-        if size > enumeration_cap:
-            raise SizeLimitError(size, enumeration_cap, what="output words")
-        out.append(
-            frozenset(itertools.product(*(sorted(supports[c]) for c in cw)))
-        )
-    return tuple(out)
+    return _enumerate_supports(code, channel, eps, enumeration_cap, tol)[0]
 
 
 def build_decoder(
@@ -304,15 +304,7 @@ def verify_zero_error(
     paths differ legitimately; the confusability graph's fragility counter
     flags those instances.
     """
-    supports, tables = _per_position_supports(code, channel, eps, tol)
-    word_sets = []
-    for cw in code.codewords:
-        size = math.prod(len(supports[c]) for c in cw)
-        if size > enumeration_cap:
-            raise SizeLimitError(size, enumeration_cap, what="output words")
-        word_sets.append(
-            frozenset(itertools.product(*(sorted(supports[c]) for c in cw)))
-        )
+    word_sets, tables = _enumerate_supports(code, channel, eps, enumeration_cap, tol)
 
     # Pairwise disjointness plus the worst confusable mass.
     disjoint = True
@@ -362,7 +354,7 @@ def _tensor_path_agrees(
     code: QuantumBlockCode,
     channel: QuantumChannel,
     eps: float,
-    word_sets: list[frozenset[tuple[int, ...]]],
+    word_sets: tuple[frozenset[tuple[int, ...]], ...],
     tol: Tolerances,
 ) -> bool:
     """Recompute supports on the joint space and compare set-for-set."""
@@ -379,7 +371,8 @@ def _tensor_path_agrees(
             e = elements[w[0]]
             for t in range(1, n):
                 e = np.kron(e, elements[w[t]])
-            if float(np.trace(joint @ e).real) > eps:
+            # tr(joint @ e) for Hermitian e, without the matrix product.
+            if float(np.vdot(e, joint).real) > eps:
                 found.add(w)
         if found != set(word_sets[i]):
             return False

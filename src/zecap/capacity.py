@@ -36,8 +36,9 @@ class CapacityBounds:
     """Bracket on the zero-error capacity of one confusability graph.
 
     ``best_lower`` is the largest computed finite-n rate (0.0 when every
-    K(n) found is 1); ``theta_upper`` is log2 of the certified theta value.
-    ``best_lower <= theta_upper`` up to solver tolerance, always.
+    K(n) found is 1); ``theta_upper`` is log2 of ``theta.upper``, the
+    certified upper end of the theta bracket (not its midpoint), so
+    ``best_lower <= theta_upper`` holds up to floating-point rounding.
     """
 
     per_n: tuple[RateEntry, ...]
@@ -110,7 +111,7 @@ def capacity_bounds(
     theta_failure: str | None = None
     try:
         theta_res = lovasz_theta(g, tol=tol)
-        theta_upper = math.log2(theta_res.value)
+        theta_upper = math.log2(theta_res.upper)
     except (SizeLimitError, NotConvergedError) as exc:
         theta_failure = str(exc)
 

@@ -10,10 +10,10 @@ Subcommands::
     zecap theta    <graph.json> [--tol 1e-6]
     zecap builtin  <name>
 
-Environment: ZECAP_THREADS caps search parallelism, ZECAP_SEED overrides the
-default seed (an explicit --seed still wins).  Exit codes: 0 success, 1
-validation failure, 2 file errors.  Reports are written atomically and are
-byte-identical across reruns with the same inputs and seed.
+Environment: ZECAP_SEED overrides the default seed (an explicit --seed still
+wins).  Exit codes: 0 success, 1 validation failure, 2 file errors.  Reports
+are written atomically and are byte-identical across reruns with the same
+inputs and seed.
 """
 
 from __future__ import annotations
@@ -51,16 +51,6 @@ _ANALYZE_RESTARTS = 8
 _ANALYZE_ITERS = 400
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("ZECAP_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _env_seed() -> int:
     raw = os.environ.get("ZECAP_SEED")
     if raw is None:
@@ -92,9 +82,7 @@ def _emit(doc: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _ensure_ensemble(
-    spec: ParsedChannelSpec, seed: int, eps: float, threads: int
-):
+def _ensure_ensemble(spec: ParsedChannelSpec, seed: int, eps: float):
     """(states, povm, provenance, search_doc): searched when the spec has none."""
     if spec.states is not None and spec.povm is not None:
         provenance = "classical-embedding" if spec.source == "classical_matrix" else "given"
@@ -106,7 +94,7 @@ def _ensure_ensemble(
         seed=seed,
         eps_support=eps,
     )
-    res = optimize_pair(spec.channel, cfg, threads=threads)
+    res = optimize_pair(spec.channel, cfg)
     return res.best_states, res.best_povm, "searched", search_result_document(res)
 
 
@@ -126,10 +114,7 @@ def _cmd_analyze(args) -> int:
     doc = _load_json(args.spec)
     spec = parse_channel_spec(doc)
     seed = _env_seed()
-    threads = _env_threads()
-    states, povm, provenance, search_doc = _ensure_ensemble(
-        spec, seed, args.eps, threads
-    )
+    states, povm, provenance, search_doc = _ensure_ensemble(spec, seed, args.eps)
     graph = confusability_graph(spec.channel, states, povm, eps=args.eps)
     bounds = capacity_bounds(graph.to_graph(), n_max=args.n_max, eps_support=args.eps)
 
@@ -161,7 +146,6 @@ def _cmd_analyze(args) -> int:
         eps=args.eps,
         n_max=args.n_max,
         seed=seed if provenance == "searched" else None,
-        threads=threads,
         code=code_doc,
         code_failure=code_failure,
         search=search_doc,
@@ -184,7 +168,7 @@ def _cmd_search(args) -> int:
         general_povm=args.general_povm,
         allow_overcomplete=args.allow_overcomplete,
     )
-    res = optimize_pair(spec.channel, cfg, threads=_env_threads())
+    res = optimize_pair(spec.channel, cfg)
     _emit(search_result_document(res), None)
     return 0
 
@@ -194,7 +178,7 @@ def _cmd_code(args) -> int:
     spec = parse_channel_spec(doc)
     seed = _env_seed()
     eps = DEFAULT_EPS
-    states, povm, _, _ = _ensure_ensemble(spec, seed, eps, _env_threads())
+    states, povm, _, _ = _ensure_ensemble(spec, seed, eps)
     graph = confusability_graph(spec.channel, states, povm, eps=eps)
     code = build_code(graph, states, povm, n=args.n)
     decoder = None
@@ -220,7 +204,7 @@ def _cmd_theta(args) -> int:
             "gap": res.gap,
             "iterations": res.iterations,
             "converged": res.converged,
-            "theta_upper_bits": math.log2(res.value),
+            "theta_upper_bits": math.log2(res.upper),
         },
         None,
     )

@@ -411,7 +411,6 @@ def report_document(
     eps: float,
     n_max: int,
     seed: int | None,
-    threads: int,
     code: dict | None,
     code_failure: str | None,
     search: dict | None,
@@ -439,7 +438,6 @@ def report_document(
         "tool": "zecap",
         "version": __version__,
         "seed": seed,
-        "threads": threads,
         "eps_support": eps,
         "n_max": n_max,
         "channel": channel_doc,

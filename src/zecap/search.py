@@ -13,18 +13,15 @@ hit.  Each restart therefore anneals from the best of three seeds - the
 computational-basis-aligned pair, a Haar-aligned pair (random basis used for
 both states and POVM), and a fully random pair - and the result can only
 improve on them.  Restarts are independent (seed + restart_index) and the
-best is aggregated deterministically, so runs are reproducible bit for bit
-and may be executed in parallel.
+best is aggregated deterministically, so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .confusability import (
     DEFAULT_EPS,
@@ -171,7 +168,8 @@ def _small_rotation(dim: int, step: float, rng: np.random.Generator) -> np.ndarr
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (a + a.conj().T) / 2.0
     h /= np.linalg.norm(h) / math.sqrt(dim)
-    return expm(1j * step * h)
+    lam, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * step * lam)) @ vecs.conj().T
 
 
 class _Candidate:
@@ -335,20 +333,13 @@ def _run_restart(
     return best_score, best, history
 
 
-def optimize_pair(
-    channel: QuantumChannel,
-    cfg: SearchConfig,
-    threads: int = 1,
-) -> SearchResult:
+def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
     """Search for a (states, POVM) pair maximizing non-adjacent pairs.
 
     Parameters
     ----------
     channel : QuantumChannel
     cfg : SearchConfig
-    threads : int, optional
-        Restarts run in a thread pool of this size; aggregation is by
-        restart index, so the result is identical for any thread count.
 
     Returns
     -------
@@ -378,16 +369,7 @@ def optimize_pair(
             )
 
     kraus = channel.kraus
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            runs = list(
-                pool.map(
-                    lambda r: _run_restart(kraus, dim, cfg, r, outcomes),
-                    range(cfg.restarts),
-                )
-            )
-    else:
-        runs = [_run_restart(kraus, dim, cfg, r, outcomes) for r in range(cfg.restarts)]
+    runs = [_run_restart(kraus, dim, cfg, r, outcomes) for r in range(cfg.restarts)]
 
     best_restart = 0
     for r in range(1, cfg.restarts):

@@ -9,9 +9,8 @@ import sys
 
 
 def run_cli(args, env_extra=None, cwd=None) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter, pinned to one worker thread."""
+    """Run the CLI in a fresh interpreter with no ZECAP_SEED override."""
     env = os.environ.copy()
-    env.setdefault("ZECAP_THREADS", "1")
     env.pop("ZECAP_SEED", None)
     if env_extra:
         env.update(env_extra)

@@ -28,6 +28,8 @@ def test_pentagon_bounds_across_two_block_lengths():
     assert b.theta is not None and b.theta.converged
     assert b.theta.value == pytest.approx(math.sqrt(5.0), abs=1e-5)
     assert b.theta_upper == pytest.approx(math.log2(5.0) / 2.0, abs=1e-4)
+    assert b.theta_upper == math.log2(b.theta.upper)
+    assert b.theta_upper >= math.log2(math.sqrt(5))
     assert b.best_lower <= b.theta_upper + 1e-6
 
 
