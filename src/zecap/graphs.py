@@ -155,81 +155,74 @@ def strong_power(g: Graph, n: int, max_vertices: int = MAX_VERTICES) -> Graph:
 # Exact maximum independent set
 # ---------------------------------------------------------------------------
 #
-# alpha(G) is computed as a maximum clique of the complement with the classic
-# greedy-coloring bound: candidates are colored greedily, and a partial
-# clique R can only reach |R| + (number of colors), so branches are cut as
-# soon as that bound falls to the incumbent.  Vertices enter the coloring in
-# a fixed (degree-sorted) order, making the search fully deterministic.
+# alpha(G) is a maximum clique of the complement, found by branch and bound
+# with the greedy-coloring bound of MCQ/BBMC (Tomita et al. 2003; San Segundo
+# et al. 2011): a partial clique R can only reach |R| + (number of colors of
+# its candidates), so a branch is cut as soon as that falls to the incumbent.
+# The complement is relabelled once, high-degree first, so the coloring's
+# "first available vertex" is the lowest set bit, and vertices whose color
+# cannot beat the incumbent are not even listed.  One engine, _clique, answers
+# both the alpha query and the decision queries of the witness rebuild.
 
 
-def _color_order(cand: int, adj: tuple[int, ...], order_hint: tuple[int, ...]):
-    """Greedy coloring of the candidate set; returns (vertices, bounds).
+def _color_order(cand: int, adj: tuple[int, ...], kmin: int):
+    """Greedy coloring of the candidate set; returns (vertices, colors).
 
-    Vertices come back grouped by color class, bounds[i] = color index of
-    vertices[i] (1-based).  A k-colored candidate set holds no clique larger
-    than k.
+    Color classes are built in bit order; vertices come back grouped by
+    class, colors[i] = class index of vertices[i] (1-based), and only those
+    with color >= ``kmin`` are listed.  A k-colored candidate set holds no
+    clique larger than k.
     """
     vertices: list[int] = []
-    bounds: list[int] = []
+    colors: list[int] = []
     color = 0
-    remaining = cand
-    while remaining:
+    while cand:
         color += 1
-        avail = remaining
+        avail = cand
         while avail:
-            v = 0
-            for u in order_hint:  # first available vertex in the fixed order
-                if (avail >> u) & 1:
-                    v = u
-                    break
-            vertices.append(v)
-            bounds.append(color)
-            remaining &= ~(1 << v)
-            avail &= ~(1 << v)
-            avail &= ~adj[v]
-    return vertices, bounds
+            low = avail & -avail  # first available vertex in label order
+            v = low.bit_length() - 1
+            if color >= kmin:
+                vertices.append(v)
+                colors.append(color)
+            cand ^= low
+            avail = (avail ^ low) & ~adj[v]
+    return vertices, colors
 
 
-def _max_clique(adj: tuple[int, ...], order_hint: tuple[int, ...]) -> list[int]:
+def _clique(adj: tuple[int, ...], cand: int, floor: int, first: bool) -> list[int]:
+    """Largest clique inside ``cand`` with more than ``floor`` vertices.
+
+    Returns ``[]`` when there is none.  With ``first`` the search stops at
+    the first clique of ``floor + 1`` vertices, which answers the decision
+    query "is there a clique of that size?".
+    """
     best: list[int] = []
+    top = floor  # size of the incumbent
 
-    def expand(r: list[int], cand: int):
-        nonlocal best
-        vertices, bounds = _color_order(cand, adj, order_hint)
+    def expand(r: list[int], cand: int) -> bool:
+        nonlocal best, top
+        vertices, colors = _color_order(cand, adj, top - len(r) + 1)
         for i in range(len(vertices) - 1, -1, -1):
-            if len(r) + bounds[i] <= len(best):
-                return  # color bound: no strictly larger clique down here
+            if len(r) + colors[i] <= top:
+                return False  # color bound: no strictly larger clique here
             v = vertices[i]
             r.append(v)
             nxt = cand & adj[v]
-            if nxt:
-                expand(r, nxt)
-            elif len(r) > len(best):
-                best = r.copy()
+            # A non-leaf clique always grows, so only leaves can set the
+            # incumbent, unless the caller wants the first of floor + 1.
+            if len(r) > top and (first or not nxt):
+                best, top = r.copy(), len(r)
+                if first:
+                    return True
+            elif nxt and expand(r, nxt):
+                return True
             r.pop()
             cand &= ~(1 << v)
+        return False
 
-    expand([], (1 << len(adj)) - 1 if adj else 0)
+    expand([], cand)
     return best
-
-
-def _has_clique(adj: tuple[int, ...], cand: int, k: int, order_hint: tuple[int, ...]) -> bool:
-    """Decision form: does the candidate set contain a clique of size k?"""
-    if k <= 0:
-        return True
-    if bin(cand).count("1") < k:
-        return False
-    vertices, bounds = _color_order(cand, adj, order_hint)
-    if bounds[-1] < k:
-        return False
-    for i in range(len(vertices) - 1, -1, -1):
-        if bounds[i] < k:
-            return False
-        v = vertices[i]
-        if _has_clique(adj, cand & adj[v], k - 1, order_hint):
-            return True
-        cand &= ~(1 << v)
-    return False
 
 
 def independence_number(
@@ -258,37 +251,39 @@ def independence_number(
     Notes
     -----
     Branch and bound on the complement (maximum clique) with a greedy-coloring
-    upper bound and degree-sorted vertex order.  Once alpha is known, the
-    witness is rebuilt greedily: keep vertex v iff the remainder still admits
-    an independent set completing to alpha, each query answered by the
-    decision form of the same search.
+    upper bound, on complement vertices relabelled high-degree first so the
+    coloring steps through them by lowest set bit.  Once alpha is known, the
+    witness is rebuilt greedily in the caller's labels: keep vertex v iff the
+    remainder still admits an independent set completing to alpha, each query
+    answered by the same clique search stopped at its first hit.
     """
     n = g.vertex_count
     if n > max_vertices:
         raise SizeLimitError(n, max_vertices)
     comp = g.complement()
-    adj = comp.adjacency_masks()
-    # High-degree-first hint tightens the coloring; index order breaks ties.
-    order_hint = tuple(
-        sorted(range(n), key=lambda v: (-bin(adj[v]).count("1"), v))
-    )
-    alpha = len(_max_clique(adj, order_hint))
+    masks = comp.adjacency_masks()
+    # High-degree-first order tightens the coloring; index order breaks ties.
+    order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
+    pos = {v: rank for rank, v in enumerate(order)}  # label -> bit position
+    adj = Graph.from_edges(n, ((pos[a], pos[b]) for a, b in comp.edges)).adjacency_masks()
+    alpha = len(_clique(adj, (1 << n) - 1, 0, False))
 
     witness: list[int] = []
     cand = (1 << n) - 1
     need = alpha
     for v in range(n):
-        if not (cand >> v) & 1:
+        bit = 1 << pos[v]
+        if not cand & bit:
             continue
         # Vertices below v are already decided, so restricting to
         # complement-neighbors of v is all that choosing v costs.
-        rest = cand & adj[v]
-        if _has_clique(adj, rest, need - 1, order_hint):
+        rest = cand & adj[pos[v]]
+        if need == 1 or _clique(adj, rest, need - 2, True):
             witness.append(v)
             cand = rest
             need -= 1
             if need == 0:
                 break
         else:
-            cand &= ~(1 << v)
+            cand &= ~bit
     return alpha, tuple(witness)

@@ -177,7 +177,29 @@ def test_alpha_invariant_under_relabeling():
         ag, wg = independence_number(g)
         ah, wh = independence_number(h)
         assert ag == ah
+        assert wg == brute_alpha(v, g.edges)[1]
+        assert wh == brute_alpha(v, h.edges)[1]
         assert not any(h.has_edge(a, b) for i, a in enumerate(wh) for b in wh[i + 1:])
+
+
+def test_witness_is_canonical_on_random_graphs_beyond_brute_force():
+    # The search runs on relabelled vertices; the witness must still be the
+    # lexicographically smallest maximum set in the caller's labels.
+    rng = np.random.default_rng(2024)
+    for v in range(18, 27):
+        for p in (0.2, 0.5, 0.8):
+            edges = random_graph(v, p, rng)
+            assert independence_number(Graph.from_edges(v, edges)) == pruned_alpha(v, edges)
+
+
+def test_relabelled_c7_times_c9_has_hales_alpha():
+    g = strong_product(cycle_graph(7), cycle_graph(9), max_vertices=63)
+    perm = np.random.default_rng(79).permutation(63)
+    h = Graph.from_edges(63, [(perm[a], perm[b]) for a, b in g.edges])
+    alpha, witness = independence_number(h)
+    assert alpha == 13  # floor(9 * floor(7 / 2) / 2), Hales 1973
+    assert len(set(witness)) == 13
+    assert not any(h.has_edge(a, b) for i, a in enumerate(witness) for b in witness[i + 1:])
 
 
 def test_independence_number_respects_size_cap():
