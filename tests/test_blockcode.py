@@ -21,13 +21,20 @@ from zecap import (
     reachable_supports,
     verify_zero_error,
 )
+from zecap.blockcode import _tensor_path_agrees, _word_probabilities
 from zecap.confusability import StateSet
 from zecap.errors import (
     AmbiguousSupportsError,
     DimensionMismatchError,
     SizeLimitError,
 )
-from zecap.quantum import validate_povm
+from zecap.quantum import (
+    DEFAULT_TOLERANCES,
+    pure_state,
+    random_density_matrix,
+    validate_povm,
+)
+from zecap.search import random_general_povm
 
 from invariants import check_decoder_iff_independent
 
@@ -239,6 +246,99 @@ def test_code_constructor_validates_shape_only():
         QuantumBlockCode(
             block_length=1, codewords=((7,),), source=states, povm=povm
         )
+
+
+# ---------------------------------------------------------------------------
+# Kronecker path
+# ---------------------------------------------------------------------------
+
+
+def all_words_code(states: StateSet, povm, n: int) -> QuantumBlockCode:
+    words = itertools.product(range(len(states.states)), repeat=n)
+    return QuantumBlockCode(
+        block_length=n, codewords=tuple(words), source=states, povm=povm
+    )
+
+
+def y_basis_ensemble():
+    # |+i> and |-i> measured in their own basis: complex entries, so a
+    # transposed POVM element (its complex conjugate) swaps the outcomes.
+    plus = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    minus = np.array([1.0, -1.0j]) / math.sqrt(2.0)
+    states = StateSet(dim=2, states=(pure_state(plus), pure_state(minus)))
+    povm = validate_povm([np.outer(v, v.conj()) for v in (plus, minus)])
+    return identity_channel(2), states, povm
+
+
+def trine_ensemble():
+    # Three outcomes on a qubit; each state is orthogonal to one trine
+    # vector, so its support is the other two outcomes.
+    angles = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
+    trine = [np.array([math.cos(a), math.sin(a)]) for a in angles]
+    povm = validate_povm([(2.0 / 3.0) * np.outer(v, v) for v in trine])
+    perp = [np.array([-v[1], v[0]]) for v in trine[:2]]
+    states = StateSet(dim=2, states=tuple(pure_state(v) for v in perp))
+    return identity_channel(2), states, povm
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_certificate_in_a_complex_basis(n):
+    channel, states, povm = y_basis_ensemble()
+    rep = verify_zero_error(all_words_code(states, povm, n), channel, eps=1e-9)
+    assert rep.passed
+    assert rep.support_sizes == (1,) * 2**n
+    assert rep.tensor_path_checked
+    assert rep.paths_agree is True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_with_more_outcomes_than_dimensions(n):
+    channel, states, povm = trine_ensemble()
+    code = all_words_code(states, povm, n)
+    rep = verify_zero_error(code, channel, eps=1e-9)
+    # Outcome 2 is in both supports, so the code is confusable, but the two
+    # support computations still agree word for word.
+    assert rep.support_sizes == (2**n,) * 2**n
+    assert rep.word_space_size == 3**n
+    assert not rep.pairwise_disjoint and not rep.passed
+    assert rep.tensor_path_checked
+    assert rep.paths_agree is True
+    assert reachable_supports(code, channel, eps=1e-9)[0] == frozenset(
+        itertools.product((1, 2), repeat=n)
+    )
+
+
+def test_tensor_path_catches_a_lost_or_a_gained_word():
+    channel, states, povm = trine_ensemble()
+    code = all_words_code(states, povm, 2)
+    tol = DEFAULT_TOLERANCES
+    word_sets = reachable_supports(code, channel, eps=1e-9)
+    assert _tensor_path_agrees(code, channel, 1e-9, word_sets, tol)
+    lost = (word_sets[0] - {(1, 1)},) + word_sets[1:]
+    assert not _tensor_path_agrees(code, channel, 1e-9, lost, tol)
+    # State 0 never yields outcome 0.
+    gained = (word_sets[0] | {(0, 1)},) + word_sets[1:]
+    assert not _tensor_path_agrees(code, channel, 1e-9, gained, tol)
+
+
+@pytest.mark.parametrize(
+    "d,outcomes,n", [(2, 3, 1), (3, 5, 1), (2, 3, 2), (3, 5, 2), (2, 4, 3), (3, 3, 3)]
+)
+def test_word_probabilities_match_the_trace_of_every_product_element(d, outcomes, n):
+    # Reference: build each product element and take tr(joint E) directly.
+    # The joint state is a generic mixed state on d^n, so it is entangled.
+    rng = np.random.default_rng(100 * d + 10 * outcomes + n)
+    elements = random_general_povm(d, outcomes, seed=d + outcomes + n).elements
+    joint = random_density_matrix(d**n, rng).matrix
+    got = _word_probabilities(joint, np.array(elements), n)
+    assert got.shape == (outcomes,) * n
+    for w in itertools.product(range(outcomes), repeat=n):
+        e = elements[w[0]]
+        for t in range(1, n):
+            e = np.kron(e, elements[w[t]])
+        want = np.trace(joint @ e).real
+        assert abs(got[w] - want) <= 16 * np.finfo(float).eps
+    assert got.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
