@@ -4,6 +4,8 @@ The solver returns a bracket [lower, upper] around theta with a proven
 width, not just a point estimate: the lower end comes from a feasible
 rounding of the primal iterate, the upper end from a dual certificate.
 Odd cycles have a closed form, which makes them a good external check.
+The iteration count is the number of eigendecompositions; convergence is
+tested every 25 of them, so 25 is the fewest a solve can report.
 """
 
 import math

@@ -38,7 +38,10 @@ class CapacityBounds:
     ``best_lower`` is the largest computed finite-n rate (0.0 when every
     K(n) found is 1); ``theta_upper`` is log2 of ``theta.upper``, the
     certified upper end of the theta bracket (not its midpoint), so
-    ``best_lower <= theta_upper`` holds up to floating-point rounding.
+    ``best_lower <= theta_upper`` holds up to floating-point rounding.  An
+    unconverged solve leaves ``theta`` None and ``theta_failure`` set, and
+    ``theta_upper`` is log2 of its certified upper end; it is None only
+    when theta was not attempted (size cap).
     """
 
     per_n: tuple[RateEntry, ...]
@@ -81,7 +84,10 @@ def capacity_bounds(
     -----
     A theta solver failure (size cap or non-convergence) is likewise
     recorded on the result instead of raised: the finite-n lower bounds
-    remain valid and useful without the upper bound.
+    remain valid and useful without the upper bound.  When the solver stops
+    unconverged, ``theta`` is None but ``theta_upper`` is log2 of the upper
+    end of the tightest certified bracket it found, which still bounds the
+    capacity.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -112,7 +118,11 @@ def capacity_bounds(
     try:
         theta_res = lovasz_theta(g, tol=tol)
         theta_upper = math.log2(theta_res.upper)
-    except (SizeLimitError, NotConvergedError) as exc:
+    except NotConvergedError as exc:
+        # The bracket is wider than tol, but its upper end is still certified.
+        theta_upper = math.log2(exc.upper)
+        theta_failure = str(exc)
+    except SizeLimitError as exc:
         theta_failure = str(exc)
 
     return CapacityBounds(

@@ -110,11 +110,14 @@ class SizeLimitError(ZecapError):
 class NotConvergedError(ZecapError):
     """An iterative solver hit its iteration cap before meeting tolerances."""
 
-    def __init__(self, iterations: int, gap: float):
+    def __init__(self, iterations: int, lower: float, upper: float):
         self.iterations = int(iterations)
-        self.gap = float(gap)
+        self.lower = float(lower)
+        self.upper = float(upper)
+        self.gap = self.upper - self.lower
         super().__init__(
-            f"solver did not converge after {iterations} iterations (certified gap {gap:.3e})"
+            f"solver did not converge after {iterations} iterations "
+            f"(certified bracket [{self.lower:.9g}, {self.upper:.9g}], gap {self.gap:.3e})"
         )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,9 @@ jsonschema = pytest.importorskip("jsonschema")
 referencing = pytest.importorskip("referencing")
 from referencing.jsonschema import DRAFT202012
 
-from zecap import cycle_graph
+import zecap.capacity
+from zecap import cli, cycle_graph
+from zecap.errors import NotConvergedError
 from zecap.formats import graph_to_json
 
 from cliutil import load_stdout_json, run_cli, write_spec
@@ -76,3 +79,27 @@ def test_schema_violations_are_reported():
     doc["vertex_count"] = 0
     with pytest.raises(AssertionError, match="vertex_count"):
         validate(doc, "graph.schema.json")
+
+
+def test_an_unconverged_theta_still_reports_its_certified_upper_bound(tmp_path, monkeypatch):
+    solve = zecap.capacity.lovasz_theta
+    raised = []
+
+    def two_iterations(g, tol):
+        try:
+            return solve(g, tol=tol, max_iterations=2)
+        except NotConvergedError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(zecap.capacity, "lovasz_theta", two_iterations)
+    spec = write_spec(tmp_path / "pent.json", "pentagon")
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", spec, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    bounds = report["bounds"]
+    [exc] = raised
+    assert bounds["theta"] is None
+    assert bounds["theta_failure"] == str(exc)
+    assert bounds["theta_upper"] == math.log2(exc.upper) >= math.log2(math.sqrt(5.0))
+    validate(report, "report.schema.json")

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from zecap import (
+    Graph,
     complete_graph,
     cycle_graph,
     edgeless_graph,
@@ -18,12 +20,37 @@ from zecap import (
 from zecap.errors import NotConvergedError, SizeLimitError
 
 from invariants import check_alpha_theta_sandwich
+from oracles import random_graph
 
 
 def odd_cycle_theta(n: int) -> float:
     # Closed form for odd cycles: n cos(pi/n) / (1 + cos(pi/n)).
     c = math.cos(math.pi / n)
     return n * c / (1.0 + c)
+
+
+def paley_graph(q: int) -> Graph:
+    # a ~ b iff a - b is a nonzero square mod q (q prime, q = 1 mod 4).
+    squares = {(x * x) % q for x in range(1, q)}
+    return Graph.from_edges(
+        q, ((a, b) for a in range(q) for b in range(a + 1, q) if (b - a) % q in squares)
+    )
+
+
+def kneser_graph(n: int, k: int) -> Graph:
+    # k-subsets of range(n), adjacent iff disjoint; K(5, 2) is the Petersen graph.
+    sets = [set(c) for c in itertools.combinations(range(n), k)]
+    return Graph.from_edges(
+        len(sets),
+        ((i, j) for i, j in itertools.combinations(range(len(sets)), 2) if not sets[i] & sets[j]),
+    )
+
+
+SLACK = 1e-9
+
+
+def assert_in_bracket(lower: float, upper: float, want: float) -> None:
+    assert lower - SLACK <= want <= upper + SLACK, f"{want} outside [{lower}, {upper}]"
 
 
 def test_complete_graphs_have_theta_one():
@@ -75,11 +102,68 @@ def test_size_cap_and_bad_tol():
         lovasz_theta(cycle_graph(5), tol=0.0)
 
 
+def test_an_empty_iteration_budget_is_refused():
+    # With no iteration there is no certified bracket to report.
+    with pytest.raises(ValueError):
+        lovasz_theta(cycle_graph(5), max_iterations=0)
+
+
 def test_iteration_cap_raises_not_converged():
     with pytest.raises(NotConvergedError) as exc:
-        lovasz_theta(cycle_graph(5), tol=1e-12, max_iterations=10)
-    assert exc.value.iterations <= 10
+        lovasz_theta(cycle_graph(5), tol=1e-12, max_iterations=2)
+    assert exc.value.iterations <= 2
+    assert exc.value.lower <= math.sqrt(5.0) <= exc.value.upper
+    assert exc.value.gap == exc.value.upper - exc.value.lower
+    assert f"{exc.value.upper:.9g}" in str(exc.value)
+
+
+def test_not_converged_carries_the_tightest_bracket_seen():
+    # Far from converged after 75 iterations (plain ADMM and the accelerated
+    # step both need over 50,000 on this graph).  The first 50 iterations of
+    # a 75-iteration run are those of a 50-iteration run, so its bracket can
+    # only be tighter.
+    g = Graph.from_edges(30, random_graph(30, 0.3, np.random.default_rng(0)))
+    brackets = []
+    for cap in (25, 50, 75):
+        with pytest.raises(NotConvergedError) as exc:
+            lovasz_theta(g, max_iterations=cap)
+        brackets.append((exc.value.lower, exc.value.upper))
+    for (lo_a, up_a), (lo_b, up_b) in zip(brackets, brackets[1:]):
+        assert lo_a <= lo_b <= up_b <= up_a
 
 
 def test_upper_bound_dominates_alpha_on_random_graphs():
     check_alpha_theta_sandwich(200)
+
+
+@pytest.mark.parametrize(
+    "g", [cycle_graph(7), paley_graph(13), kneser_graph(5, 2)], ids=["C7", "Paley13", "Petersen"]
+)
+def test_theta_times_theta_of_the_complement_is_v_for_vertex_transitive_graphs(g):
+    # Lovasz 1979, Theorem 8: theta(G) theta(complement G) = V when G is
+    # vertex-transitive.
+    res, co = lovasz_theta(g), lovasz_theta(g.complement())
+    assert_in_bracket(res.lower * co.lower, res.upper * co.upper, float(g.vertex_count))
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (7, 3)])
+def test_kneser_theta_is_n_minus_1_choose_k_minus_1(n, k):
+    res = lovasz_theta(kneser_graph(n, k))
+    assert res.converged
+    assert_in_bracket(res.lower, res.upper, float(math.comb(n - 1, k - 1)))
+
+
+def test_theta_is_multiplicative_on_c5_times_c7():
+    c5, c7 = lovasz_theta(cycle_graph(5)), lovasz_theta(cycle_graph(7))
+    prod = lovasz_theta(strong_product(cycle_graph(5), cycle_graph(7)))
+    assert_in_bracket(c5.lower, c5.upper, math.sqrt(5.0))
+    assert_in_bracket(c7.lower, c7.upper, odd_cycle_theta(7))
+    assert_in_bracket(prod.lower, prod.upper, math.sqrt(5.0) * odd_cycle_theta(7))
+
+
+def test_c7_squared_converges_well_inside_the_plain_admm_iteration_count():
+    # Plain ADMM needs 325 iterations on C7 x C7; the accelerated step needs
+    # 50.  A cap of 150 keeps a 2x margin under the plain count.
+    res = lovasz_theta(strong_product(cycle_graph(7), cycle_graph(7)), max_iterations=150)
+    assert res.converged and res.iterations <= 150
+    assert_in_bracket(res.lower, res.upper, odd_cycle_theta(7) ** 2)
