@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", default=None)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("search", help="anneal a (states, POVM) pair for the channel")
+    p = sub.add_parser("search", help="search for a (states, POVM) pair for the channel")
     p.add_argument("spec")
     p.add_argument("--M", type=int, default=None, help="states to place (default: dim)")
     p.add_argument("--restarts", type=int, default=32)

@@ -394,6 +394,8 @@ def search_result_document(res: SearchResult) -> dict:
         "final_objective_per_restart": [
             (trace[-1] if trace else None) for trace in res.history
         ],
+        "objective_bound": res.objective_bound,
+        "proposals": res.proposals,
         "states": _states_json(res.best_states),
         "povm": _povm_json(res.best_povm),
         "graph": graph_to_json(res.graph.to_graph()),

@@ -9,11 +9,27 @@ bridge from "a channel" to "its confusability graph".
 The objective is integer-valued and flat almost everywhere: for an identity
 or classical channel the good configurations are exact alignments of states
 with measurement directions, a measure-zero target blind annealing cannot
-hit.  Each restart therefore anneals from the best of three seeds - the
+hit.  Each restart therefore anneals from the best of four starts - the
 computational-basis-aligned pair, a Haar-aligned pair (random basis used for
-both states and POVM), and a fully random pair - and the result can only
-improve on them.  Restarts are independent (seed + restart_index) and the
-best is aggregated deterministically, so runs are reproducible bit for bit.
+both states and POVM), a fully random pair, and the S-start - and the result
+can only improve on them.  Ties go to the earlier start.
+
+The S-start comes from the channel's operator space S = span{K_i^dagger K_j}
+(Duan, Severini & Winter, arXiv:1002.2514): pure inputs a, b are zero-error
+distinguishable by some measurement iff <a|B|b> = 0 for every B in S.  Its
+states are the eigenbasis of a random Hermitian element of S, which is
+exactly zero-error when S is commutative, and its measurement is built from
+the output ranges span{K_i a}.  It is computed once per call from its own
+generator (seeded ``seed``), so a restart it does not strictly win keeps
+the proposal stream it would have without it.
+
+A restart anneals only while its best score is below an upper bound on the
+objective: M(M-1)/2 pairs, or none when the channel puts a common outcome in
+every state's support (see ``_objective_bound``).  A restart at the bound
+stops and records its best for the remaining iterations, which is the trace
+the full run would record, since no proposal can beat the bound.
+Restarts are independent (seed + restart_index) and the best is aggregated
+deterministically, so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -46,6 +62,12 @@ __all__ = [
 _COOLING = 0.995          # geometric temperature decay per iteration
 _INIT_ACCEPT = 0.6        # target acceptance rate of worsening probe moves
 _CALIBRATION_PROBES = 20
+# Absolute slack, above the round-off of eigvalsh on the d^2 x d^2 matrix C and
+# of the outcome probabilities, before lambda_min(C) is trusted as a bound.
+_ROUNDOFF = 1e-12
+# Singular values below this count as zero in the ranks of S (relative to the
+# largest) and of the output ranges (whose vectors have unit total norm).
+_RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -101,7 +123,12 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best pair found, its graph, and per-restart objective traces."""
+    """Best pair found, its graph, and per-restart objective traces.
+
+    ``objective_bound`` is the upper bound on the objective at which a
+    restart stops annealing; ``proposals`` counts the proposals scored over
+    all restarts, calibration probes included, starts excluded.
+    """
 
     best_states: StateSet
     best_povm: Povm
@@ -111,6 +138,8 @@ class SearchResult:
     best_restart: int
     history: tuple[tuple[float, ...], ...]
     config: SearchConfig
+    objective_bound: float
+    proposals: int
 
 
 def random_pure_state_set(dim: int, count: int, seed: int) -> StateSet:
@@ -256,6 +285,56 @@ def _initial_candidates(
     return cands
 
 
+def _operator_space(kraus: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Orthonormal (Hilbert-Schmidt) basis of S = span{K_i^dagger K_j}, shape (dim S, d, d)."""
+    d = kraus[0].shape[0]
+    prods = np.stack([a.conj().T @ b for a in kraus for b in kraus]).reshape(-1, d * d)
+    _, sv, vh = np.linalg.svd(prods, full_matrices=False)
+    rank = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
+    return vh[:rank].reshape(rank, d, d)
+
+
+def _objective_bound(
+    kraus: tuple[np.ndarray, ...], dim: int, m: int, outcomes: int, eps: float, objective: str
+) -> float:
+    """Upper bound on ``_score`` over every (states, measurement) pair.
+
+    With C = sum_i vec(K_i) vec(K_i)^dagger, tr(E_j E(psi)) >= lambda_min(C)
+    tr(E_j) for every state psi, and some E_j has tr(E_j) >= dim/N.  When
+    lambda_min(C) dim/N exceeds eps, that outcome is in every support and no
+    pair is distinguishable; otherwise all M(M-1)/2 pairs may be.
+    """
+    vec = np.stack([k.reshape(-1) for k in kraus], axis=1)  # (d^2, K)
+    lam_min = np.linalg.eigvalsh(vec @ vec.conj().T)[0]
+    pairs_max = 0 if (lam_min - _ROUNDOFF) * dim / outcomes > eps else m * (m - 1) // 2
+    if objective == "pair_count":
+        return float(pairs_max)
+    # Zero pairs leave a complete graph (alpha 1); otherwise alpha <= M.
+    return pairs_max + (m if pairs_max else 1) / (m + 1)
+
+
+def _s_start(
+    kraus: tuple[np.ndarray, ...], m: int, general: bool, outcomes: int, rng: np.random.Generator
+) -> _Candidate:
+    """States from the eigenbasis of a random Hermitian element of S, measured on their output ranges."""
+    basis = _operator_space(kraus)
+    dim = basis.shape[1]
+    c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    a = np.tensordot(c, basis, axes=1)
+    _, eigvecs = np.linalg.eigh(a + a.conj().T)  # in S: S is closed under adjoints
+    vecs = eigvecs.T[np.arange(m) % dim].copy()
+    # Orthonormal bases of the output ranges span{K_i v}, each orthogonalized
+    # against those before it, completed to a unitary.
+    cols = np.zeros((dim, 0), dtype=np.complex128)
+    for v in vecs:
+        out = np.stack([k @ v for k in kraus], axis=1)
+        out -= cols @ (cols.conj().T @ out)
+        u, sv, _ = np.linalg.svd(out, full_matrices=False)
+        cols = np.hstack([cols, u[:, sv > _RANK_TOL]])
+    unitary, _ = np.linalg.qr(np.hstack([cols, np.eye(dim)]))
+    return _Candidate(vecs, _aligned_meas(unitary, dim, general, outcomes))
+
+
 def _aligned_meas(u: np.ndarray, dim: int, general: bool, outcomes: int) -> np.ndarray:
     if not general:
         return u.copy()
@@ -295,18 +374,22 @@ def _run_restart(
     cfg: SearchConfig,
     restart_index: int,
     outcomes: int,
-) -> tuple[float, _Candidate, list[float]]:
+    s_start: _Candidate,
+    bound: float,
+) -> tuple[float, _Candidate, list[float], int]:
     rng = np.random.default_rng(cfg.seed + restart_index)
     general = cfg.general_povm
     m = cfg.num_states
 
     current = None
     cur_score = -1.0
-    for cand in _initial_candidates(dim, m, general, outcomes, rng):
+    for cand in (*_initial_candidates(dim, m, general, outcomes, rng), s_start):
         sc = _score(_prob_table(kraus, cand, general, outcomes), cfg.eps_support, cfg.objective)
         if sc > cur_score:
             current, cur_score = cand, sc
     best, best_score = current.copy(), cur_score
+    if best_score >= bound:
+        return best_score, best, [best_score] * cfg.iterations, 0
 
     # Temperature calibration: accept a mean-magnitude worsening probe
     # with probability ~_INIT_ACCEPT at T0.
@@ -330,7 +413,11 @@ def _run_restart(
                 best, best_score = current.copy(), cur_score
         history.append(best_score)
         temp *= _COOLING
-    return best_score, best, history
+        if best_score >= bound:
+            break
+    proposals = _CALIBRATION_PROBES + len(history)
+    history += [best_score] * (cfg.iterations - len(history))
+    return best_score, best, history, proposals
 
 
 def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
@@ -369,13 +456,17 @@ def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
             )
 
     kraus = channel.kraus
-    runs = [_run_restart(kraus, dim, cfg, r, outcomes) for r in range(cfg.restarts)]
+    bound = _objective_bound(kraus, dim, m, outcomes, cfg.eps_support, cfg.objective)
+    s_start = _s_start(kraus, m, cfg.general_povm, outcomes, np.random.default_rng(cfg.seed))
+    runs = [
+        _run_restart(kraus, dim, cfg, r, outcomes, s_start, bound) for r in range(cfg.restarts)
+    ]
 
     best_restart = 0
     for r in range(1, cfg.restarts):
         if runs[r][0] > runs[best_restart][0]:
             best_restart = r
-    best_score, best_cand, _ = runs[best_restart]
+    best_cand = runs[best_restart][1]
 
     states = StateSet(
         dim=dim,
@@ -397,6 +488,8 @@ def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
         pair_count=non_adjacent_pair_count(graph),
         alpha_1=alpha_1,
         best_restart=best_restart,
-        history=tuple(tuple(h) for h in (run[2] for run in runs)),
+        history=tuple(tuple(run[2]) for run in runs),
         config=cfg,
+        objective_bound=bound,
+        proposals=sum(run[3] for run in runs),
     )

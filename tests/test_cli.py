@@ -144,6 +144,40 @@ def test_analyze_searches_when_the_spec_has_no_ensemble(tmp_path):
     assert report["code"]["certificate"]["passed"] is True
 
 
+def test_analyze_finds_the_bitflip_x_basis_pair(tmp_path):
+    spec = write_spec(tmp_path / "bf.json", "bitflip-p0.1")
+    report = load_stdout_json(run_cli(["analyze", spec]))
+    assert report["ensemble"]["provenance"] == "searched"
+    assert report["non_adjacent_pairs"] == 1
+    assert report["positive_zero_error_capacity"] is True
+    assert [e["alpha"] for e in report["bounds"]["per_n"]] == [2, 4]
+    assert report["code"]["certificate"]["passed"] is True
+    assert report["code"]["certificate"]["paths_agree"] is True
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "identity-d2",
+        "identity-d3",
+        "identity-d5",
+        "depolarizing-p0.3",
+        "depolarizing-p1.0",
+        "dephasing-p0.5",
+        "bitflip-p0.1",
+        "bitflip-p0.25",
+    ],
+)
+def test_searched_builtins_start_at_the_objective_bound(tmp_path, name):
+    # A deterministic guard against the annealing cost coming back: every
+    # restart's best start already reaches the bound, so nothing is proposed.
+    spec = write_spec(tmp_path / f"{name}.json", name)
+    search = load_stdout_json(run_cli(["analyze", spec]))["search"]
+    assert search["proposals"] == 0
+    assert search["final_objective_per_restart"] == [search["objective_bound"]] * search["restarts"]
+    assert search["pair_count"] == search["objective_bound"]
+
+
 def test_analyze_seed_env_var_is_recorded(tmp_path):
     spec = write_spec(tmp_path / "dep.json", "depolarizing-p0.5")
     report = load_stdout_json(run_cli(["analyze", spec], env_extra={"ZECAP_SEED": "11"}))

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from zecap import (
+    DEFAULT_EPS,
     SearchConfig,
+    bitflip_channel,
     confusability_graph,
     dephasing_channel,
     depolarizing_channel,
@@ -19,8 +23,10 @@ from zecap import (
     random_projective_povm,
     random_pure_state_set,
 )
+from zecap import search
 from zecap.errors import DimensionMismatchError
-from zecap.quantum import haar_unitary, validate_channel
+from zecap.quantum import random_channel
+from zecap.search import _objective_bound, _operator_space
 
 SMALL = dict(restarts=3, iterations=80)
 
@@ -119,10 +125,13 @@ def test_search_is_deterministic_for_a_seed():
 
 
 def test_restart_r_is_a_one_restart_run_seeded_seed_plus_r():
-    # A rotated qutrit identity with a coarse support cutoff: the annealing
-    # improves at seed-dependent iterations, so the traces differ per restart.
-    channel = validate_channel([haar_unitary(3, np.random.default_rng(1))])
-    cfg = dict(num_states=3, iterations=40, eps_support=0.1)
+    # A random two-Kraus qutrit channel with a coarse support cutoff: no start
+    # reaches the objective bound and the annealing improves at seed-dependent
+    # iterations, so the traces differ per restart.  The S-start is drawn once
+    # per call from ``seed``, not ``seed + r``; on this channel it wins no
+    # restart of either run, so each restart is its seeded stream alone.
+    channel = random_channel(3, 2, np.random.default_rng(42))
+    cfg = dict(num_states=3, iterations=40, eps_support=0.2)
     multi = optimize_pair(channel, SearchConfig(restarts=4, seed=5, **cfg))
     assert len(set(multi.history)) > 1
     solos = [optimize_pair(channel, SearchConfig(restarts=1, seed=5 + r, **cfg)) for r in range(4)]
@@ -132,6 +141,109 @@ def test_restart_r_is_a_one_restart_run_seeded_seed_plus_r():
     assert all(
         np.array_equal(x.matrix, y.matrix)
         for x, y in zip(multi.best_states.states, best.best_states.states)
+    )
+
+
+def test_bitflip_search_finds_the_x_basis_pair():
+    # |+> and |-> are fixed by both Kraus operators; only the S-start, the
+    # eigenbasis of an element of S = span{I, X}, lines up with them.
+    res = optimize_pair(bitflip_channel(0.1), SearchConfig(num_states=2, **SMALL))
+    assert res.pair_count == 1
+    assert res.alpha_1 == 2
+    plus = np.full(2, 1 / math.sqrt(2))
+    overlaps = sorted(float((plus @ st.matrix @ plus).real) for st in res.best_states.states)
+    assert overlaps == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The operator space S and the objective bound
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "channel, dim_s",
+    [
+        (identity_channel(3), 1),
+        (dephasing_channel(0.5), 2),
+        (bitflip_channel(0.1), 2),
+        (depolarizing_channel(0.3), 4),
+    ],
+)
+def test_operator_space_has_the_known_dimension_and_spans_every_product(channel, dim_s):
+    basis = _operator_space(channel.kraus)
+    assert len(basis) == dim_s
+    flat = basis.reshape(dim_s, -1)
+    assert np.allclose(flat.conj() @ flat.T, np.eye(dim_s), atol=1e-12)
+    for a in channel.kraus:
+        for b in channel.kraus:
+            v = (a.conj().T @ b).reshape(-1)
+            assert np.allclose(flat.T @ (flat.conj() @ v), v, atol=1e-12)
+
+
+def test_depolarizing_admits_no_pair_in_any_ensemble_as_the_bound_says():
+    # lambda_min(C) = p/2 = 0.15 for every outcome count up to d^2 = 4.
+    channel = depolarizing_channel(0.3)
+    for outcomes in (2, 4):
+        assert _objective_bound(channel.kraus, 2, 2, outcomes, DEFAULT_EPS, "pair_count") == 0.0
+    assert _objective_bound(
+        channel.kraus, 2, 2, 2, DEFAULT_EPS, "pair_count_then_alpha"
+    ) == pytest.approx(1 / 3)
+    for s in range(1000):
+        states = random_pure_state_set(2, 2, seed=s)
+        povm = random_general_povm(2, 4, seed=s) if s % 2 else random_projective_povm(2, seed=s)
+        assert non_adjacent_pair_count(confusability_graph(channel, states, povm)) == 0
+
+
+def test_depolarizing_below_the_cutoff_keeps_its_thresholded_pair():
+    # lambda_min(C) = 5e-13 <= eps: the noise is invisible at this cutoff, so
+    # the bound stays M(M-1)/2 and the computational pair is found.
+    channel = depolarizing_channel(1e-12)
+    res = optimize_pair(channel, SearchConfig(num_states=2, **SMALL))
+    assert res.objective_bound == 1.0
+    assert res.pair_count == 1
+    assert _objective_bound(depolarizing_channel(1e-6).kraus, 2, 2, 2, DEFAULT_EPS, "pair_count") == 0.0
+
+
+def test_a_restart_at_the_bound_records_a_flat_full_length_trace():
+    res = optimize_pair(identity_channel(3), SearchConfig(num_states=3, restarts=3, iterations=50))
+    assert res.objective_bound == 3.0
+    assert res.proposals == 0
+    assert res.history == ((3.0,) * 50,) * 3
+    # The S-start ties with the computational start, which comes first.
+    for j, st in enumerate(res.best_states.states):
+        assert st.matrix[j, j] == 1.0
+
+
+@pytest.mark.parametrize(
+    "channel, cfg, stops_midway",
+    [
+        (identity_channel(3), SearchConfig(num_states=3, restarts=2, iterations=30), False),
+        # Restart 1 reaches the bound part-way through its annealing.
+        (
+            random_channel(2, 2, np.random.default_rng(1)),
+            SearchConfig(num_states=2, restarts=4, iterations=60, seed=5, eps_support=0.1),
+            True,
+        ),
+    ],
+)
+def test_stopping_at_the_bound_changes_no_result(monkeypatch, channel, cfg, stops_midway):
+    stopped = optimize_pair(channel, cfg)
+    bound = stopped.objective_bound
+    assert any(h[0] < bound == h[-1] for h in stopped.history) == stops_midway
+    monkeypatch.setattr(search, "_objective_bound", lambda *args: math.inf)
+    full = optimize_pair(channel, cfg)
+    assert full.proposals == cfg.restarts * (search._CALIBRATION_PROBES + cfg.iterations)
+    assert stopped.proposals < full.proposals
+    assert stopped.history == full.history
+    assert stopped.best_restart == full.best_restart
+    assert stopped.pair_count == full.pair_count
+    assert stopped.graph.edges == full.graph.edges
+    assert all(
+        np.array_equal(x.matrix, y.matrix)
+        for x, y in zip(stopped.best_states.states, full.best_states.states)
+    )
+    assert all(
+        np.array_equal(x, y) for x, y in zip(stopped.best_povm.elements, full.best_povm.elements)
     )
 
 
