@@ -3,14 +3,15 @@
 The confusability graph depends on which states are sent and how the output
 is measured.  The search maximizes the number of one-shot-distinguishable
 pairs over (states, POVM) pairs.  Each restart takes the best of four
-starts: computational and Haar-aligned bases, a random pair, and the
-S-start, an eigenbasis of the channel's operator space S = span{K_i^dagger
-K_j} measured on its output ranges.  It then anneals only while its best is
-below an upper bound on the objective (M(M-1)/2 pairs, or none when the
-channel provably puts one outcome in every support).  The starts reach that
-bound on noiseless, commuting-noise and fully noisy channels, whose searches
-score no proposal at all; the annealer only works on the rest, such as the
-pentagon, whose best graph stays below the bound.
+starts: the computational basis, the S-start (an eigenbasis of the channel's
+operator space S = span{K_i^dagger K_j} measured on its output ranges), a
+Haar-aligned basis and a random pair.  It then hill-climbs, keeping every
+small random rotation that scores no worse, only while its best is below an
+upper bound on the objective (M(M-1)/2 pairs, or none when the channel
+provably puts one outcome in every support).  The starts reach that bound on
+noiseless, commuting-noise and fully noisy channels, whose searches score no
+proposal at all; the climb only works on the rest, such as the pentagon,
+whose best graph stays below the bound.
 """
 
 import numpy as np
@@ -58,7 +59,7 @@ def main():
     print("Zero error is brittle: any depolarizing noise kills it")
     print("------------------------------------------------------")
     # Even p = 0.2 gives every output full rank, so supports always overlap
-    # under any measurement: the objective bound is 0 and nothing anneals.
+    # under any measurement: the objective bound is 0 and nothing climbs.
     cfg = SearchConfig(num_states=2, restarts=6, iterations=400, seed=7)
     report("depolarizing p=0.2", optimize_pair(depolarizing_channel(0.2), cfg))
 

@@ -2,8 +2,9 @@
 
 Computes what a channel can transmit with literally zero probability of
 error: confusability graphs of state/measurement ensembles, independence
-numbers of their strong powers, Lovász theta upper bounds, annealed searches
-for good state/POVM pairs, and explicit zero-error block codes with decoders.
+numbers of their strong powers, Lovász theta upper bounds, hill-climbing
+searches for good state/POVM pairs, and explicit zero-error block codes with
+decoders.
 """
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .blockcode import DecoderTable, QuantumBlockCode, ZeroErrorReport
 from .capacity import CapacityBounds
-from .confusability import ConfusabilityGraph, StateSet
+from .confusability import ConfusabilityGraph, StateSet, non_adjacent_pair_count
 from .errors import ValidationError
 from .graphs import Graph
 from .quantum import (
@@ -434,8 +434,7 @@ def report_document(
             else None
         ),
     }
-    from .confusability import non_adjacent_pair_count
-
+    pairs = non_adjacent_pair_count(graph)
     return {
         "tool": "zecap",
         "version": __version__,
@@ -453,8 +452,8 @@ def report_document(
         "supports": [sorted(s) for s in graph.supports],
         "fragile_probability_count": graph.fragile_count,
         "graph": graph_to_json(graph.to_graph()),
-        "non_adjacent_pairs": non_adjacent_pair_count(graph),
-        "positive_zero_error_capacity": non_adjacent_pair_count(graph) > 0,
+        "non_adjacent_pairs": pairs,
+        "positive_zero_error_capacity": pairs > 0,
         "bounds": _bounds_json(bounds),
         "code": code,
         "code_failure": code_failure,

@@ -1,4 +1,4 @@
-"""Simulated-annealing search for state/POVM pairs with many distinguishable pairs.
+"""Hill-climbing search for state/POVM pairs with many distinguishable pairs.
 
 The one-shot structure of a channel depends on which states are sent and
 which POVM reads them out.  An *optimum* pair maximizes the number of
@@ -8,33 +8,38 @@ bridge from "a channel" to "its confusability graph".
 
 The objective is integer-valued and flat almost everywhere: for an identity
 or classical channel the good configurations are exact alignments of states
-with measurement directions, a measure-zero target blind annealing cannot
-hit.  Each restart therefore anneals from the best of four starts - the
-computational-basis-aligned pair, a Haar-aligned pair (random basis used for
-both states and POVM), a fully random pair, and the S-start - and the result
-can only improve on them.  Ties go to the earlier start.
+with measurement directions, a measure-zero target blind local moves cannot
+hit.  Each restart therefore climbs from the best of four starts, scored in
+this order - the computational-basis-aligned pair, the S-start, a
+Haar-aligned pair (random basis used for both states and POVM), and a fully
+random pair - and the result can only improve on them.  Ties go to the
+earlier start.
 
 The S-start comes from the channel's operator space S = span{K_i^dagger K_j}
 (Duan, Severini & Winter, arXiv:1002.2514): pure inputs a, b are zero-error
 distinguishable by some measurement iff <a|B|b> = 0 for every B in S.  Its
 states are the eigenbasis of a random Hermitian element of S, which is
 exactly zero-error when S is commutative, and its measurement is built from
-the output ranges span{K_i a}.  It is computed once per call from its own
-generator (seeded ``seed``), so a restart it does not strictly win keeps
-the proposal stream it would have without it.
+the output ranges span{K_i a}.
 
-A restart anneals only while its best score is below an upper bound on the
-objective: M(M-1)/2 pairs, or none when the channel puts a common outcome in
-every state's support (see ``_objective_bound``).  A restart at the bound
-stops and records its best for the remaining iterations, which is the trace
-the full run would record, since no proposal can beat the bound.
-Restarts are independent (seed + restart_index) and the best is aggregated
-deterministically, so runs are reproducible bit for bit.
+From its start a restart takes small random rotations of one state or of the
+measurement, keeping each that scores at least as well as the current point
+(so it can cross plateaus) and recording the best point only on a strict
+improvement.  It climbs only while its best score is below an upper bound on
+the objective: M(M-1)/2 pairs, or none when the channel puts a common outcome
+in every state's support (see ``_objective_bound``).  A restart at the bound
+stops scoring starts and proposals and records its best for the remaining
+iterations, which is the trace and the point the full run would give, since
+nothing can beat the bound.  Restart r draws everything, its S-start first,
+from the generator seeded ``seed + r``, so it is exactly the one-restart run
+at that seed; the best restart is chosen deterministically, so runs are
+reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +64,7 @@ __all__ = [
     "optimize_pair",
 ]
 
-_COOLING = 0.995          # geometric temperature decay per iteration
-_INIT_ACCEPT = 0.6        # target acceptance rate of worsening probe moves
-_CALIBRATION_PROBES = 20
+_STEP = 0.15  # magnitude of the random unitary proposal rotations (radians-ish)
 # Absolute slack, above the round-off of eigvalsh on the d^2 x d^2 matrix C and
 # of the outcome probabilities, before lambda_min(C) is trusted as a bound.
 _ROUNDOFF = 1e-12
@@ -80,11 +83,9 @@ class SearchConfig:
         States to place (M).  Must satisfy 2 <= M <= dim unless
         ``allow_overcomplete``.
     restarts, iterations : int
-        Independent annealing restarts and proposals per restart.
+        Independent hill-climbing restarts and proposals per restart.
     seed : int
         Restart r uses the generator seeded with ``seed + r``.
-    step_size : float
-        Magnitude of the random unitary proposal rotations (radians-ish).
     eps_support : float
         Support cutoff used when scoring candidate pairs.
     objective : str
@@ -103,7 +104,6 @@ class SearchConfig:
     restarts: int = 32
     iterations: int = 2000
     seed: int = 7
-    step_size: float = 0.15
     eps_support: float = DEFAULT_EPS
     objective: str = "pair_count"
     general_povm: bool = False
@@ -115,8 +115,6 @@ class SearchConfig:
             raise ValueError("num_states must be >= 2: pairs need two states")
         if self.restarts < 1 or self.iterations < 0:
             raise ValueError("restarts must be >= 1 and iterations >= 0")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
         if self.objective not in ("pair_count", "pair_count_then_alpha"):
             raise ValueError(f"unknown objective {self.objective!r}")
 
@@ -126,8 +124,8 @@ class SearchResult:
     """Best pair found, its graph, and per-restart objective traces.
 
     ``objective_bound`` is the upper bound on the objective at which a
-    restart stops annealing; ``proposals`` counts the proposals scored over
-    all restarts, calibration probes included, starts excluded.
+    restart stops; ``proposals`` counts the hill-climbing proposals scored
+    over all restarts, starts excluded.
     """
 
     best_states: StateSet
@@ -262,29 +260,6 @@ def _score(p: np.ndarray, eps: float, objective: str) -> float:
     return pc + alpha / (p.shape[0] + 1)
 
 
-def _initial_candidates(
-    dim: int, m: int, general: bool, outcomes: int, rng: np.random.Generator
-) -> list[_Candidate]:
-    cands: list[_Candidate] = []
-    # Basis indices tile cyclically when m > dim; exact repeats are the best
-    # an overcomplete aligned start can do.
-    tile = np.arange(m) % dim
-    # Computational alignment: recovers classical structure exactly.
-    eye = np.eye(dim, dtype=np.complex128)
-    cands.append(_Candidate(eye[tile].copy(), _aligned_meas(eye, dim, general, outcomes)))
-    # Haar alignment: same basis for states and measurement.
-    u = haar_unitary(dim, rng)
-    cands.append(_Candidate(u.T[tile].copy(), _aligned_meas(u, dim, general, outcomes)))
-    # Fully random pair.
-    vecs = _random_state_vectors(dim, m, rng)
-    if general:
-        meas = _random_isometry(outcomes * dim, dim, rng)
-    else:
-        meas = haar_unitary(dim, rng)
-    cands.append(_Candidate(vecs, meas))
-    return cands
-
-
 def _operator_space(kraus: tuple[np.ndarray, ...]) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) basis of S = span{K_i^dagger K_j}, shape (dim S, d, d)."""
     d = kraus[0].shape[0]
@@ -338,85 +313,93 @@ def _s_start(
 def _aligned_meas(u: np.ndarray, dim: int, general: bool, outcomes: int) -> np.ndarray:
     if not general:
         return u.copy()
-    # Isometry whose first dim blocks are the rank-one projectors |u_j><u_j|
-    # and the rest zero: sums to identity, mirrors the projective alignment.
-    iso = np.zeros((outcomes * dim, dim), dtype=np.complex128)
+    # Isometry whose j-th block is |u_j><u_j|, mirroring the projective
+    # alignment; with fewer outcomes than dim, columns j >= outcomes - 1 share
+    # the last block.  A sum of orthogonal projectors is a projector, so the
+    # blocks still sum to the identity.  Blocks past the dim-th are zero.
+    iso = np.zeros((outcomes, dim, dim), dtype=np.complex128)
     for jj in range(dim):
         col = u[:, jj]
-        iso[jj * dim : (jj + 1) * dim, :] = np.outer(col, col.conj())
-    return iso
+        iso[min(jj, outcomes - 1)] += np.outer(col, col.conj())
+    return iso.reshape(outcomes * dim, dim)
 
 
-def _propose(
-    cand: _Candidate,
-    step: float,
-    general: bool,
-    rng: np.random.Generator,
-) -> _Candidate:
+def _starts(
+    kraus: tuple[np.ndarray, ...], m: int, general: bool, outcomes: int, rng: np.random.Generator
+) -> Iterator[_Candidate]:
+    """The four starts in scoring order, each drawn from ``rng`` only when reached."""
+    dim = kraus[0].shape[1]
+    # Basis indices tile cyclically when m > dim; exact repeats are the best
+    # an overcomplete aligned start can do.
+    tile = np.arange(m) % dim
+    # Computational alignment: recovers classical structure exactly.
+    eye = np.eye(dim, dtype=np.complex128)
+    yield _Candidate(eye[tile].copy(), _aligned_meas(eye, dim, general, outcomes))
+    yield _s_start(kraus, m, general, outcomes, rng)
+    # Haar alignment: same basis for states and measurement.
+    u = haar_unitary(dim, rng)
+    yield _Candidate(u.T[tile].copy(), _aligned_meas(u, dim, general, outcomes))
+    # Fully random pair.
+    vecs = _random_state_vectors(dim, m, rng)
+    if general:
+        meas = _random_isometry(outcomes * dim, dim, rng)
+    else:
+        meas = haar_unitary(dim, rng)
+    yield _Candidate(vecs, meas)
+
+
+def _propose(cand: _Candidate, general: bool, rng: np.random.Generator) -> _Candidate:
     m, dim = cand.vecs.shape
     out = cand.copy()
     target = int(rng.integers(0, m + 1))
     if target < m:
-        rot = _small_rotation(dim, step, rng)
+        rot = _small_rotation(dim, _STEP, rng)
         out.vecs[target] = rot @ out.vecs[target]
     elif general:
-        rot = _small_rotation(cand.meas.shape[0], step, rng)
+        rot = _small_rotation(cand.meas.shape[0], _STEP, rng)
         out.meas = rot @ out.meas
     else:
-        rot = _small_rotation(dim, step, rng)
+        rot = _small_rotation(dim, _STEP, rng)
         out.meas = rot @ out.meas
     return out
 
 
 def _run_restart(
     kraus: tuple[np.ndarray, ...],
-    dim: int,
     cfg: SearchConfig,
     restart_index: int,
     outcomes: int,
-    s_start: _Candidate,
     bound: float,
 ) -> tuple[float, _Candidate, list[float], int]:
     rng = np.random.default_rng(cfg.seed + restart_index)
     general = cfg.general_povm
-    m = cfg.num_states
 
-    current = None
-    cur_score = -1.0
-    for cand in (*_initial_candidates(dim, m, general, outcomes, rng), s_start):
-        sc = _score(_prob_table(kraus, cand, general, outcomes), cfg.eps_support, cfg.objective)
-        if sc > cur_score:
-            current, cur_score = cand, sc
-    best, best_score = current.copy(), cur_score
-    if best_score >= bound:
-        return best_score, best, [best_score] * cfg.iterations, 0
+    def score(cand: _Candidate) -> float:
+        p = _prob_table(kraus, cand, general, outcomes)
+        return _score(p, cfg.eps_support, cfg.objective)
 
-    # Temperature calibration: accept a mean-magnitude worsening probe
-    # with probability ~_INIT_ACCEPT at T0.
-    drops = []
-    for _ in range(_CALIBRATION_PROBES):
-        probe = _propose(current, cfg.step_size, general, rng)
-        sc = _score(_prob_table(kraus, probe, general, outcomes), cfg.eps_support, cfg.objective)
-        if sc < cur_score:
-            drops.append(cur_score - sc)
-    t0 = (sum(drops) / len(drops)) / math.log(1.0 / _INIT_ACCEPT) if drops else 1.0
-
-    history: list[float] = []
-    temp = t0
-    for _ in range(cfg.iterations):
-        proposal = _propose(current, cfg.step_size, general, rng)
-        sc = _score(_prob_table(kraus, proposal, general, outcomes), cfg.eps_support, cfg.objective)
-        delta = sc - cur_score
-        if delta >= 0 or rng.random() < math.exp(delta / max(temp, 1e-300)):
-            current, cur_score = proposal, sc
-            if cur_score > best_score:
-                best, best_score = current.copy(), cur_score
-        history.append(best_score)
-        temp *= _COOLING
+    best, best_score = None, -1.0
+    for cand in _starts(kraus, cfg.num_states, general, outcomes, rng):
+        sc = score(cand)
+        if sc > best_score:
+            best, best_score = cand, sc
         if best_score >= bound:
             break
-    proposals = _CALIBRATION_PROBES + len(history)
-    history += [best_score] * (cfg.iterations - len(history))
+
+    # Hill climb: move to every proposal that scores no worse (crossing
+    # plateaus), and move the best only on a strict improvement.
+    current = best
+    history: list[float] = []
+    while len(history) < cfg.iterations and best_score < bound:
+        proposal = _propose(current, general, rng)
+        sc = score(proposal)
+        if sc >= best_score:
+            current = proposal
+            if sc > best_score:
+                best, best_score = proposal, sc
+        history.append(best_score)
+    proposals = len(history)
+    history += [best_score] * (cfg.iterations - proposals)
     return best_score, best, history, proposals
 
 
@@ -457,10 +440,7 @@ def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
 
     kraus = channel.kraus
     bound = _objective_bound(kraus, dim, m, outcomes, cfg.eps_support, cfg.objective)
-    s_start = _s_start(kraus, m, cfg.general_povm, outcomes, np.random.default_rng(cfg.seed))
-    runs = [
-        _run_restart(kraus, dim, cfg, r, outcomes, s_start, bound) for r in range(cfg.restarts)
-    ]
+    runs = [_run_restart(kraus, cfg, r, outcomes, bound) for r in range(cfg.restarts)]
 
     best_restart = 0
     for r in range(1, cfg.restarts):

@@ -169,7 +169,7 @@ def test_analyze_finds_the_bitflip_x_basis_pair(tmp_path):
     ],
 )
 def test_searched_builtins_start_at_the_objective_bound(tmp_path, name):
-    # A deterministic guard against the annealing cost coming back: every
+    # A deterministic guard against the search cost coming back: every
     # restart's best start already reaches the bound, so nothing is proposed.
     spec = write_spec(tmp_path / f"{name}.json", name)
     search = load_stdout_json(run_cli(["analyze", spec]))["search"]

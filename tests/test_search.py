@@ -1,4 +1,4 @@
-"""The annealed (states, POVM) search."""
+"""The hill-climbing (states, POVM) search."""
 
 from __future__ import annotations
 
@@ -125,23 +125,34 @@ def test_search_is_deterministic_for_a_seed():
 
 
 def test_restart_r_is_a_one_restart_run_seeded_seed_plus_r():
-    # A random two-Kraus qutrit channel with a coarse support cutoff: no start
-    # reaches the objective bound and the annealing improves at seed-dependent
-    # iterations, so the traces differ per restart.  The S-start is drawn once
-    # per call from ``seed``, not ``seed + r``; on this channel it wins no
-    # restart of either run, so each restart is its seeded stream alone.
-    channel = random_channel(3, 2, np.random.default_rng(42))
-    cfg = dict(num_states=3, iterations=40, eps_support=0.2)
-    multi = optimize_pair(channel, SearchConfig(restarts=4, seed=5, **cfg))
-    assert len(set(multi.history)) > 1
-    solos = [optimize_pair(channel, SearchConfig(restarts=1, seed=5 + r, **cfg)) for r in range(4)]
-    for r, solo in enumerate(solos):
-        assert multi.history[r] == solo.history[0]
-    best = solos[multi.best_restart]
-    assert all(
-        np.array_equal(x.matrix, y.matrix)
-        for x, y in zip(multi.best_states.states, best.best_states.states)
-    )
+    # Random two-Kraus qutrit channels with a coarse support cutoff: no start
+    # reaches the objective bound and the climb improves at seed-dependent
+    # iterations, so the traces differ per restart (three distinct traces on
+    # the second channel).
+    for kraus_seed, eps in ((42, 0.2), (320, 0.1)):
+        channel = random_channel(3, 2, np.random.default_rng(kraus_seed))
+        cfg = dict(num_states=3, iterations=40, eps_support=eps)
+        multi = optimize_pair(channel, SearchConfig(restarts=4, seed=5, **cfg))
+        assert len(set(multi.history)) > 1
+        solos = [
+            optimize_pair(channel, SearchConfig(restarts=1, seed=5 + r, **cfg)) for r in range(4)
+        ]
+        for r, solo in enumerate(solos):
+            assert multi.history[r] == solo.history[0]
+        best = solos[multi.best_restart]
+        assert all(
+            np.array_equal(x.matrix, y.matrix)
+            for x, y in zip(multi.best_states.states, best.best_states.states)
+        )
+
+
+def test_hill_climb_finds_the_pair_a_random_qubit_channel_admits():
+    # No start reaches the bound here; the climb does, in both restarts.
+    channel = random_channel(2, 2, np.random.default_rng(2201))
+    cfg = SearchConfig(num_states=2, restarts=2, iterations=100, seed=1, eps_support=0.1)
+    res = optimize_pair(channel, cfg)
+    assert res.pair_count == 1 == res.objective_bound
+    assert res.proposals > 0
 
 
 def test_bitflip_search_finds_the_x_basis_pair():
@@ -218,7 +229,7 @@ def test_a_restart_at_the_bound_records_a_flat_full_length_trace():
     "channel, cfg, stops_midway",
     [
         (identity_channel(3), SearchConfig(num_states=3, restarts=2, iterations=30), False),
-        # Restart 1 reaches the bound part-way through its annealing.
+        # Restart 3 reaches the bound part-way through its climb.
         (
             random_channel(2, 2, np.random.default_rng(1)),
             SearchConfig(num_states=2, restarts=4, iterations=60, seed=5, eps_support=0.1),
@@ -232,7 +243,7 @@ def test_stopping_at_the_bound_changes_no_result(monkeypatch, channel, cfg, stop
     assert any(h[0] < bound == h[-1] for h in stopped.history) == stops_midway
     monkeypatch.setattr(search, "_objective_bound", lambda *args: math.inf)
     full = optimize_pair(channel, cfg)
-    assert full.proposals == cfg.restarts * (search._CALIBRATION_PROBES + cfg.iterations)
+    assert full.proposals == cfg.restarts * cfg.iterations
     assert stopped.proposals < full.proposals
     assert stopped.history == full.history
     assert stopped.best_restart == full.best_restart
@@ -271,6 +282,17 @@ def test_general_povm_search_runs_and_validates():
     assert np.allclose(sum(res.best_povm.elements), np.eye(2), atol=1e-9)
 
 
+def test_general_povm_with_fewer_outcomes_than_dimensions_folds_the_aligned_blocks():
+    # The aligned starts put the basis columns past the last outcome into its
+    # block, so the computational start is a complete 2-outcome POVM here.
+    cfg = SearchConfig(num_states=2, general_povm=True, povm_outcomes=2, **SMALL)
+    res = optimize_pair(identity_channel(3), cfg)
+    assert len(res.best_povm) == 2
+    assert np.allclose(sum(res.best_povm.elements), np.eye(3), atol=1e-9)
+    assert res.pair_count == 1
+    assert res.proposals == 0
+
+
 def test_overcomplete_search_needs_the_flag():
     with pytest.raises(DimensionMismatchError):
         optimize_pair(identity_channel(2), SearchConfig(num_states=3, **SMALL))
@@ -289,8 +311,6 @@ def test_config_rejects_nonsense():
         SearchConfig(num_states=1)
     with pytest.raises(ValueError):
         SearchConfig(num_states=2, restarts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(num_states=2, step_size=0.0)
     with pytest.raises(ValueError):
         SearchConfig(num_states=2, objective="most_pairs")
     with pytest.raises(DimensionMismatchError):
