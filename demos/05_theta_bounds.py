@@ -4,8 +4,9 @@ The solver returns a bracket [lower, upper] around theta with a proven
 width, not just a point estimate: the lower end comes from a feasible
 rounding of the primal iterate, the upper end from a dual certificate.
 Odd cycles have a closed form, which makes them a good external check.
-The iteration count is the number of eigendecompositions; convergence is
-tested every 25 of them, so 25 is the fewest a solve can report.
+The iteration count is the number of eigendecompositions. Convergence is
+tested every 25 steps, and also once as soon as the fixed-point residual
+falls below the tolerance, so the easy anchors below stop after a handful.
 """
 
 import math

@@ -76,7 +76,8 @@ def complex_matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
             if (
                 not isinstance(cell, list)
                 or len(cell) != 2
-                or not all(isinstance(x, (int, float)) for x in cell)
+                # bool is an int subclass, but JSON true/false is not a number.
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in cell)
             ):
                 raise ValidationError(
                     f"{what}: entry ({r}, {c}) is not an [re, im] pair"
@@ -89,6 +90,8 @@ def complex_matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
 def _real_matrix_from_json(rows, what: str) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise ValidationError(f"{what}: expected a non-empty list of rows")
+    if any(isinstance(x, bool) for row in rows if isinstance(row, list) for x in row):
+        raise ValidationError(f"{what}: entries must be real numbers")
     try:
         m = np.array(rows, dtype=np.float64)
     except (TypeError, ValueError):
@@ -253,7 +256,8 @@ def graph_from_json(doc) -> Graph:
         raise ValidationError("graph must be a JSON object")
     v = doc.get("vertex_count")
     adj = doc.get("adjacency")
-    if not isinstance(v, int) or v < 1:
+    # bool is an int subclass, but JSON true/false is not an integer.
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
         raise ValidationError('"vertex_count" must be a positive integer')
     if not isinstance(adj, list) or len(adj) != v:
         raise ValidationError('"adjacency" must list neighbors for every vertex')
@@ -262,7 +266,7 @@ def graph_from_json(doc) -> Graph:
         if not isinstance(nbrs, list):
             raise ValidationError(f"adjacency[{a}] is not a list")
         for b in nbrs:
-            if not isinstance(b, int) or not 0 <= b < v or b == a:
+            if isinstance(b, bool) or not isinstance(b, int) or not 0 <= b < v or b == a:
                 raise ValidationError(f"adjacency[{a}] has invalid neighbor {b!r}")
             edges.add((min(a, b), max(a, b)))
     for a, b in edges:

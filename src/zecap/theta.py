@@ -34,8 +34,16 @@ keep the plain step as the fallback:
 * the history is cleared whenever residual balancing changes rho, since a
   new rho is a new map.
 
-The step into every check point is a plain step, so the residuals a check
-reads are those of an ADMM step.
+Every 25 steps the step is plain and a check runs on it; residual balancing
+moves the step size rho, which starts at 1, by a factor of 2 there.  In
+between, the first time the fixed-point residual falls below ``tol`` the
+solver also checks the plain step from the current point, computed aside:
+one more eigendecomposition that leaves the sequence of steps as it is.  A
+solve therefore stops no later than at the step it would stop at without
+these extra checks, its count raised by one per extra check, unless those
+extra eigendecompositions use up the budget first.  Only a
+25-step check whose residual is at or above ``tol`` re-arms the trigger, so
+a graph whose bracket lags its residual pays for one extra check.
 
 The convergence test is not the raw residuals alone: each check also builds
 a *certified* bracket [lower, upper] containing theta.  The PSD iterate is
@@ -157,10 +165,14 @@ def lovasz_theta(
     history cleared.  Extrapolations with non-finite coefficients or
     sum |gamma| above 100 are refused, and a change of rho clears the
     history.  The step into each check is plain, so the stop rule reads
-    ADMM's own primal and dual residuals.  The step size rho is rebalanced
-    by the usual factor-10 residual comparison, which changes only speed,
-    never the limit.  ``iterations`` counts PSD projections, rejected
-    extrapolations included.
+    ADMM's own primal and dual residuals.  Checks run every 25 steps, where
+    rho (starting at 1) is rebalanced by the usual factor-10 residual
+    comparison, which changes only speed, never the limit.  The first time
+    the fixed-point residual falls below ``tol`` (again after a check that
+    found it at or above ``tol``), the plain step from that point is also
+    checked, computed aside so the steps are unchanged.
+    ``iterations`` counts PSD projections, rejected extrapolations and
+    those extra checks included.
     """
     n = g.vertex_count
     if n > max_vertices:
@@ -184,6 +196,15 @@ def lovasz_theta(
         v[diag] += (1.0 - np.trace(v)) / n
         return v
 
+    def measure(z, u, x_prev, z_prev):
+        # The stop test's quantities after the plain step z = P_psd(x_prev +
+        # u_prev) from the state (z_prev, u_prev) that x_prev came from:
+        # ADMM's primal and dual residuals, and the certified bracket.
+        r_primal = float(np.linalg.norm(x_prev - z))
+        r_dual = float(rho * np.linalg.norm(z - z_prev))
+        lo, up = _certified_bracket(z, u, rho, edge_rows, edge_cols, n)
+        return r_primal < tol and r_dual < tol and up - lo < tol, r_primal, r_dual, lo, up
+
     j = np.ones((n, n))
     rho = 1.0
     j_rho = j / rho
@@ -202,12 +223,15 @@ def lovasz_theta(
     f_prev = t_prev = None
     r_prev = np.inf
     extrapolated = False
+    # Whether a fixed-point residual below tol triggers a check aside.
+    armed = True
 
     lower, upper = -np.inf, np.inf
-    it = 0
+    it = steps = 0  # PSD projections; steps of the iteration (the cadence)
     while it < max_iterations:
         z = _psd_project(y)
         it += 1
+        steps += 1
         u = y - z
         x = affine(z - u + j_rho)
         f = x - z
@@ -220,21 +244,12 @@ def lovasz_theta(
             depth = slot = 0
             continue
 
-        if it % _CHECK_EVERY == 0 or it == max_iterations:
+        if steps % _CHECK_EVERY == 0 or it == max_iterations:
             # The step into this point was plain, so these are the ADMM
             # primal and dual residuals.
-            r_primal = float(np.linalg.norm(x_prev - z))
-            r_dual = float(rho * np.linalg.norm(z - z_prev))
-            lo, up = _certified_bracket(z, u, rho, edge_rows, edge_cols, n)
-            if r_primal < tol and r_dual < tol and up - lo < tol:
-                return ThetaResult(
-                    value=(lo + up) / 2.0,
-                    lower=lo,
-                    upper=up,
-                    gap=up - lo,
-                    iterations=it,
-                    converged=True,
-                )
+            done, r_primal, r_dual, lo, up = measure(z, u, x_prev, z_prev)
+            if done:
+                return ThetaResult((lo + up) / 2.0, lo, up, up - lo, it, True)
             lower, upper = max(lower, lo), min(upper, up)
             # Residual balancing (Boyd et al. sec. 3.4.1).  A new rho is a
             # new map T, so the history no longer describes it.
@@ -248,6 +263,7 @@ def lovasz_theta(
                 r = float(np.linalg.norm(f))
                 depth = slot = 0
                 f_prev = None
+            armed = r >= tol
         z_prev, x_prev = z, x
 
         f = f.ravel()
@@ -263,12 +279,26 @@ def lovasz_theta(
             slot = (slot + 1) % _MEMORY
         f_prev, t_prev, r_prev = f, t, r
 
+        if armed and r < tol and (steps + 1) % _CHECK_EVERY and it + 2 < max_iterations:
+            # The residual has just fallen below tol, and the bracket often
+            # closes with it: check the plain step from here, aside, so the
+            # steps go on as if it had not been taken.  (When the next step
+            # is a check anyway, this one is left to it.)
+            armed = False
+            t_plain = t.reshape(n, n)
+            z_plain = _psd_project(t_plain)
+            it += 1
+            done, _, _, lo, up = measure(z_plain, t_plain - z_plain, x, z)
+            if done:
+                return ThetaResult((lo + up) / 2.0, lo, up, up - lo, it, True)
+            lower, upper = max(lower, lo), min(upper, up)
+
         # Type-II Anderson step: gamma minimises |f - d_f^T gamma|, and the
         # next point is T(y) - d_t^T gamma.  The step into a check and the
         # last step stay plain.
         y = t.reshape(n, n)
         extrapolated = False
-        if depth and (it + 1) % _CHECK_EVERY and it + 1 < max_iterations:
+        if depth and (steps + 1) % _CHECK_EVERY and it + 1 < max_iterations:
             try:
                 gamma = np.linalg.solve(gram[:depth, :depth], d_f[:depth] @ f)
             except np.linalg.LinAlgError:  # singular history: stay plain

@@ -298,3 +298,43 @@ def test_theta_subcommand_rejects_asymmetric_adjacency(tmp_path):
     path.write_text(json.dumps({"vertex_count": 2, "adjacency": [[1], []]}))
     proc = run_cli(["theta", str(path)])
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertex_count": 2, "adjacency": [[True], [False]]}, "invalid neighbor True"),
+        ({"vertex_count": True, "adjacency": [[]]}, '"vertex_count" must be a positive integer'),
+    ],
+    ids=["boolean-neighbor", "boolean-vertex-count"],
+)
+def test_theta_subcommand_rejects_json_booleans_as_integers(tmp_path, doc, message):
+    # The schema's "integer" excludes true and false, though Python's bool is an int.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(["theta", str(path)])
+    assert proc.returncode == 1
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {"name": "bool-kraus", "kraus": [[[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+            "kraus[0]: entry (0, 0) is not an [re, im] pair",
+        ),
+        (
+            {"name": "bool-classical", "classical_matrix": [[True, 0], [0, 1]]},
+            "classical_matrix: entries must be real numbers",
+        ),
+    ],
+    ids=["kraus", "classical-matrix"],
+)
+def test_validate_rejects_json_booleans_as_numbers(tmp_path, doc, message):
+    # The schema's "number" excludes true and false, though Python's bool is an int.
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(["validate", str(path)])
+    assert proc.returncode == 1
+    assert message in proc.stderr

@@ -163,7 +163,45 @@ def test_theta_is_multiplicative_on_c5_times_c7():
 
 def test_c7_squared_converges_well_inside_the_plain_admm_iteration_count():
     # Plain ADMM needs 325 iterations on C7 x C7; the accelerated step needs
-    # 50.  A cap of 150 keeps a 2x margin under the plain count.
-    res = lovasz_theta(strong_product(cycle_graph(7), cycle_graph(7)), max_iterations=150)
-    assert res.converged and res.iterations <= 150
+    # 41, its residual-triggered check stopping it before the check at 50.
+    res = lovasz_theta(strong_product(cycle_graph(7), cycle_graph(7)), max_iterations=50)
+    assert res.converged and res.iterations <= 50
     assert_in_bracket(res.lower, res.upper, odd_cycle_theta(7) ** 2)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle_graph(5), complete_graph(5), edgeless_graph(6), paley_graph(13)],
+    ids=["C5", "K5", "edgeless6", "Paley13"],
+)
+def test_a_small_residual_triggers_a_check_before_the_cadence(g):
+    # The fixed-point residual falls below tol within a few steps here, and
+    # that triggers a full check at once instead of at step 25.
+    res = lovasz_theta(g)
+    assert res.converged and res.iterations < 25
+
+
+@pytest.mark.parametrize(
+    "vertex_count, p, seed, unchecked_iterations",
+    [
+        (20, 0.3, 0, 725),
+        (16, 0.7, 0, 1450),
+        (20, 0.5, 2, 1925),
+        (30, 0.5, 3, 3375),
+        (16, 0.3, 3, 2600),
+        (20, 0.7, 2, 6825),
+        (12, 0.5, 0, 1225),
+    ],
+)
+def test_the_triggered_check_leaves_the_steps_of_random_graphs_as_they_were(
+    vertex_count, p, seed, unchecked_iterations
+):
+    # unchecked_iterations is the count of the same solver with checks only
+    # every 25 steps.  On these graphs the bracket lags the residual, so the
+    # one check triggered when the residual first falls below tol fails; it
+    # is computed aside and leaves the steps as they were, so the solve stops
+    # at the same step, one eigendecomposition later.  The last three lost
+    # convergence or slowed down when a starting rho of V/4 was tried.
+    g = Graph.from_edges(vertex_count, random_graph(vertex_count, p, np.random.default_rng(seed)))
+    res = lovasz_theta(g)
+    assert res.converged and res.iterations <= unchecked_iterations + 1
