@@ -54,7 +54,7 @@ def main():
         graph_path = tmp / "c5.json"
         graph_path.write_text(json.dumps(report["graph"]))
         theta = json.loads(cli("theta", str(graph_path)))
-        print(f"theta of the exported graph: {theta['theta']:.9f} (gap {theta['gap']:.1e})")
+        print(f"theta of the exported graph: {theta['value']:.9f} (gap {theta['gap']:.1e})")
         print()
 
         rerun = tmp / "rerun.json"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotConvergedError, SizeLimitError
+from .errors import SizeLimitError
 from .graphs import MAX_VERTICES, Graph, independence_number, strong_power
 from .theta import ThetaResult, lovasz_theta
 
@@ -39,9 +39,9 @@ class CapacityBounds:
     K(n) found is 1); ``theta_upper`` is log2 of ``theta.upper``, the
     certified upper end of the theta bracket (not its midpoint), so
     ``best_lower <= theta_upper`` holds up to floating-point rounding.  An
-    unconverged solve leaves ``theta`` None and ``theta_failure`` set, and
-    ``theta_upper`` is log2 of its certified upper end; it is None only
-    when theta was not attempted (size cap).
+    unconverged solve still sets ``theta`` (``converged`` False) and
+    ``theta_upper``; both are None, and ``theta_failure`` says why, only
+    when the size cap refused the solve.
     """
 
     per_n: tuple[RateEntry, ...]
@@ -82,11 +82,10 @@ def capacity_bounds(
 
     Notes
     -----
-    A theta solver failure (size cap or non-convergence) is likewise
-    recorded on the result instead of raised: the finite-n lower bounds
-    remain valid and useful without the upper bound.  When the solver stops
-    unconverged, ``theta`` is None but ``theta_upper`` is log2 of the upper
-    end of the tightest certified bracket it found, which still bounds the
+    A theta solve refused by the size cap is likewise recorded on the
+    result instead of raised: the finite-n lower bounds remain valid and
+    useful without the upper bound.  An unconverged solve is no failure:
+    its bracket is wider than ``tol``, but its upper end still bounds the
     capacity.
     """
     if n_max < 1:
@@ -113,15 +112,9 @@ def capacity_bounds(
         entries.append(RateEntry(n=n, alpha=alpha, rate=rate, witness=witness))
 
     theta_res: ThetaResult | None = None
-    theta_upper: float | None = None
     theta_failure: str | None = None
     try:
         theta_res = lovasz_theta(g, tol=tol)
-        theta_upper = math.log2(theta_res.upper)
-    except NotConvergedError as exc:
-        # The bracket is wider than tol, but its upper end is still certified.
-        theta_upper = math.log2(exc.upper)
-        theta_failure = str(exc)
     except SizeLimitError as exc:
         theta_failure = str(exc)
 
@@ -129,7 +122,7 @@ def capacity_bounds(
         per_n=tuple(entries),
         best_lower=best_lower,
         theta=theta_res,
-        theta_upper=theta_upper,
+        theta_upper=math.log2(theta_res.upper) if theta_res is not None else None,
         theta_failure=theta_failure,
         eps_support=eps_support,
     )

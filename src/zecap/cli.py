@@ -31,6 +31,7 @@ from .confusability import DEFAULT_EPS, confusability_graph
 from .errors import ZecapError
 from .formats import (
     ParsedChannelSpec,
+    _theta_json,
     code_document,
     dumps_canonical,
     graph_from_json,
@@ -196,18 +197,7 @@ def _cmd_theta(args) -> int:
     doc = _load_json(args.graph)
     g = graph_from_json(doc)
     res = lovasz_theta(g, tol=args.tol)
-    _emit(
-        {
-            "theta": res.value,
-            "lower": res.lower,
-            "upper": res.upper,
-            "gap": res.gap,
-            "iterations": res.iterations,
-            "converged": res.converged,
-            "theta_upper_bits": math.log2(res.upper),
-        },
-        None,
-    )
+    _emit({**_theta_json(res), "theta_upper_bits": math.log2(res.upper)}, None)
     return 0
 
 

@@ -198,9 +198,12 @@ def parse_channel_spec(doc, allow_overcomplete: bool = False) -> ParsedChannelSp
         complex_matrix_from_json(k, f"kraus[{i}]") for i, k in enumerate(kraus_json)
     ]
     channel = validate_channel(kraus)
-    if "dim" in doc and int(doc["dim"]) != channel.dim:
+    dim = doc.get("dim", channel.dim)
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:  # JSON true is no integer
+        raise ValidationError(f'spec "dim" must be a positive integer, got {dim!r}')
+    if dim != channel.dim:
         raise ValidationError(
-            f'spec "dim" = {doc["dim"]} but Kraus operators are {channel.dim}-dimensional'
+            f'spec "dim" = {dim} but Kraus operators are {channel.dim}-dimensional'
         )
 
     states = povm = None

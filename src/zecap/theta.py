@@ -51,8 +51,11 @@ rounded to an exactly feasible primal point (edges zeroed, diagonal inflated
 until PSD, trace renormalized), whose objective is a true lower bound; the
 scaled dual variable supplies an edge-supported dual candidate Z, and
 lambda_max(J + Z) is a true upper bound for ANY such Z by weak duality.
-Both bounds hold for any iterate, extrapolated or not.  Iteration stops only
-when primal residual, dual residual, and bracket width are all below ``tol``.
+Both eigenvalues are widened by their rounding allowance, n * eps * |A|_F,
+so the bracket holds theta in floating point too.  Both bounds hold for any
+iterate, extrapolated or not.  Iteration stops only when primal residual,
+dual residual, and bracket width are all below ``tol``; a solve whose budget
+runs out returns the tightest bracket seen, marked ``converged=False``.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotConvergedError, SizeLimitError
+from .errors import SizeLimitError
 from .graphs import Graph
 
 __all__ = ["MAX_SDP_VERTICES", "ThetaResult", "lovasz_theta"]
@@ -72,6 +75,7 @@ _CHECK_EVERY = 25  # residual/gap checks and rho adaptation cadence
 _MEMORY = 10  # Anderson history length; costs 2 * _MEMORY * V^2 doubles
 _MAX_COEFFICIENT_SUM = 100.0  # extrapolations with larger sum |gamma| are refused
 _REGULARIZATION = 1e-10  # relative weight on the diagonal of the history's Gram matrix
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,8 @@ class ThetaResult:
     """Certified output of the theta solver.
 
     ``value`` is the bracket midpoint; ``theta`` lies in
-    ``[lower, upper]`` and ``gap = upper - lower <= tol`` when converged.
+    ``[lower, upper]``, and ``gap = upper - lower <= tol`` when converged.
+    An unconverged result carries the tightest bracket the solver certified.
     """
 
     value: float
@@ -99,10 +104,13 @@ def _psd_project(m: np.ndarray) -> np.ndarray:
 def _certified_bracket(
     z: np.ndarray, u: np.ndarray, rho: float, edge_rows, edge_cols, n: int
 ) -> tuple[float, float]:
+    # eigvalsh is backward stable, so by Weyl each eigenvalue it returns may
+    # be off by about n * eps * |m|_F.  Both ends concede that; without it the
+    # upper end for an edgeless graph falls just below theta = n.
     # Lower bound: round the PSD iterate to an exactly feasible point.
     b = (z + z.T) / 2.0
     b[edge_rows, edge_cols] = 0.0
-    lam_min = float(np.linalg.eigvalsh(b)[0])
+    lam_min = float(np.linalg.eigvalsh(b)[0]) - n * _EPS * float(np.linalg.norm(b))
     if lam_min < 0.0:
         b = b - lam_min * np.eye(n)
     tr = float(np.trace(b))
@@ -117,7 +125,7 @@ def _certified_bracket(
     a = np.ones((n, n))
     a[edge_rows, edge_cols] = rho * u[edge_rows, edge_cols]
     a = (a + a.T) / 2.0
-    upper = float(np.linalg.eigvalsh(a)[-1])
+    upper = float(np.linalg.eigvalsh(a)[-1]) + n * _EPS * float(np.linalg.norm(a))
     return lower, upper
 
 
@@ -144,15 +152,15 @@ def lovasz_theta(
     -------
     ThetaResult
         ``result.value`` is within ``tol/2`` of theta(G) on convergence.
+        When ``max_iterations`` runs out first, ``converged`` is False and the
+        bracket is the tightest certified one seen (over all checks).
 
     Raises
     ------
     SizeLimitError
         If the graph exceeds ``max_vertices``.
-    NotConvergedError
-        If tolerances are not met within ``max_iterations``; carries the
-        tightest certified bracket seen (the largest ``lower`` and the
-        smallest ``upper`` over all checks).
+    ValueError
+        If ``tol`` or ``max_iterations`` is not positive.
 
     Notes
     -----
@@ -199,11 +207,15 @@ def lovasz_theta(
     def measure(z, u, x_prev, z_prev):
         # The stop test's quantities after the plain step z = P_psd(x_prev +
         # u_prev) from the state (z_prev, u_prev) that x_prev came from:
-        # ADMM's primal and dual residuals, and the certified bracket.
+        # ADMM's primal and dual residuals, and the certified bracket, which
+        # replaces the tightest one so far only when it meets the stop test.
+        nonlocal lower, upper
         r_primal = float(np.linalg.norm(x_prev - z))
         r_dual = float(rho * np.linalg.norm(z - z_prev))
         lo, up = _certified_bracket(z, u, rho, edge_rows, edge_cols, n)
-        return r_primal < tol and r_dual < tol and up - lo < tol, r_primal, r_dual, lo, up
+        done = r_primal < tol and r_dual < tol and up - lo < tol
+        lower, upper = (lo, up) if done else (max(lower, lo), min(upper, up))
+        return done, r_primal, r_dual
 
     j = np.ones((n, n))
     rho = 1.0
@@ -226,7 +238,7 @@ def lovasz_theta(
     # Whether a fixed-point residual below tol triggers a check aside.
     armed = True
 
-    lower, upper = -np.inf, np.inf
+    lower, upper, done = -np.inf, np.inf, False
     it = steps = 0  # PSD projections; steps of the iteration (the cadence)
     while it < max_iterations:
         z = _psd_project(y)
@@ -247,10 +259,9 @@ def lovasz_theta(
         if steps % _CHECK_EVERY == 0 or it == max_iterations:
             # The step into this point was plain, so these are the ADMM
             # primal and dual residuals.
-            done, r_primal, r_dual, lo, up = measure(z, u, x_prev, z_prev)
+            done, r_primal, r_dual = measure(z, u, x_prev, z_prev)
             if done:
-                return ThetaResult((lo + up) / 2.0, lo, up, up - lo, it, True)
-            lower, upper = max(lower, lo), min(upper, up)
+                break
             # Residual balancing (Boyd et al. sec. 3.4.1).  A new rho is a
             # new map T, so the history no longer describes it.
             if r_primal > 10.0 * r_dual or r_dual > 10.0 * r_primal:
@@ -288,10 +299,9 @@ def lovasz_theta(
             t_plain = t.reshape(n, n)
             z_plain = _psd_project(t_plain)
             it += 1
-            done, _, _, lo, up = measure(z_plain, t_plain - z_plain, x, z)
+            done, _, _ = measure(z_plain, t_plain - z_plain, x, z)
             if done:
-                return ThetaResult((lo + up) / 2.0, lo, up, up - lo, it, True)
-            lower, upper = max(lower, lo), min(upper, up)
+                break
 
         # Type-II Anderson step: gamma minimises |f - d_f^T gamma|, and the
         # next point is T(y) - d_t^T gamma.  The step into a check and the
@@ -308,4 +318,4 @@ def lovasz_theta(
                 y = (t - gamma @ d_t[:depth]).reshape(n, n)
                 extrapolated = True
 
-    raise NotConvergedError(iterations=it, lower=lower, upper=upper)
+    return ThetaResult((lower + upper) / 2.0, lower, upper, upper - lower, it, done)

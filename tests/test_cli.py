@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import zecap
+from zecap import cli
 from zecap.formats import dumps_canonical, graph_to_json
 from zecap import cycle_graph
 
@@ -287,10 +288,29 @@ def test_theta_subcommand_on_a_graph_file(tmp_path):
     path = tmp_path / "c5.json"
     path.write_text(dumps_canonical(graph_to_json(cycle_graph(5))))
     doc = load_stdout_json(run_cli(["theta", str(path)]))
-    assert doc["theta"] == pytest.approx(math.sqrt(5.0), abs=1e-5)
+    # The report's view of a theta result, plus the bound in bits.
+    assert sorted(doc) == sorted(
+        ["value", "lower", "upper", "gap", "iterations", "converged", "theta_upper_bits"]
+    )
+    assert doc["value"] == pytest.approx(math.sqrt(5.0), abs=1e-5)
     assert doc["converged"] is True
     assert doc["gap"] <= 1e-6
     assert doc["theta_upper_bits"] == pytest.approx(math.log2(math.sqrt(5.0)), abs=1e-5)
+
+
+def test_an_unconverged_theta_subcommand_prints_its_bracket_and_exits_0(
+    tmp_path, monkeypatch, capsys
+):
+    solve = cli.lovasz_theta
+    monkeypatch.setattr(cli, "lovasz_theta", lambda g, tol: solve(g, tol=tol, max_iterations=2))
+    path = tmp_path / "c5.json"
+    path.write_text(dumps_canonical(graph_to_json(cycle_graph(5))))
+    assert cli.main(["theta", str(path), "--tol", "1e-12"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"] is False and doc["iterations"] <= 2
+    assert doc["lower"] <= math.sqrt(5.0) <= doc["upper"]
+    assert doc["gap"] == doc["upper"] - doc["lower"] > 1e-12
+    assert doc["theta_upper_bits"] == math.log2(doc["upper"])
 
 
 def test_theta_subcommand_rejects_asymmetric_adjacency(tmp_path):
@@ -338,3 +358,17 @@ def test_validate_rejects_json_booleans_as_numbers(tmp_path, doc, message):
     proc = run_cli(["validate", str(path)])
     assert proc.returncode == 1
     assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "dim", ["x", None, True, 2.7], ids=["string", "null", "boolean", "fraction"]
+)
+def test_validate_rejects_a_dim_that_is_not_a_positive_integer(tmp_path, dim):
+    # int() would crash on "x" and null, read true as 1, and read 2.7 as 2,
+    # which would pass this qubit spec.
+    doc = {"name": "bad-dim", "dim": dim, "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(["validate", str(path)])
+    assert proc.returncode == 1
+    assert f'spec "dim" must be a positive integer, got {dim!r}' in proc.stderr

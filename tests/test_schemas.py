@@ -14,7 +14,6 @@ from referencing.jsonschema import DRAFT202012
 
 import zecap.capacity
 from zecap import cli, cycle_graph
-from zecap.errors import NotConvergedError
 from zecap.formats import graph_to_json
 
 from cliutil import load_stdout_json, run_cli, write_spec
@@ -83,14 +82,11 @@ def test_schema_violations_are_reported():
 
 def test_an_unconverged_theta_still_reports_its_certified_upper_bound(tmp_path, monkeypatch):
     solve = zecap.capacity.lovasz_theta
-    raised = []
+    results = []
 
     def two_iterations(g, tol):
-        try:
-            return solve(g, tol=tol, max_iterations=2)
-        except NotConvergedError as exc:
-            raised.append(exc)
-            raise
+        results.append(solve(g, tol=tol, max_iterations=2))
+        return results[-1]
 
     monkeypatch.setattr(zecap.capacity, "lovasz_theta", two_iterations)
     spec = write_spec(tmp_path / "pent.json", "pentagon")
@@ -98,8 +94,10 @@ def test_an_unconverged_theta_still_reports_its_certified_upper_bound(tmp_path, 
     assert cli.main(["analyze", spec, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     bounds = report["bounds"]
-    [exc] = raised
-    assert bounds["theta"] is None
-    assert bounds["theta_failure"] == str(exc)
-    assert bounds["theta_upper"] == math.log2(exc.upper) >= math.log2(math.sqrt(5.0))
+    [theta] = results
+    assert theta.converged is False
+    assert bounds["theta"]["converged"] is False
+    assert bounds["theta"]["upper"] == theta.upper
+    assert bounds["theta_failure"] is None
+    assert bounds["theta_upper"] == math.log2(theta.upper) >= math.log2(math.sqrt(5.0))
     validate(report, "report.schema.json")
