@@ -159,34 +159,44 @@ def strong_power(g: Graph, n: int, max_vertices: int = MAX_VERTICES) -> Graph:
 # with the greedy-coloring bound of MCQ/BBMC (Tomita et al. 2003; San Segundo
 # et al. 2011): a partial clique R can only reach |R| + (number of colors of
 # its candidates), so a branch is cut as soon as that falls to the incumbent.
-# The complement is relabelled once, high-degree first, so the coloring's
-# "first available vertex" is the lowest set bit, and vertices whose color
-# cannot beat the incumbent are not even listed.  One engine, _clique, answers
-# both the alpha query and the decision queries of the witness rebuild.
+# The complement is relabelled once in the degeneracy order of MCS (Tomita
+# et al. 2010): a vertex of least remaining degree is peeled into the highest
+# free bit, so it is branched first and colored last.  On a vertex-transitive
+# graph every degree ties, and only the peel tells the vertices apart.  The
+# coloring's "first available vertex" is the lowest set bit, and the classes
+# whose color cannot beat the incumbent are colored without listing a vertex.
+# One engine, _clique, answers both the alpha query and the decision queries
+# of the witness rebuild.
 
 
-def _color_order(cand: int, adj: tuple[int, ...], kmin: int):
+def _color_order(cand: int, nadj: tuple[int, ...], kmin: int):
     """Greedy coloring of the candidate set; returns (vertices, colors).
 
-    Color classes are built in bit order; vertices come back grouped by
-    class, colors[i] = class index of vertices[i] (1-based), and only those
-    with color >= ``kmin`` are listed.  A k-colored candidate set holds no
-    clique larger than k.
+    ``nadj[v]`` is ``~adj[v]``.  Color classes are built in bit order;
+    vertices come back grouped by class, colors[i] = class index of
+    vertices[i] (1-based), and only those with color >= ``kmin`` are listed.
+    A k-colored candidate set holds no clique larger than k.
     """
-    vertices: list[int] = []
-    colors: list[int] = []
     color = 0
-    while cand:
+    while cand and color < kmin - 1:  # classes below kmin: nothing listed
         color += 1
         avail = cand
         while avail:
             low = avail & -avail  # first available vertex in label order
-            v = low.bit_length() - 1
-            if color >= kmin:
-                vertices.append(v)
-                colors.append(color)
             cand ^= low
-            avail = (avail ^ low) & ~adj[v]
+            avail = (avail ^ low) & nadj[low.bit_length() - 1]
+    vertices: list[int] = []
+    colors: list[int] = []
+    while cand:
+        color += 1
+        avail = cand
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            vertices.append(v)
+            colors.append(color)
+            cand ^= low
+            avail = (avail ^ low) & nadj[v]
     return vertices, colors
 
 
@@ -197,12 +207,13 @@ def _clique(adj: tuple[int, ...], cand: int, floor: int, first: bool) -> list[in
     the first clique of ``floor + 1`` vertices, which answers the decision
     query "is there a clique of that size?".
     """
+    nadj = tuple(~a for a in adj)
     best: list[int] = []
     top = floor  # size of the incumbent
 
     def expand(r: list[int], cand: int) -> bool:
         nonlocal best, top
-        vertices, colors = _color_order(cand, adj, top - len(r) + 1)
+        vertices, colors = _color_order(cand, nadj, top - len(r) + 1)
         for i in range(len(vertices) - 1, -1, -1):
             if len(r) + colors[i] <= top:
                 return False  # color bound: no strictly larger clique here
@@ -251,25 +262,50 @@ def independence_number(
     Notes
     -----
     Branch and bound on the complement (maximum clique) with a greedy-coloring
-    upper bound, on complement vertices relabelled high-degree first so the
-    coloring steps through them by lowest set bit.  Once alpha is known, the
-    witness is rebuilt greedily in the caller's labels: keep vertex v iff the
-    remainder still admits an independent set completing to alpha, each query
-    answered by the same clique search stopped at its first hit.
+    upper bound, on complement vertices relabelled in degeneracy order (least
+    remaining degree peeled into the highest bit, so branched first); the
+    coloring steps through them by lowest set bit and lists only the classes
+    that can beat the incumbent.  Once alpha is known, the witness is rebuilt
+    greedily in the caller's labels: keep vertex v iff the remainder still
+    admits an independent set completing to alpha.  The rebuild carries one
+    such completion, starting from the set the alpha search found, so a
+    vertex inside it is kept without a query; every other query is answered
+    by the same clique search stopped at its first hit, and a hit becomes
+    the new completion.
     """
     n = g.vertex_count
     if n > max_vertices:
         raise SizeLimitError(n, max_vertices)
-    comp = g.complement()
-    masks = comp.adjacency_masks()
-    # High-degree-first order tightens the coloring; index order breaks ties.
-    order = sorted(range(n), key=lambda v: (-masks[v].bit_count(), v))
-    pos = {v: rank for rank, v in enumerate(order)}  # label -> bit position
-    adj = Graph.from_edges(n, ((pos[a], pos[b]) for a, b in comp.edges)).adjacency_masks()
-    alpha = len(_clique(adj, (1 << n) - 1, 0, False))
+    full = (1 << n) - 1
+    comp = [full & ~m & ~(1 << v) for v, m in enumerate(g.adjacency_masks())]
+    # Degeneracy order: peel a vertex of least remaining degree (lowest label
+    # on ties, as ``left`` stays sorted) into the highest free position.
+    deg = [m.bit_count() for m in comp]
+    left = list(range(n))
+    pos = [0] * n  # label -> bit position
+    for rank in range(n - 1, -1, -1):
+        v = min(left, key=deg.__getitem__)
+        left.remove(v)
+        pos[v] = rank
+        for u in left:
+            deg[u] -= comp[v] >> u & 1
+    adj = [0] * n
+    for v, m in enumerate(comp):
+        bits = 0
+        while m:
+            low = m & -m
+            bits |= 1 << pos[low.bit_length() - 1]
+            m ^= low
+        adj[pos[v]] = bits
+    adj = tuple(adj)
+    known = 0  # a maximum clique through every vertex chosen so far
+    for b in _clique(adj, full, 0, False):
+        known |= 1 << b
+    alpha = known.bit_count()
 
     witness: list[int] = []
-    cand = (1 << n) - 1
+    chosen = 0
+    cand = full
     need = alpha
     for v in range(n):
         bit = 1 << pos[v]
@@ -278,12 +314,18 @@ def independence_number(
         # Vertices below v are already decided, so restricting to
         # complement-neighbors of v is all that choosing v costs.
         rest = cand & adj[pos[v]]
-        if need == 1 or _clique(adj, rest, need - 2, True):
-            witness.append(v)
-            cand = rest
-            need -= 1
-            if need == 0:
-                break
-        else:
-            cand &= ~bit
+        if not (known & bit or need == 1):
+            more = _clique(adj, rest, need - 2, True)
+            if not more:
+                cand &= ~bit
+                continue
+            known = chosen | bit
+            for b in more:
+                known |= 1 << b
+        witness.append(v)
+        chosen |= bit
+        cand = rest
+        need -= 1
+        if need == 0:
+            break
     return alpha, tuple(witness)

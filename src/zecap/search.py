@@ -31,15 +31,15 @@ in every state's support (see ``_objective_bound``).  A restart at the bound
 stops scoring starts and proposals and records its best for the remaining
 iterations, which is the trace and the point the full run would give, since
 nothing can beat the bound.  Restart r draws everything, its S-start first,
-from the generator seeded ``seed + r``, so it is exactly the one-restart run
-at that seed; the best restart is chosen deterministically, so runs are
-reproducible bit for bit.
+from the generator seeded ``seed + r``, made when the first draw needs it,
+so it is exactly the one-restart run at that seed; the best restart is
+chosen deterministically, so runs are reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,9 +325,13 @@ def _aligned_meas(u: np.ndarray, dim: int, general: bool, outcomes: int) -> np.n
 
 
 def _starts(
-    kraus: tuple[np.ndarray, ...], m: int, general: bool, outcomes: int, rng: np.random.Generator
+    kraus: tuple[np.ndarray, ...],
+    m: int,
+    general: bool,
+    outcomes: int,
+    draw: Callable[[], np.random.Generator],
 ) -> Iterator[_Candidate]:
-    """The four starts in scoring order, each drawn from ``rng`` only when reached."""
+    """The four starts in scoring order, each drawn from ``draw()`` only when reached."""
     dim = kraus[0].shape[1]
     # Basis indices tile cyclically when m > dim; exact repeats are the best
     # an overcomplete aligned start can do.
@@ -335,6 +339,7 @@ def _starts(
     # Computational alignment: recovers classical structure exactly.
     eye = np.eye(dim, dtype=np.complex128)
     yield _Candidate(eye[tile].copy(), _aligned_meas(eye, dim, general, outcomes))
+    rng = draw()
     yield _s_start(kraus, m, general, outcomes, rng)
     # Haar alignment: same basis for states and measurement.
     u = haar_unitary(dim, rng)
@@ -371,15 +376,23 @@ def _run_restart(
     outcomes: int,
     bound: float,
 ) -> tuple[float, _Candidate, list[float], int]:
-    rng = np.random.default_rng(cfg.seed + restart_index)
+    rng = None
     general = cfg.general_povm
+
+    def draw() -> np.random.Generator:
+        # Made on first use: a restart that stops at the computational start
+        # draws nothing, and then never imports numpy.random.
+        nonlocal rng
+        if rng is None:
+            rng = np.random.default_rng(cfg.seed + restart_index)
+        return rng
 
     def score(cand: _Candidate) -> float:
         p = _prob_table(kraus, cand, general, outcomes)
         return _score(p, cfg.eps_support, cfg.objective)
 
     best, best_score = None, -1.0
-    for cand in _starts(kraus, cfg.num_states, general, outcomes, rng):
+    for cand in _starts(kraus, cfg.num_states, general, outcomes, draw):
         sc = score(cand)
         if sc > best_score:
             best, best_score = cand, sc
@@ -391,7 +404,7 @@ def _run_restart(
     current = best
     history: list[float] = []
     while len(history) < cfg.iterations and best_score < bound:
-        proposal = _propose(current, general, rng)
+        proposal = _propose(current, general, draw())
         sc = score(proposal)
         if sc >= best_score:
             current = proposal

@@ -19,6 +19,7 @@ import numpy as np
 def _normalize_edges(edges) -> frozenset[tuple[int, int]]:
     out = set()
     for a, b in edges:
+        a, b = int(a), int(b)
         if a == b:
             raise ValueError(f"self-loop at {a}")
         out.add((min(a, b), max(a, b)))

@@ -14,6 +14,7 @@ from zecap import (
     strong_power,
     strong_product,
 )
+from zecap import graphs
 from zecap.errors import DimensionMismatchError, SizeLimitError
 
 from invariants import check_alpha_supermultiplicative
@@ -200,6 +201,58 @@ def test_relabelled_c7_times_c9_has_hales_alpha():
     assert alpha == 13  # floor(9 * floor(7 / 2) / 2), Hales 1973
     assert len(set(witness)) == 13
     assert not any(h.has_edge(a, b) for i, a in enumerate(witness) for b in witness[i + 1:])
+
+
+@pytest.mark.parametrize("m, n", [(5, 5), (5, 7), (7, 7)])
+def test_witness_is_canonical_on_relabelled_cycle_products(m, n):
+    # Vertex-transitive graphs hold many maximum sets, and the search's vertex
+    # order follows the labels; the witness must not.
+    g = strong_product(cycle_graph(m), cycle_graph(n))
+    for seed in range(4):
+        perm = np.random.default_rng(seed).permutation(m * n)
+        edges = [(perm[a], perm[b]) for a, b in g.edges]
+        assert independence_number(Graph.from_edges(m * n, edges)) == pruned_alpha(m * n, edges)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(graphs, name)
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(graphs, name, counted)
+    return calls
+
+
+def test_witness_rebuild_queries_only_what_its_known_completion_leaves_open(monkeypatch):
+    # The maximum set the alpha search found answers every vertex inside it.
+    calls = _count_calls(monkeypatch, "_clique")
+    assert independence_number(edgeless_graph(40)) == (40, tuple(range(40)))
+    assert len(calls) == 1
+    calls.clear()
+    assert independence_number(complete_graph(6)) == (1, (0,))
+    assert len(calls) == 1
+    assert independence_number(strong_power(cycle_graph(5), 2)) == (5, (0, 7, 14, 16, 23))
+
+
+def test_clique_search_node_count_is_pinned(monkeypatch):
+    # One _color_order call per search node, alpha search and witness
+    # rebuild together; deterministic, so any change to the order, the
+    # bound or the rebuild shows here as a count.
+    nodes = _count_calls(monkeypatch, "_color_order")
+    corpus = []
+    for m, n in [(7, 9), (9, 9)]:
+        g = strong_product(cycle_graph(m), cycle_graph(n), max_vertices=81)
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(m * n)
+            corpus.append(Graph.from_edges(m * n, [(perm[a], perm[b]) for a, b in g.edges]))
+    for seed in range(2):
+        corpus.append(Graph.from_edges(60, random_graph(60, 0.15, np.random.default_rng(seed))))
+    alphas = [independence_number(g, max_vertices=81)[0] for g in corpus]
+    assert alphas[:6] == [13] * 3 + [18] * 3  # Hales 1973
+    assert len(nodes) == 60_535
 
 
 def test_independence_number_respects_size_cap():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -323,3 +325,22 @@ def test_config_rejects_nonsense():
             identity_channel(2),
             SearchConfig(num_states=2, general_povm=True, povm_outcomes=5, **SMALL),
         )
+
+
+def test_a_search_that_never_draws_never_imports_numpy_random():
+    # identity-d3 stops every restart at its computational start, and the
+    # generator is made on the first draw, so numpy.random stays unloaded.
+    code = (
+        "import sys, numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    print('preloaded')\n"
+        "    raise SystemExit\n"
+        "from zecap import SearchConfig, identity_channel, optimize_pair\n"
+        "res = optimize_pair(identity_channel(3), SearchConfig(num_states=3))\n"
+        "print(res.pair_count, res.proposals, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.split() == ["preloaded"]:
+        pytest.skip("import numpy alone loads numpy.random")
+    assert proc.stdout.split() == ["3", "0", "False"]
