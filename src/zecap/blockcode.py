@@ -11,8 +11,9 @@ word belongs to exactly one codeword.
 ``verify_zero_error`` re-derives the supports through a second, independent
 path and checks it against the Cartesian one, certifying the
 product-measurement model rather than assuming it: each codeword's
-post-channel states are tensored into one joint state, which is contracted
-with the stacked POVM one position at a time to give the probability of
+post-channel states are tensored into one joint state (the full operator,
+built by broadcasting, one codeword at a time), which is contracted with
+the stacked POVM one position at a time to give the probability of
 every output word.  No product-POVM element is built; for N outcomes on a
 d-dimensional channel the cost is about N d^(2n) multiply-adds per codeword
 when N <= d^2.
@@ -139,7 +140,9 @@ class ZeroErrorReport:
     Kronecker path ran, exact agreement between the two support
     computations.  ``max_overlap_mass`` is the largest confusable
     probability mass over codeword pairs, zero for a passing code: for each
-    shared word the mass counted is min of the two production probabilities.
+    shared word the mass counted is min of the two production probabilities,
+    summed over the shared words in lexicographic order.  ``overlap_pair``
+    is the pair carrying it, the lexicographically first one on ties.
     """
 
     passed: bool
@@ -299,10 +302,12 @@ def verify_zero_error(
 
     * product path: Cartesian products of per-position support sets;
     * Kronecker path (when the joint dimension fits ``tensor_dim_cap``):
-      the codeword's post-channel states are tensored into one joint state,
-      whose probabilities tr(joint (E_w0 x ... x E_wn-1)) for all N^n words
-      come from contracting it with the stacked POVM one position at a time
-      (no product element built) and are thresholded at the same ``eps``.
+      the codeword's post-channel states are tensored into one joint state
+      (the full d^n x d^n operator, built by broadcasting, one codeword at
+      a time), whose probabilities tr(joint (E_w0 x ... x E_wn-1)) for all
+      N^n words come from contracting it with the stacked POVM one position
+      at a time (no product element built) and are thresholded at the same
+      ``eps``.
       The contraction never assumes the joint state factorises.
 
     ``passed`` means the supports are pairwise disjoint and the two paths
@@ -312,25 +317,26 @@ def verify_zero_error(
     """
     word_sets, tables = _enumerate_supports(code, channel, eps, enumeration_cap, tol)
 
-    # Pairwise disjointness plus the worst confusable mass.
-    disjoint = True
-    overlap_pair = None
-    max_mass = 0.0
-    k = len(word_sets)
-    for a in range(k):
-        for b in range(a + 1, k):
-            common = word_sets[a] & word_sets[b]
-            if not common:
-                continue
-            disjoint = False
-            mass = 0.0
-            for w in common:
-                pa = math.prod(tables[code.codewords[a][t]][w[t]] for t in range(len(w)))
-                pb = math.prod(tables[code.codewords[b][t]][w[t]] for t in range(len(w)))
-                mass += min(pa, pb)
-            if mass > max_mass or overlap_pair is None:
-                max_mass = mass
-                overlap_pair = (a, b)
+    # Pairwise disjointness plus the worst confusable mass, in one pass that
+    # maps each reachable word to the codewords producing it: a word with
+    # several owners is shared by each pair of them.
+    owners: dict[tuple[int, ...], list[int]] = {}
+    for i, words in enumerate(word_sets):
+        for w in words:
+            owners.setdefault(w, []).append(i)
+    # Shared words in lexicographic order, so each pair's mass is summed in
+    # an order that does not depend on set iteration.
+    shared = sorted(w for w, idx in owners.items() if len(idx) > 1)
+    pair_mass: dict[tuple[int, int], float] = {}
+    for w in shared:
+        idx = owners[w]
+        probs = [math.prod(tables[c][x] for c, x in zip(code.codewords[i], w)) for i in idx]
+        for (a, pa), (b, pb) in itertools.combinations(zip(idx, probs), 2):
+            pair_mass[a, b] = pair_mass.get((a, b), 0.0) + min(pa, pb)
+    disjoint = not pair_mass
+    # Largest mass, the lexicographically first pair on ties.
+    overlap_pair = min(pair_mass, key=lambda ab: (-pair_mass[ab], ab), default=None)
+    max_mass = pair_mass.get(overlap_pair, 0.0)
 
     n = code.block_length
     n_outcomes = len(code.povm)
@@ -370,12 +376,22 @@ def _tensor_path_agrees(
     for i, cw in enumerate(code.codewords):
         joint = outs[cw[0]]
         for t in range(1, n):
-            joint = np.kron(joint, outs[cw[t]])
+            joint = _kron(joint, outs[cw[t]])
         p = _word_probabilities(joint, elements, n)
         found = set(map(tuple, np.argwhere(p > eps).tolist()))
         if found != word_sets[i]:
             return False
     return True
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` for square matrices, by one broadcast product.
+
+    Entry ((i, k), (j, l)) is the single product a[i, j] * b[k, l], so the
+    result equals ``np.kron`` bit for bit without its generic reshaping.
+    """
+    m, q = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * q, m * q)
 
 
 def _word_probabilities(joint: np.ndarray, elements: np.ndarray, n: int) -> np.ndarray:

@@ -264,7 +264,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit:
         raise
-    except ZecapError as exc:
+    except (ZecapError, ValueError) as exc:
+        # The library rejects out-of-range arguments (--n-max 0, --eps 0,
+        # --restarts 0, ...) with ValueError; report them like bad specs.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

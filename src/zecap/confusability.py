@@ -99,8 +99,10 @@ def support_set(probs: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     EmptySupportError
         If no entry exceeds ``eps``; a distribution summing to 1 with an
         empty support means ``eps`` is absurdly large for the instance.
+    ValueError
+        If ``eps`` is not positive (NaN included).
     """
-    if eps <= 0:
+    if not eps > 0:  # also refuses NaN
         raise ValueError(f"eps must be positive, got {eps!r}")
     p = np.asarray(probs, dtype=np.float64)
     idx = frozenset(int(j) for j in np.flatnonzero(p > eps))

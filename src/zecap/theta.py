@@ -160,7 +160,7 @@ def lovasz_theta(
     SizeLimitError
         If the graph exceeds ``max_vertices``.
     ValueError
-        If ``tol`` or ``max_iterations`` is not positive.
+        If ``tol`` or ``max_iterations`` is not positive (a NaN ``tol`` included).
 
     Notes
     -----
@@ -185,7 +185,7 @@ def lovasz_theta(
     n = g.vertex_count
     if n > max_vertices:
         raise SizeLimitError(n, max_vertices)
-    if tol <= 0:
+    if not tol > 0:  # also refuses NaN
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be positive, got {max_iterations!r}")

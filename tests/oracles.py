@@ -186,3 +186,33 @@ def random_graph(vertex_count: int, p: float, rng: np.random.Generator):
         for b in range(a + 1, vertex_count)
         if rng.random() < p
     ]
+
+
+def kraus_output(kraus, rho) -> np.ndarray:
+    """sum_k K_k rho K_k^dagger entry by entry, as explicit index sums.
+
+    out[i, l] = sum_k sum_{j, m} K_k[i, j] rho[j, m] conj(K_k[l, m]), with no
+    matrix product taken.  O(K d^4) scalar operations.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    d = rho.shape[0]
+    out = np.zeros((d, d), dtype=np.complex128)
+    for k in kraus:
+        k = np.asarray(k, dtype=np.complex128)
+        for i, l in itertools.product(range(d), repeat=2):
+            s = 0j
+            for j, m in itertools.product(range(d), repeat=2):
+                s += k[i, j] * rho[j, m] * k[l, m].conjugate()
+            out[i, l] += s
+    return out
+
+
+def povm_traces(sigma, elements) -> np.ndarray:
+    """[tr(sigma E_j)]_j as the double sums sum_{a, b} sigma[a, b] E_j[b, a]."""
+    sigma = np.asarray(sigma, dtype=np.complex128)
+    d = sigma.shape[0]
+    out = []
+    for e in elements:
+        e = np.asarray(e, dtype=np.complex128)
+        out.append(sum(sigma[a, b] * e[b, a] for a, b in itertools.product(range(d), repeat=2)))
+    return np.array(out, dtype=np.complex128)

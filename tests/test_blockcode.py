@@ -21,7 +21,7 @@ from zecap import (
     reachable_supports,
     verify_zero_error,
 )
-from zecap.blockcode import _tensor_path_agrees, _word_probabilities
+from zecap.blockcode import _kron, _tensor_path_agrees, _word_probabilities
 from zecap.confusability import StateSet
 from zecap.errors import (
     AmbiguousSupportsError,
@@ -30,6 +30,7 @@ from zecap.errors import (
 )
 from zecap.quantum import (
     DEFAULT_TOLERANCES,
+    outcome_probabilities,
     pure_state,
     random_density_matrix,
     validate_povm,
@@ -228,6 +229,88 @@ def test_certificate_skips_tensor_path_over_the_cap():
     assert rep.tensor_path_checked is False
     assert rep.paths_agree is None
     assert rep.passed
+
+
+def pairwise_overlap(code, channel, eps):
+    # Brute-force reference: every codeword pair, the min of the two
+    # production probabilities summed over its shared words; the first pair
+    # in lexicographic order wins among those of largest mass.
+    word_sets = reachable_supports(code, channel, eps)
+    tables = [outcome_probabilities(channel, s, code.povm) for s in code.source.states]
+
+    def prob(cw, w):
+        return math.prod(tables[c][x] for c, x in zip(cw, w))
+
+    best, best_mass = None, 0.0
+    for a, b in itertools.combinations(range(len(word_sets)), 2):
+        common = sorted(word_sets[a] & word_sets[b])
+        if not common:
+            continue
+        ca, cb = code.codewords[a], code.codewords[b]
+        mass = sum(min(prob(ca, w), prob(cb, w)) for w in common)
+        if best is None or mass > best_mass:
+            best, best_mass = (a, b), mass
+    return best, best_mass
+
+
+def classical_code(w, codewords):
+    channel, states, povm = embed_classical(np.array(w))
+    n = len(codewords[0])
+    return channel, QuantumBlockCode(
+        block_length=n, codewords=tuple(codewords), source=states, povm=povm
+    )
+
+
+@pytest.mark.parametrize(
+    "w,pair,mass",
+    [
+        # (0,1) share outcome 0 (mass 0.1), (0,2) outcome 2 (0.2) and
+        # (1,2) outcome 3 (0.4): the heaviest pair is the last one.
+        ([[0.5, 0.3, 0.2, 0.0], [0.1, 0.0, 0.0, 0.9], [0.0, 0.0, 0.6, 0.4]], (1, 2), 0.4),
+        # (0,1) carries 0.1; (0,2) and (1,2) tie at 0.5, so (0,2) wins.
+        (
+            [[0.1, 0.5, 0.0, 0.4, 0.0], [0.1, 0.0, 0.5, 0.0, 0.4], [0.0, 0.5, 0.5, 0.0, 0.0]],
+            (0, 2),
+            0.5,
+        ),
+    ],
+)
+def test_certificate_reports_the_heaviest_confusable_pair(w, pair, mass):
+    channel, code = classical_code(w, [(0,), (1,), (2,)])
+    rep = verify_zero_error(code, channel, eps=1e-9)
+    assert not rep.pairwise_disjoint and not rep.passed
+    assert rep.overlap_pair == pair
+    assert rep.max_overlap_mass == pytest.approx(mass, abs=1e-12)
+    want_pair, want_mass = pairwise_overlap(code, channel, 1e-9)
+    assert rep.overlap_pair == want_pair
+    assert math.isclose(rep.max_overlap_mass, want_mass, rel_tol=1e-15)
+
+
+def test_certificate_overlap_matches_the_pairwise_reference():
+    rng = np.random.default_rng(2718)
+    confusable = 0
+    for case in range(40):
+        w = rng.random((4, 5)) * (rng.random((4, 5)) < 0.6)
+        w[w.sum(axis=1) == 0, 0] = 1.0
+        w /= w.sum(axis=1, keepdims=True)
+        pool = list(itertools.product(range(4), repeat=2))
+        idx = rng.choice(len(pool), size=int(rng.integers(3, 9)), replace=False)
+        channel, code = classical_code(w, sorted(pool[i] for i in idx))
+        rep = verify_zero_error(code, channel, eps=1e-9)
+        want_pair, want_mass = pairwise_overlap(code, channel, 1e-9)
+        assert rep.pairwise_disjoint == (want_pair is None), case
+        assert rep.overlap_pair == want_pair, case
+        assert math.isclose(rep.max_overlap_mass, want_mass, rel_tol=1e-15), case
+        confusable += want_pair is not None
+    assert confusable >= 20
+
+
+def test_broadcast_joint_state_equals_np_kron_exactly():
+    rng = np.random.default_rng(5)
+    for m, q in [(1, 4), (3, 5), (9, 3), (25, 5), (14, 14)]:
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        b = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
+        assert np.array_equal(_kron(a, b), np.kron(a, b))
 
 
 def test_code_constructor_validates_shape_only():

@@ -254,6 +254,28 @@ def test_search_general_povm_flag(tmp_path):
     assert len(doc["povm"]) == 4
 
 
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["analyze", "--n-max", "0"], "n_max must be >= 1, got 0"),
+        (["analyze", "--eps", "0"], "eps must be positive, got 0.0"),
+        (["analyze", "--eps", "-1"], "eps must be positive, got -1.0"),
+        (["analyze", "--eps", "nan"], "eps must be positive, got nan"),
+        (["search", "--restarts", "0"], "restarts must be >= 1"),
+        (["search", "--iters", "-1"], "iterations >= 0"),
+        (["search", "--M", "1"], "num_states must be >= 2"),
+    ],
+)
+def test_out_of_range_options_print_one_error_line(tmp_path, args, message):
+    spec = write_spec(tmp_path / "pent.json", "pentagon")
+    proc = run_cli([args[0], spec, *args[1:]])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # code
 # ---------------------------------------------------------------------------

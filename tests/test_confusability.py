@@ -60,6 +60,22 @@ def test_support_set_rejects_empty_and_bad_eps():
         support_set(np.array([1.0]), eps=-1e-3)
 
 
+def test_a_nan_eps_is_refused_before_any_eigendecomposition(monkeypatch):
+    # NaN fails every comparison, so a plain `eps <= 0` check lets it through
+    # to an empty support.  Build the ensemble first: validation uses eigvalsh.
+    channel, states, povm = embed_classical(pentagon_matrix())
+
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigendecomposition after a NaN eps")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        support_set(np.array([0.5, 0.5]), eps=float("nan"))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        confusability_graph(channel, states, povm, eps=float("nan"))
+
+
 def test_non_adjacent_is_disjointness():
     assert non_adjacent(frozenset({0, 1}), frozenset({2, 3}))
     assert not non_adjacent(frozenset({0, 1}), frozenset({1, 2}))

@@ -29,8 +29,10 @@ from zecap.errors import (
     TraceNotOneError,
     ValidationError,
 )
+from zecap.search import random_general_povm
 
 from invariants import check_probability_normalization, check_trace_preservation
+from oracles import kraus_output, povm_traces
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -174,6 +176,30 @@ def test_outcome_probabilities_rejects_dimension_mixups():
         outcome_probabilities(channel, basis_state(3, 0), computational_povm(2))
     with pytest.raises(DimensionMismatchError):
         outcome_probabilities(channel, basis_state(2, 0), computational_povm(3))
+
+
+def test_stacked_kernels_match_the_loop_oracles():
+    # apply_channel and outcome_probabilities each run one stacked
+    # contraction; the oracles sum every term by hand.  N runs from 2 to d^2,
+    # so POVMs with more outcomes than dimensions are covered.
+    rng = np.random.default_rng(4242)
+    tol = 16 * np.finfo(float).eps
+    overcomplete = 0
+    for case in range(120):
+        dim = int(rng.integers(2, 6))
+        channel = random_channel(dim, int(rng.integers(1, 5)), rng)
+        state = random_density_matrix(dim, rng)
+        outcomes = int(rng.integers(2, dim * dim + 1))
+        povm = random_general_povm(dim, outcomes, seed=4242 + case)
+        overcomplete += outcomes > dim
+
+        sigma = kraus_output(channel.kraus, state.matrix)
+        got = apply_channel(channel, state).matrix
+        assert np.max(np.abs(got - sigma)) <= tol, case
+        p = outcome_probabilities(channel, state, povm)
+        want = povm_traces(sigma, povm.elements)
+        assert np.max(np.abs(p - want.real)) <= tol, case
+    assert overcomplete >= 40
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,16 @@ def test_size_cap_and_bad_tol():
         lovasz_theta(cycle_graph(5), tol=0.0)
 
 
+def test_a_nan_tol_is_refused_before_any_eigendecomposition(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigendecomposition after a NaN tol")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigh)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        lovasz_theta(cycle_graph(5), tol=float("nan"))
+
+
 def test_an_empty_iteration_budget_is_refused():
     # With no iteration there is no certified bracket to report.
     with pytest.raises(ValueError):
