@@ -65,11 +65,9 @@ from .graphs import (
     strong_product,
 )
 from .quantum import (
-    DEFAULT_TOLERANCES,
     DensityMatrix,
     Povm,
     QuantumChannel,
-    Tolerances,
     apply_channel,
     basis_state,
     haar_unitary,

@@ -34,14 +34,7 @@ from .errors import (
     SizeLimitError,
 )
 from .graphs import MAX_VERTICES, independence_number, strong_power
-from .quantum import (
-    DEFAULT_TOLERANCES,
-    Povm,
-    QuantumChannel,
-    Tolerances,
-    apply_channel,
-    outcome_probabilities,
-)
+from .quantum import Povm, QuantumChannel, apply_channel, outcome_probabilities
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -162,12 +155,9 @@ def _enumerate_supports(
     channel: QuantumChannel,
     eps: float,
     enumeration_cap: int,
-    tol: Tolerances,
 ) -> tuple[tuple[frozenset[tuple[int, ...]], ...], list[np.ndarray]]:
     """Reachable word set of each codeword, and each state's outcome table."""
-    tables = [
-        outcome_probabilities(channel, s, code.povm, tol) for s in code.source.states
-    ]
+    tables = [outcome_probabilities(channel, s, code.povm) for s in code.source.states]
     supports = [sorted(support_set(p, eps)) for p in tables]
     word_sets = []
     for cw in code.codewords:
@@ -239,7 +229,6 @@ def reachable_supports(
     channel: QuantumChannel,
     eps: float,
     enumeration_cap: int = ENUMERATION_CAP,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> tuple[frozenset[tuple[int, ...]], ...]:
     """Output words each codeword can produce, as Cartesian support products.
 
@@ -251,7 +240,7 @@ def reachable_supports(
     SizeLimitError
         If some codeword's support product exceeds ``enumeration_cap`` words.
     """
-    return _enumerate_supports(code, channel, eps, enumeration_cap, tol)[0]
+    return _enumerate_supports(code, channel, eps, enumeration_cap)[0]
 
 
 def build_decoder(
@@ -259,7 +248,6 @@ def build_decoder(
     channel: QuantumChannel,
     eps: float,
     enumeration_cap: int = ENUMERATION_CAP,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> DecoderTable:
     """Zero-error decoding table, or proof that none exists.
 
@@ -272,7 +260,7 @@ def build_decoder(
         If two codewords share a reachable word.  The error carries the
         offending message pair and word.
     """
-    supports = reachable_supports(code, channel, eps, enumeration_cap, tol)
+    supports = reachable_supports(code, channel, eps, enumeration_cap)
     mapping: dict[tuple[int, ...], int] = {}
     for i, words in enumerate(supports):
         for w in sorted(words):
@@ -294,7 +282,6 @@ def verify_zero_error(
     eps: float,
     enumeration_cap: int = ENUMERATION_CAP,
     tensor_dim_cap: int = TENSOR_DIM_CAP,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ZeroErrorReport:
     """Certify (or refute) that ``code`` is zero-error for ``channel``.
 
@@ -315,7 +302,7 @@ def verify_zero_error(
     paths differ legitimately; the confusability graph's fragility counter
     flags those instances.
     """
-    word_sets, tables = _enumerate_supports(code, channel, eps, enumeration_cap, tol)
+    word_sets, tables = _enumerate_supports(code, channel, eps, enumeration_cap)
 
     # Pairwise disjointness plus the worst confusable mass, in one pass that
     # maps each reachable word to the codewords producing it: a word with
@@ -345,7 +332,7 @@ def verify_zero_error(
     tensor_checked = joint_dim <= tensor_dim_cap and word_count <= enumeration_cap
     paths_agree: bool | None = None
     if tensor_checked:
-        paths_agree = _tensor_path_agrees(code, channel, eps, word_sets, tol)
+        paths_agree = _tensor_path_agrees(code, channel, eps, word_sets)
 
     passed = disjoint and (paths_agree is not False)
     return ZeroErrorReport(
@@ -367,11 +354,10 @@ def _tensor_path_agrees(
     channel: QuantumChannel,
     eps: float,
     word_sets: tuple[frozenset[tuple[int, ...]], ...],
-    tol: Tolerances,
 ) -> bool:
     """Recompute supports on the joint space and compare set-for-set."""
     n = code.block_length
-    outs = [apply_channel(channel, s, tol).matrix for s in code.source.states]
+    outs = [apply_channel(channel, s).matrix for s in code.source.states]
     elements = np.array(code.povm.elements)
     for i, cw in enumerate(code.codewords):
         joint = outs[cw[0]]

@@ -49,16 +49,9 @@ class CapacityBounds:
     theta: ThetaResult | None
     theta_upper: float | None
     theta_failure: str | None = None
-    eps_support: float | None = None
 
 
-def capacity_bounds(
-    g: Graph,
-    n_max: int,
-    tol: float = 1e-6,
-    max_vertices: int = MAX_VERTICES,
-    eps_support: float | None = None,
-) -> CapacityBounds:
+def capacity_bounds(g: Graph, n_max: int) -> CapacityBounds:
     """Compute rate lower bounds for n = 1..n_max and the theta upper bound.
 
     Parameters
@@ -67,14 +60,8 @@ def capacity_bounds(
         Confusability graph (edge = confusable).
     n_max : int
         Largest block length to attempt.  Block lengths whose strong power
-        would exceed ``max_vertices`` vertices are recorded as skipped
+        would exceed ``MAX_VERTICES`` vertices are recorded as skipped
         entries, not errors.
-    tol : float, optional
-        Tolerance handed to the theta solver.
-    max_vertices : int, optional
-    eps_support : float, optional
-        Support cutoff the graph was built with; carried through for
-        reporting only.
 
     Returns
     -------
@@ -84,8 +71,9 @@ def capacity_bounds(
     -----
     A theta solve refused by the size cap is likewise recorded on the
     result instead of raised: the finite-n lower bounds remain valid and
-    useful without the upper bound.  An unconverged solve is no failure:
-    its bracket is wider than ``tol``, but its upper end still bounds the
+    useful without the upper bound.  Theta is solved at the solver's
+    default tolerance, 1e-6.  An unconverged solve is no failure: its
+    bracket is wider than that, but its upper end still bounds the
     capacity.
     """
     if n_max < 1:
@@ -94,19 +82,19 @@ def capacity_bounds(
     best_lower = 0.0
     for n in range(1, n_max + 1):
         size = g.vertex_count**n
-        if size > max_vertices:
+        if size > MAX_VERTICES:
             entries.append(
                 RateEntry(
                     n=n,
                     alpha=None,
                     rate=None,
                     skipped=True,
-                    reason=f"{size} vertices exceeds the limit of {max_vertices}",
+                    reason=f"{size} vertices exceeds the limit of {MAX_VERTICES}",
                 )
             )
             continue
-        power = strong_power(g, n, max_vertices)
-        alpha, witness = independence_number(power, max_vertices)
+        power = strong_power(g, n, MAX_VERTICES)
+        alpha, witness = independence_number(power, MAX_VERTICES)
         rate = math.log2(alpha) / n
         best_lower = max(best_lower, rate)
         entries.append(RateEntry(n=n, alpha=alpha, rate=rate, witness=witness))
@@ -114,7 +102,7 @@ def capacity_bounds(
     theta_res: ThetaResult | None = None
     theta_failure: str | None = None
     try:
-        theta_res = lovasz_theta(g, tol=tol)
+        theta_res = lovasz_theta(g)
     except SizeLimitError as exc:
         theta_failure = str(exc)
 
@@ -124,5 +112,4 @@ def capacity_bounds(
         theta=theta_res,
         theta_upper=math.log2(theta_res.upper) if theta_res is not None else None,
         theta_failure=theta_failure,
-        eps_support=eps_support,
     )

@@ -18,14 +18,7 @@ import numpy as np
 
 from .confusability import StateSet
 from .errors import DimensionMismatchError, NotStochasticError
-from .quantum import (
-    DEFAULT_TOLERANCES,
-    Povm,
-    QuantumChannel,
-    basis_state,
-    validate_channel,
-    validate_povm,
-)
+from .quantum import Povm, QuantumChannel, basis_state, validate_channel, validate_povm
 
 __all__ = [
     "identity_channel",
@@ -111,17 +104,13 @@ def pentagon_matrix() -> np.ndarray:
     return w
 
 
-def embed_classical(
-    w: np.ndarray, tol: float = BUILTIN_STOCHASTIC_TOL
-) -> tuple[QuantumChannel, StateSet, Povm]:
+def embed_classical(w: np.ndarray) -> tuple[QuantumChannel, StateSet, Povm]:
     """Embed a classical channel W into the quantum formalism exactly.
 
     Parameters
     ----------
     w : array_like, shape (m_in, n_out)
         Row-stochastic transition matrix, W[i, j] = Pr(output j | input i).
-    tol : float, optional
-        Row-sum tolerance.
 
     Returns
     -------
@@ -137,7 +126,7 @@ def embed_classical(
     ------
     NotStochasticError
         If some row has a negative entry or does not sum to 1 within
-        ``tol``.
+        ``BUILTIN_STOCHASTIC_TOL``.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
@@ -145,7 +134,7 @@ def embed_classical(
     m_in, n_out = w.shape
     for i in range(m_in):
         row = w[i]
-        if float(row.min()) < 0.0 or abs(float(row.sum()) - 1.0) > tol:
+        if float(row.min()) < 0.0 or abs(float(row.sum()) - 1.0) > BUILTIN_STOCHASTIC_TOL:
             raise NotStochasticError(row=i, row_sum=float(row.sum()))
 
     dim = max(m_in, n_out)

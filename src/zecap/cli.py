@@ -11,9 +11,9 @@ Subcommands::
     zecap builtin  <name>
 
 Environment: ZECAP_SEED overrides the default seed (an explicit --seed still
-wins).  Exit codes: 0 success, 1 validation failure, 2 file errors.  Reports
-are written atomically and are byte-identical across reruns with the same
-inputs and seed.
+wins); a value that is not an integer is rejected.  Exit codes: 0 success,
+1 validation failure, 2 file errors.  Reports are written atomically and are
+byte-identical across reruns with the same inputs and seed.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _env_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return _DEFAULT_SEED
+        raise ValueError(f"ZECAP_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_json(path: str):
@@ -117,7 +117,7 @@ def _cmd_analyze(args) -> int:
     seed = _env_seed()
     states, povm, provenance, search_doc = _ensure_ensemble(spec, seed, args.eps)
     graph = confusability_graph(spec.channel, states, povm, eps=args.eps)
-    bounds = capacity_bounds(graph.to_graph(), n_max=args.n_max, eps_support=args.eps)
+    bounds = capacity_bounds(graph.to_graph(), n_max=args.n_max)
 
     code_doc = None
     code_failure = None

@@ -26,14 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EmptySupportError
 from .graphs import Graph
-from .quantum import (
-    DEFAULT_TOLERANCES,
-    DensityMatrix,
-    Povm,
-    QuantumChannel,
-    Tolerances,
-    outcome_probabilities,
-)
+from .quantum import DensityMatrix, Povm, QuantumChannel, outcome_probabilities
 
 __all__ = [
     "DEFAULT_EPS",
@@ -155,7 +148,6 @@ def confusability_graph(
     states: StateSet,
     povm: Povm,
     eps: float = DEFAULT_EPS,
-    tol: Tolerances = DEFAULT_TOLERANCES,
 ) -> ConfusabilityGraph:
     """Build the confusability graph of ``states`` through ``channel`` under ``povm``.
 
@@ -177,7 +169,7 @@ def confusability_graph(
     supports: list[frozenset[int]] = []
     fragile = 0
     for k, s in enumerate(states.states):
-        p = outcome_probabilities(channel, s, povm, tol)
+        p = outcome_probabilities(channel, s, povm)
         fragile += int(np.count_nonzero((p >= eps / 10.0) & (p <= 10.0 * eps)))
         try:
             supports.append(support_set(p, eps))

@@ -278,9 +278,9 @@ def graph_from_json(doc) -> Graph:
     return Graph(vertex_count=v, edges=frozenset(edges))
 
 
-def graph_to_dot(g: ConfusabilityGraph | Graph, name: str = "confusability") -> str:
+def graph_to_dot(g: ConfusabilityGraph | Graph) -> str:
     """Graphviz DOT text; vertices are state indices, edges mean confusable."""
-    lines = [f"graph {name} {{"]
+    lines = ["graph confusability {"]
     for v in range(g.vertex_count):
         lines.append(f"  {v};")
     for a, b in sorted(g.edges):
@@ -396,7 +396,7 @@ def search_result_document(res: SearchResult) -> dict:
         "restarts": res.config.restarts,
         "iterations": res.config.iterations,
         "seed": res.config.seed,
-        "objective": res.config.objective,
+        "objective": "pair_count",
         "general_povm": res.config.general_povm,
         "final_objective_per_restart": [
             (trace[-1] if trace else None) for trace in res.history

@@ -5,7 +5,8 @@ consumes exactly one quantity computed here: the outcome distribution
 ``p(j|i) = tr(E(rho_i) E_j)`` of state ``i`` pushed through the channel and
 measured with POVM element ``j``.  This module owns the linear algebra and
 the validation policy: inputs that fail a contract are rejected with the
-measured deviation, never repaired.
+measured deviation, never repaired.  Every check uses one fixed absolute
+tolerance of 1e-9, each in its own norm (see ``_TOL``).
 
 Each distribution is one stacked contraction, with no per-operator Python
 loop: the Kraus operators are stacked into a (K, d, d) array and applied in
@@ -35,8 +36,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
     "DensityMatrix",
     "QuantumChannel",
     "Povm",
@@ -56,24 +55,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Absolute tolerances used by the validation layer.
-
-    All default to 1e-9.  Hermiticity is checked in max-abs norm, trace
-    preservation and POVM completeness in Frobenius norm, positivity by the
-    smallest eigenvalue of the Hermitian part.
-    """
-
-    hermitian: float = 1e-9
-    psd: float = 1e-9
-    trace: float = 1e-9
-    trace_preserving: float = 1e-9
-    povm_completeness: float = 1e-9
-    probability: float = 1e-9
-
-
-DEFAULT_TOLERANCES = Tolerances()
+# Absolute tolerance of every validation check: max |M - M^dagger|, the
+# smallest eigenvalue of the Hermitian part (against -_TOL), |tr(M) - 1|, the
+# Frobenius deviation of sum K^dagger K and of sum E_j from I, and each
+# outcome probability's imaginary part, range and sum.
+_TOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -168,15 +154,13 @@ class Povm:
     __hash__ = None
 
 
-def validate_state(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> DensityMatrix:
+def validate_state(matrix: np.ndarray) -> DensityMatrix:
     """Check that ``matrix`` is a density matrix and wrap it.
 
     Parameters
     ----------
     matrix : array_like of complex, shape (d, d)
         Candidate state.
-    tol : Tolerances, optional
-        Absolute tolerances for the Hermiticity, positivity, and trace checks.
 
     Returns
     -------
@@ -185,11 +169,11 @@ def validate_state(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     Raises
     ------
     NotHermitianError
-        If ``max |M - M^dagger|`` exceeds ``tol.hermitian``.
+        If ``max |M - M^dagger|`` exceeds 1e-9.
     NotPsdError
-        If the smallest eigenvalue of the Hermitian part is below ``-tol.psd``.
+        If the smallest eigenvalue of the Hermitian part is below -1e-9.
     TraceNotOneError
-        If ``|tr(M) - 1|`` exceeds ``tol.trace``.
+        If ``|tr(M) - 1|`` exceeds 1e-9.
     DimensionMismatchError
         If the input is not square or has non-finite entries.
 
@@ -200,28 +184,24 @@ def validate_state(matrix: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     """
     m = _require_square(matrix, "state")
     herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > tol.hermitian:
-        raise NotHermitianError(herm_dev, tol.hermitian)
+    if herm_dev > _TOL:
+        raise NotHermitianError(herm_dev, _TOL)
     eigs = np.linalg.eigvalsh(_hermitian_part(m))
-    if eigs[0] < -tol.psd:
-        raise NotPsdError(float(eigs[0]), tol.psd)
+    if eigs[0] < -_TOL:
+        raise NotPsdError(float(eigs[0]), _TOL)
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > tol.trace:
-        raise TraceNotOneError(tr.real, tol.trace)
+    if abs(tr - 1.0) > _TOL:
+        raise TraceNotOneError(tr.real, _TOL)
     return DensityMatrix(dim=m.shape[0], matrix=m)
 
 
-def validate_channel(
-    kraus: "list[np.ndarray] | tuple[np.ndarray, ...]",
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> QuantumChannel:
+def validate_channel(kraus: "list[np.ndarray] | tuple[np.ndarray, ...]") -> QuantumChannel:
     """Check that ``kraus`` defines a trace-preserving channel and wrap it.
 
     Parameters
     ----------
     kraus : sequence of array_like, each shape (d, d)
         Kraus operators.  At least one; all the same square dimension.
-    tol : Tolerances, optional
 
     Returns
     -------
@@ -230,7 +210,7 @@ def validate_channel(
     Raises
     ------
     NotTracePreservingError
-        If ``||sum_m K_m^dagger K_m - I||_F`` exceeds ``tol.trace_preserving``.
+        If ``||sum_m K_m^dagger K_m - I||_F`` exceeds 1e-9.
     DimensionMismatchError
         For an empty list, non-square operators, or mixed dimensions.
     """
@@ -245,19 +225,16 @@ def validate_channel(
             )
     s = sum(k.conj().T @ k for k in ops)
     dev = float(np.linalg.norm(s - np.eye(d)))
-    if dev > tol.trace_preserving:
-        raise NotTracePreservingError(dev, tol.trace_preserving)
+    if dev > _TOL:
+        raise NotTracePreservingError(dev, _TOL)
     return QuantumChannel(dim=d, kraus=tuple(ops))
 
 
-def validate_povm(
-    elements: "list[np.ndarray] | tuple[np.ndarray, ...]",
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> Povm:
+def validate_povm(elements: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Povm:
     """Check that ``elements`` form a POVM and wrap them.
 
     Each element must be Hermitian and PSD within tolerance, and the elements
-    must sum to the identity within ``tol.povm_completeness`` (Frobenius).
+    must sum to the identity within 1e-9 (Frobenius).
     """
     if len(elements) == 0:
         raise DimensionMismatchError("a POVM needs at least one element")
@@ -270,14 +247,14 @@ def validate_povm(
             )
     for e in ops:
         herm_dev = float(np.max(np.abs(e - e.conj().T)))
-        if herm_dev > tol.hermitian:
-            raise NotHermitianError(herm_dev, tol.hermitian)
+        if herm_dev > _TOL:
+            raise NotHermitianError(herm_dev, _TOL)
         eigs = np.linalg.eigvalsh(_hermitian_part(e))
-        if eigs[0] < -tol.psd:
-            raise NotPsdError(float(eigs[0]), tol.psd)
+        if eigs[0] < -_TOL:
+            raise NotPsdError(float(eigs[0]), _TOL)
     dev = float(np.linalg.norm(sum(ops) - np.eye(d)))
-    if dev > tol.povm_completeness:
-        raise PovmIncompleteError(dev, tol.povm_completeness)
+    if dev > _TOL:
+        raise PovmIncompleteError(dev, _TOL)
     return Povm(dim=d, elements=tuple(ops))
 
 
@@ -290,11 +267,7 @@ def _apply_kraus(kraus: tuple[np.ndarray, ...], m: np.ndarray) -> np.ndarray:
     return (ks @ m @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
-def apply_channel(
-    channel: QuantumChannel,
-    state: DensityMatrix,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> DensityMatrix:
+def apply_channel(channel: QuantumChannel, state: DensityMatrix) -> DensityMatrix:
     """Push ``state`` through ``channel``: ``sum_m K_m rho K_m^dagger``.
 
     The output is re-validated (it must satisfy the density-matrix contract
@@ -309,15 +282,10 @@ def apply_channel(
         raise DimensionMismatchError(
             f"channel dim {channel.dim} != state dim {state.dim}"
         )
-    return validate_state(_apply_kraus(channel.kraus, state.matrix), tol)
+    return validate_state(_apply_kraus(channel.kraus, state.matrix))
 
 
-def outcome_probabilities(
-    channel: QuantumChannel,
-    state: DensityMatrix,
-    povm: Povm,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: Povm) -> np.ndarray:
     """Distribution over measurement outcomes for ``state`` sent through ``channel``.
 
     Computes ``p(j) = tr(E(rho) E_j)`` for each POVM element ``E_j``: the
@@ -332,18 +300,17 @@ def outcome_probabilities(
     state : DensityMatrix
     povm : Povm
         All three must share one dimension.
-    tol : Tolerances, optional
 
     Returns
     -------
     numpy.ndarray of float64, shape (len(povm),)
-        Entries clamped to [0, 1]; sums to 1 within ``tol.probability``.
+        Entries clamped to [0, 1]; sums to 1 within 1e-9.
 
     Raises
     ------
     InvalidProbabilitiesError
         If any trace has imaginary part or out-of-range real part beyond
-        ``tol.probability``, or the vector does not sum to 1 within it.
+        1e-9, or the vector does not sum to 1 within it.
         Cannot happen for validated inputs; it guards the internal math.
     DimensionMismatchError
         On any dimension disagreement.
@@ -355,17 +322,17 @@ def outcome_probabilities(
     sigma = _apply_kraus(channel.kraus, state.matrix)
     # tr(sigma E_j) = sum_{a,b} E_j[a, b] sigma^T[a, b].
     raw = np.asarray(povm.elements).reshape(len(povm), -1) @ sigma.T.ravel()
-    if float(np.max(np.abs(raw.imag))) > tol.probability:
+    if float(np.max(np.abs(raw.imag))) > _TOL:
         raise InvalidProbabilitiesError(
             f"outcome trace has imaginary part up to {np.max(np.abs(raw.imag)):.3e}"
         )
     p = raw.real.astype(np.float64)
-    if float(p.min()) < -tol.probability or float(p.max()) > 1.0 + tol.probability:
+    if float(p.min()) < -_TOL or float(p.max()) > 1.0 + _TOL:
         raise InvalidProbabilitiesError(
             f"outcome probability outside [0,1]: min {p.min():.3e}, max {p.max():.3e}"
         )
     s = float(p.sum())
-    if abs(s - 1.0) > tol.probability:
+    if abs(s - 1.0) > _TOL:
         raise InvalidProbabilitiesError(f"probabilities sum to {s!r}, expected 1")
     return np.clip(p, 0.0, 1.0)
 

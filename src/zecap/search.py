@@ -52,7 +52,7 @@ from .confusability import (
     non_adjacent_pair_count,
 )
 from .errors import DimensionMismatchError
-from .graphs import Graph, independence_number
+from .graphs import independence_number
 from .quantum import Povm, QuantumChannel, haar_unitary, pure_state, validate_povm
 
 __all__ = [
@@ -88,14 +88,10 @@ class SearchConfig:
         Restart r uses the generator seeded with ``seed + r``.
     eps_support : float
         Support cutoff used when scoring candidate pairs.
-    objective : str
-        ``"pair_count"`` or ``"pair_count_then_alpha"``; the latter breaks
-        pair-count ties toward a larger independence number.
     general_povm : bool
-        Search over arbitrary POVMs (isometry-parameterized) instead of
-        projective rank-one measurements.
-    povm_outcomes : int or None
-        Outcome count N for general POVMs, in [M, dim^2]; defaults to dim^2.
+        Search over arbitrary POVMs with dim^2 outcomes
+        (isometry-parameterized) instead of projective rank-one
+        measurements.
     allow_overcomplete : bool
         Permit M > dim state sets.
     """
@@ -105,9 +101,7 @@ class SearchConfig:
     iterations: int = 2000
     seed: int = 7
     eps_support: float = DEFAULT_EPS
-    objective: str = "pair_count"
     general_povm: bool = False
-    povm_outcomes: int | None = None
     allow_overcomplete: bool = False
 
     def __post_init__(self):
@@ -115,8 +109,6 @@ class SearchConfig:
             raise ValueError("num_states must be >= 2: pairs need two states")
         if self.restarts < 1 or self.iterations < 0:
             raise ValueError("restarts must be >= 1 and iterations >= 0")
-        if self.objective not in ("pair_count", "pair_count_then_alpha"):
-            raise ValueError(f"unknown objective {self.objective!r}")
 
 
 @dataclass(frozen=True)
@@ -243,23 +235,6 @@ def _pair_count(p: np.ndarray, eps: float) -> int:
     return int(np.count_nonzero(shared[iu] == 0))
 
 
-def _graph_from_table(p: np.ndarray, eps: float) -> Graph:
-    s = p > eps
-    shared = s @ s.T
-    m = p.shape[0]
-    edges = ((a, b) for a in range(m) for b in range(a + 1, m) if shared[a, b])
-    return Graph.from_edges(m, edges)
-
-
-def _score(p: np.ndarray, eps: float, objective: str) -> float:
-    pc = _pair_count(p, eps)
-    if objective == "pair_count":
-        return float(pc)
-    alpha, _ = independence_number(_graph_from_table(p, eps))
-    # alpha <= M < M+1, so the tie-break can never outweigh one pair.
-    return pc + alpha / (p.shape[0] + 1)
-
-
 def _operator_space(kraus: tuple[np.ndarray, ...]) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) basis of S = span{K_i^dagger K_j}, shape (dim S, d, d)."""
     d = kraus[0].shape[0]
@@ -270,9 +245,9 @@ def _operator_space(kraus: tuple[np.ndarray, ...]) -> np.ndarray:
 
 
 def _objective_bound(
-    kraus: tuple[np.ndarray, ...], dim: int, m: int, outcomes: int, eps: float, objective: str
+    kraus: tuple[np.ndarray, ...], dim: int, m: int, outcomes: int, eps: float
 ) -> float:
-    """Upper bound on ``_score`` over every (states, measurement) pair.
+    """Upper bound on the pair count over every (states, measurement) pair.
 
     With C = sum_i vec(K_i) vec(K_i)^dagger, tr(E_j E(psi)) >= lambda_min(C)
     tr(E_j) for every state psi, and some E_j has tr(E_j) >= dim/N.  When
@@ -281,11 +256,7 @@ def _objective_bound(
     """
     vec = np.stack([k.reshape(-1) for k in kraus], axis=1)  # (d^2, K)
     lam_min = np.linalg.eigvalsh(vec @ vec.conj().T)[0]
-    pairs_max = 0 if (lam_min - _ROUNDOFF) * dim / outcomes > eps else m * (m - 1) // 2
-    if objective == "pair_count":
-        return float(pairs_max)
-    # Zero pairs leave a complete graph (alpha 1); otherwise alpha <= M.
-    return pairs_max + (m if pairs_max else 1) / (m + 1)
+    return 0.0 if (lam_min - _ROUNDOFF) * dim / outcomes > eps else float(m * (m - 1) // 2)
 
 
 def _s_start(
@@ -314,13 +285,11 @@ def _aligned_meas(u: np.ndarray, dim: int, general: bool, outcomes: int) -> np.n
     if not general:
         return u.copy()
     # Isometry whose j-th block is |u_j><u_j|, mirroring the projective
-    # alignment; with fewer outcomes than dim, columns j >= outcomes - 1 share
-    # the last block.  A sum of orthogonal projectors is a projector, so the
-    # blocks still sum to the identity.  Blocks past the dim-th are zero.
+    # alignment; blocks past the dim-th are zero.
     iso = np.zeros((outcomes, dim, dim), dtype=np.complex128)
     for jj in range(dim):
         col = u[:, jj]
-        iso[min(jj, outcomes - 1)] += np.outer(col, col.conj())
+        iso[jj] = np.outer(col, col.conj())
     return iso.reshape(outcomes * dim, dim)
 
 
@@ -388,8 +357,7 @@ def _run_restart(
         return rng
 
     def score(cand: _Candidate) -> float:
-        p = _prob_table(kraus, cand, general, outcomes)
-        return _score(p, cfg.eps_support, cfg.objective)
+        return float(_pair_count(_prob_table(kraus, cand, general, outcomes), cfg.eps_support))
 
     best, best_score = None, -1.0
     for cand in _starts(kraus, cfg.num_states, general, outcomes, draw):
@@ -435,7 +403,7 @@ def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
     ------
     DimensionMismatchError
         If ``cfg.num_states`` exceeds the channel dimension without
-        ``allow_overcomplete``, or ``povm_outcomes`` is out of range.
+        ``allow_overcomplete``.
     """
     dim = channel.dim
     m = cfg.num_states
@@ -443,16 +411,9 @@ def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
         raise DimensionMismatchError(
             f"{m} states exceed dimension {dim}; set allow_overcomplete to permit"
         )
-    outcomes = dim
-    if cfg.general_povm:
-        outcomes = cfg.povm_outcomes if cfg.povm_outcomes is not None else dim * dim
-        if not (m <= outcomes <= dim * dim):
-            raise DimensionMismatchError(
-                f"povm_outcomes must lie in [{m}, {dim * dim}], got {outcomes}"
-            )
-
+    outcomes = dim * dim if cfg.general_povm else dim
     kraus = channel.kraus
-    bound = _objective_bound(kraus, dim, m, outcomes, cfg.eps_support, cfg.objective)
+    bound = _objective_bound(kraus, dim, m, outcomes, cfg.eps_support)
     runs = [_run_restart(kraus, cfg, r, outcomes, bound) for r in range(cfg.restarts)]
 
     best_restart = 0

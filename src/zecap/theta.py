@@ -133,7 +133,6 @@ def lovasz_theta(
     g: Graph,
     tol: float = 1e-6,
     max_iterations: int = 50_000,
-    max_vertices: int = MAX_SDP_VERTICES,
 ) -> ThetaResult:
     """Compute theta(G) with a certified duality gap at most ``tol``.
 
@@ -145,8 +144,6 @@ def lovasz_theta(
         width at termination.
     max_iterations : int, optional
         Budget of PSD projections (eigendecompositions).
-    max_vertices : int, optional
-        SDP size cap; the per-iteration eigendecomposition is O(V^3).
 
     Returns
     -------
@@ -158,7 +155,8 @@ def lovasz_theta(
     Raises
     ------
     SizeLimitError
-        If the graph exceeds ``max_vertices``.
+        If the graph exceeds ``MAX_SDP_VERTICES`` vertices; the
+        per-iteration eigendecomposition is O(V^3).
     ValueError
         If ``tol`` or ``max_iterations`` is not positive (a NaN ``tol`` included).
 
@@ -183,8 +181,8 @@ def lovasz_theta(
     those extra checks included.
     """
     n = g.vertex_count
-    if n > max_vertices:
-        raise SizeLimitError(n, max_vertices)
+    if n > MAX_SDP_VERTICES:
+        raise SizeLimitError(n, MAX_SDP_VERTICES)
     if not tol > 0:  # also refuses NaN
         raise ValueError(f"tol must be positive, got {tol!r}")
     if max_iterations < 1:

@@ -29,7 +29,6 @@ from zecap.errors import (
     SizeLimitError,
 )
 from zecap.quantum import (
-    DEFAULT_TOLERANCES,
     outcome_probabilities,
     pure_state,
     random_density_matrix,
@@ -394,14 +393,13 @@ def test_certificate_with_more_outcomes_than_dimensions(n):
 def test_tensor_path_catches_a_lost_or_a_gained_word():
     channel, states, povm = trine_ensemble()
     code = all_words_code(states, povm, 2)
-    tol = DEFAULT_TOLERANCES
     word_sets = reachable_supports(code, channel, eps=1e-9)
-    assert _tensor_path_agrees(code, channel, 1e-9, word_sets, tol)
+    assert _tensor_path_agrees(code, channel, 1e-9, word_sets)
     lost = (word_sets[0] - {(1, 1)},) + word_sets[1:]
-    assert not _tensor_path_agrees(code, channel, 1e-9, lost, tol)
+    assert not _tensor_path_agrees(code, channel, 1e-9, lost)
     # State 0 never yields outcome 0.
     gained = (word_sets[0] | {(0, 1)},) + word_sets[1:]
-    assert not _tensor_path_agrees(code, channel, 1e-9, gained, tol)
+    assert not _tensor_path_agrees(code, channel, 1e-9, gained)
 
 
 @pytest.mark.parametrize(

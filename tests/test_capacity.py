@@ -57,11 +57,6 @@ def test_oversized_block_lengths_are_skipped_not_fatal():
     assert b.theta is not None
 
 
-def test_eps_support_is_carried_through():
-    b = capacity_bounds(cycle_graph(5), n_max=1, eps_support=1e-7)
-    assert b.eps_support == 1e-7
-
-
 def test_n_max_must_be_positive():
     with pytest.raises(ValueError):
         capacity_bounds(cycle_graph(5), n_max=0)

@@ -186,6 +186,19 @@ def test_analyze_seed_env_var_is_recorded(tmp_path):
     assert report["search"]["seed"] == 11
 
 
+def test_a_malformed_seed_env_var_is_rejected(tmp_path):
+    spec = write_spec(tmp_path / "id2.json", "identity-d2")
+    args = ["search", spec, "--restarts", "1", "--iters", "0"]
+    for cmd in (args, ["analyze", spec]):
+        proc = run_cli(cmd, env_extra={"ZECAP_SEED": "abc"})
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == "error: ZECAP_SEED must be an integer, got 'abc'\n"
+    # An explicit --seed still wins, so the variable is never read.
+    doc = load_stdout_json(run_cli([*args, "--seed", "3"], env_extra={"ZECAP_SEED": "abc"}))
+    assert doc["seed"] == 3
+
+
 def test_analyze_eps_flag_changes_the_graph(tmp_path):
     # One transition probability of 5e-9 straddles the two cutoffs.
     doc = {"name": "fragile", "classical_matrix": [[1.0 - 5e-9, 5e-9], [0.0, 1.0]]}

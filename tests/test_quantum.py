@@ -118,6 +118,55 @@ def test_validate_povm_accepts_plus_minus_basis():
     assert povm.dim == 2 and len(povm) == 2
 
 
+def _offdiag(delta: float) -> np.ndarray:
+    return np.array([[0.0, delta], [0.0, 0.0]])
+
+
+# Each builder puts a deviation of exactly ``delta`` into one check, in that
+# check's norm, and leaves every other check satisfied.
+THRESHOLD_CASES = [
+    pytest.param(
+        NotHermitianError,
+        lambda d: validate_state(np.eye(2) / 2 + _offdiag(d)),
+        id="state-hermiticity",
+    ),
+    pytest.param(NotPsdError, lambda d: validate_state(np.diag([1.0 + d, -d])), id="state-psd"),
+    pytest.param(
+        TraceNotOneError, lambda d: validate_state(np.diag([0.5, 0.5 + d])), id="state-trace"
+    ),
+    pytest.param(
+        NotTracePreservingError,
+        lambda d: validate_channel([np.diag([np.sqrt(1.0 + d), 1.0])]),
+        id="channel-trace-preservation",
+    ),
+    pytest.param(
+        NotHermitianError,
+        lambda d: validate_povm(
+            [np.diag([1.0, 0.0]) + _offdiag(d), np.diag([0.0, 1.0]) - _offdiag(d)]
+        ),
+        id="povm-hermiticity",
+    ),
+    pytest.param(
+        NotPsdError,
+        lambda d: validate_povm([np.diag([1.0 + d, 1.0]), np.diag([-d, 0.0])]),
+        id="povm-psd",
+    ),
+    pytest.param(
+        PovmIncompleteError,
+        lambda d: validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0 + d])]),
+        id="povm-completeness",
+    ),
+]
+
+
+@pytest.mark.parametrize("error, build", THRESHOLD_CASES)
+def test_every_validation_check_uses_an_absolute_tolerance_of_1e_9(error, build):
+    build(5e-10)
+    with pytest.raises(error) as exc:
+        build(2e-9)
+    assert "1.0e-09" in str(exc.value)
+
+
 def test_validate_povm_rejects_incomplete_and_negative():
     with pytest.raises(PovmIncompleteError):
         validate_povm([np.diag([1.0, 0.5])])

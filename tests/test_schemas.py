@@ -65,6 +65,14 @@ def test_code_output_matches_the_code_schema(tmp_path):
     validate(doc, "code.schema.json")
 
 
+def test_a_search_without_iterations_matches_the_search_schema(tmp_path):
+    spec = write_spec(tmp_path / "id2.json", "identity-d2")
+    doc = load_stdout_json(run_cli(["search", spec, "--restarts", "1", "--iters", "0"]))
+    assert doc["iterations"] == 0
+    assert doc["final_objective_per_restart"] == [None]
+    validate(doc, "report.schema.json#/$defs/search")
+
+
 def test_builtin_spec_matches_the_channel_spec_schema():
     validate(load_stdout_json(run_cli(["builtin", "pentagon"])), "channel_spec.schema.json")
 
@@ -84,8 +92,8 @@ def test_an_unconverged_theta_still_reports_its_certified_upper_bound(tmp_path, 
     solve = zecap.capacity.lovasz_theta
     results = []
 
-    def two_iterations(g, tol):
-        results.append(solve(g, tol=tol, max_iterations=2))
+    def two_iterations(g):
+        results.append(solve(g, max_iterations=2))
         return results[-1]
 
     monkeypatch.setattr(zecap.capacity, "lovasz_theta", two_iterations)
