@@ -27,7 +27,8 @@ def main():
     print(f"confusability edges: {sorted(graph.edges)} (the 5-cycle)")
     print()
 
-    bounds = capacity_bounds(graph.to_graph(), n_max=2)
+    # The confusability graph is a Graph: the bounds take it as it is.
+    bounds = capacity_bounds(graph, n_max=2)
     for entry in bounds.per_n:
         print(
             f"n={entry.n}: alpha={entry.alpha}, rate={entry.rate:.12f} bits/use, "

@@ -7,8 +7,7 @@ searches for good state/POVM pairs, and explicit zero-error block codes with
 decoders.
 """
 
-__version__ = "0.1.0"
-
+from ._version import __version__
 from .capacity import CapacityBounds, RateEntry, capacity_bounds
 from .blockcode import (
     DecoderTable,
@@ -21,7 +20,6 @@ from .blockcode import (
 )
 from .channels import (
     bitflip_channel,
-    builtin_spec,
     dephasing_channel,
     depolarizing_channel,
     embed_classical,
@@ -54,6 +52,7 @@ from .errors import (
     ValidationError,
     ZecapError,
 )
+from .formats import builtin_spec
 from .graphs import (
     MAX_VERTICES,
     Graph,
@@ -76,7 +75,6 @@ from .quantum import (
     pure_state,
     random_channel,
     random_density_matrix,
-    random_pure_state,
     tensor,
     validate_channel,
     validate_povm,

@@ -27,14 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confusability import ConfusabilityGraph, StateSet, support_set
+from .confusability import StateSet, support_set
 from .errors import (
     AmbiguousSupportsError,
     DimensionMismatchError,
     SizeLimitError,
 )
-from .graphs import MAX_VERTICES, independence_number, strong_power
-from .quantum import Povm, QuantumChannel, apply_channel, outcome_probabilities
+from .graphs import MAX_VERTICES, Graph, independence_number, strong_power
+from .quantum import Povm, QuantumChannel, _kron, apply_channel, outcome_probabilities
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -52,6 +52,8 @@ ENUMERATION_CAP = 10**6
 
 # Joint-space dimension cap for the Kronecker verification path.
 TENSOR_DIM_CAP = 4096
+
+_Word = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -155,21 +157,29 @@ def _enumerate_supports(
     channel: QuantumChannel,
     eps: float,
     enumeration_cap: int,
-) -> tuple[tuple[frozenset[tuple[int, ...]], ...], list[np.ndarray]]:
-    """Reachable word set of each codeword, and each state's outcome table."""
+) -> tuple[tuple[frozenset[_Word], ...], list[np.ndarray], dict[_Word, list[int]]]:
+    """Reachable word set of each codeword, each state's outcome table, and owners.
+
+    ``owners`` maps each reachable word to the codewords producing it, in order.  Its keys
+    are in the order the codewords first reach them, each codeword listing its words sorted.
+    """
     tables = [outcome_probabilities(channel, s, code.povm) for s in code.source.states]
     supports = [sorted(support_set(p, eps)) for p in tables]
     word_sets = []
-    for cw in code.codewords:
+    owners: dict[_Word, list[int]] = {}
+    for i, cw in enumerate(code.codewords):
         size = math.prod(len(supports[c]) for c in cw)
         if size > enumeration_cap:
             raise SizeLimitError(size, enumeration_cap, what="output words")
-        word_sets.append(frozenset(itertools.product(*(supports[c] for c in cw))))
-    return tuple(word_sets), tables
+        words = list(itertools.product(*(supports[c] for c in cw)))
+        for w in words:
+            owners.setdefault(w, []).append(i)
+        word_sets.append(frozenset(words))
+    return tuple(word_sets), tables, owners
 
 
 def build_code(
-    graph: ConfusabilityGraph,
+    graph: Graph,
     states: StateSet,
     povm: Povm,
     n: int,
@@ -179,7 +189,7 @@ def build_code(
 
     Parameters
     ----------
-    graph : ConfusabilityGraph
+    graph : Graph
         Must be the confusability graph of ``(states, povm)``; it is the
         caller's handle on eps and the adjacency actually used.
     states : StateSet
@@ -205,7 +215,7 @@ def build_code(
         raise DimensionMismatchError(
             f"graph has {graph.vertex_count} vertices for {len(states.states)} states"
         )
-    power = strong_power(graph.to_graph(), n, max_vertices)
+    power = strong_power(graph, n, max_vertices)
     _, witness = independence_number(power, max_vertices)
     m = graph.vertex_count
     codewords = []
@@ -258,16 +268,15 @@ def build_decoder(
     ------
     AmbiguousSupportsError
         If two codewords share a reachable word.  The error carries the
-        offending message pair and word.
+        offending message pair and word: the first collision a fill in codeword
+        order meets, i.e. the least second owner, then the least word.
     """
-    supports = reachable_supports(code, channel, eps, enumeration_cap)
-    mapping: dict[tuple[int, ...], int] = {}
-    for i, words in enumerate(supports):
-        for w in sorted(words):
-            prev = mapping.get(w)
-            if prev is not None:
-                raise AmbiguousSupportsError(pair=(prev, i), word=w)
-            mapping[w] = i
+    _, _, owners = _enumerate_supports(code, channel, eps, enumeration_cap)
+    clash = min(((idx[1], w) for w, idx in owners.items() if len(idx) > 1), default=None)
+    if clash is not None:
+        second, w = clash
+        raise AmbiguousSupportsError(pair=(owners[w][0], second), word=w)
+    mapping = {w: idx[0] for w, idx in owners.items()}
     return DecoderTable(
         block_length=code.block_length,
         outcome_count=len(code.povm),
@@ -302,17 +311,12 @@ def verify_zero_error(
     paths differ legitimately; the confusability graph's fragility counter
     flags those instances.
     """
-    word_sets, tables = _enumerate_supports(code, channel, eps, enumeration_cap)
+    word_sets, tables, owners = _enumerate_supports(code, channel, eps, enumeration_cap)
 
-    # Pairwise disjointness plus the worst confusable mass, in one pass that
-    # maps each reachable word to the codewords producing it: a word with
-    # several owners is shared by each pair of them.
-    owners: dict[tuple[int, ...], list[int]] = {}
-    for i, words in enumerate(word_sets):
-        for w in words:
-            owners.setdefault(w, []).append(i)
-    # Shared words in lexicographic order, so each pair's mass is summed in
-    # an order that does not depend on set iteration.
+    # Pairwise disjointness plus the worst confusable mass: a word with
+    # several owners is shared by each pair of them.  Shared words go in
+    # lexicographic order, so each pair's mass is summed in an order that
+    # does not depend on set iteration.
     shared = sorted(w for w, idx in owners.items() if len(idx) > 1)
     pair_mass: dict[tuple[int, int], float] = {}
     for w in shared:
@@ -368,16 +372,6 @@ def _tensor_path_agrees(
         if found != word_sets[i]:
             return False
     return True
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` for square matrices, by one broadcast product.
-
-    Entry ((i, k), (j, l)) is the single product a[i, j] * b[k, l], so the
-    result equals ``np.kron`` bit for bit without its generic reshaping.
-    """
-    m, q = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * q, m * q)
 
 
 def _word_probabilities(joint: np.ndarray, elements: np.ndarray, n: int) -> np.ndarray:

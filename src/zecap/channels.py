@@ -27,7 +27,6 @@ __all__ = [
     "bitflip_channel",
     "pentagon_matrix",
     "embed_classical",
-    "builtin_spec",
     "BUILTIN_STOCHASTIC_TOL",
 ]
 
@@ -156,55 +155,3 @@ def embed_classical(w: np.ndarray) -> tuple[QuantumChannel, StateSet, Povm]:
     eye = np.eye(dim, dtype=np.complex128)
     povm = validate_povm([np.outer(eye[:, j], eye[:, j].conj()) for j in range(dim)])
     return channel, states, povm
-
-
-# ---------------------------------------------------------------------------
-# Builtin channel specs for the CLI
-# ---------------------------------------------------------------------------
-
-_BUILTIN_HELP = (
-    "identity-d{2,3,5} | depolarizing-p{val} | dephasing-p{val} | "
-    "bitflip-p{val} | pentagon"
-)
-
-
-def builtin_spec(name: str) -> dict:
-    """Channel-spec document (JSON-ready dict) for a named builtin.
-
-    Accepted names: ``identity-d<dim>``, ``depolarizing-p<val>``,
-    ``dephasing-p<val>``, ``bitflip-p<val>``, ``pentagon``.
-
-    Raises
-    ------
-    KeyError
-        For an unrecognized name or malformed parameter.
-    """
-    from .formats import channel_spec_document  # deferred: formats imports channels
-
-    if name == "pentagon":
-        return channel_spec_document(name, classical_matrix=pentagon_matrix())
-    if name.startswith("identity-d"):
-        dim = _parse_param(name, "identity-d", int)
-        if dim < 1:
-            raise KeyError(f"identity dimension must be >= 1, got {dim}")
-        return channel_spec_document(name, channel=identity_channel(dim))
-    for prefix, ctor in (
-        ("depolarizing-p", depolarizing_channel),
-        ("dephasing-p", dephasing_channel),
-        ("bitflip-p", bitflip_channel),
-    ):
-        if name.startswith(prefix):
-            p = _parse_param(name, prefix, float)
-            try:
-                return channel_spec_document(name, channel=ctor(p))
-            except DimensionMismatchError as exc:
-                raise KeyError(str(exc)) from None
-    raise KeyError(f"unknown builtin {name!r}; expected {_BUILTIN_HELP}")
-
-
-def _parse_param(name: str, prefix: str, kind):
-    raw = name[len(prefix) :]
-    try:
-        return kind(raw)
-    except ValueError:
-        raise KeyError(f"cannot parse {kind.__name__} from {name!r}") from None

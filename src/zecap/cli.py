@@ -26,12 +26,12 @@ import sys
 
 from .blockcode import build_code, build_decoder, verify_zero_error
 from .capacity import capacity_bounds
-from .channels import builtin_spec
 from .confusability import DEFAULT_EPS, confusability_graph
 from .errors import ZecapError
 from .formats import (
     ParsedChannelSpec,
     _theta_json,
+    builtin_spec,
     code_document,
     dumps_canonical,
     graph_from_json,
@@ -117,7 +117,7 @@ def _cmd_analyze(args) -> int:
     seed = _env_seed()
     states, povm, provenance, search_doc = _ensure_ensemble(spec, seed, args.eps)
     graph = confusability_graph(spec.channel, states, povm, eps=args.eps)
-    bounds = capacity_bounds(graph.to_graph(), n_max=args.n_max)
+    bounds = capacity_bounds(graph, n_max=args.n_max)
 
     code_doc = None
     code_failure = None
@@ -144,8 +144,6 @@ def _cmd_analyze(args) -> int:
         povm=povm,
         graph=graph,
         bounds=bounds,
-        eps=args.eps,
-        n_max=args.n_max,
         seed=seed if provenance == "searched" else None,
         code=code_doc,
         code_failure=code_failure,

@@ -9,7 +9,8 @@ graph is not complete.
 
 Convention used throughout the package: graph vertices are state indices and
 an EDGE means CONFUSABLE.  Zero-error codes therefore live on independent
-sets, never on cliques.
+sets, never on cliques.  The confusability graph is a :class:`Graph` carrying
+its supports, so strong powers, independence numbers and theta take it as is.
 
 "Positive probability" is numerical: ``p > eps`` with ``eps`` recorded on
 every object derived from it.  Probabilities within a decade of ``eps``
@@ -20,6 +21,7 @@ with suspicion.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,15 +112,13 @@ def non_adjacent(a: frozenset[int], b: frozenset[int]) -> bool:
 
 
 @dataclass(frozen=True)
-class ConfusabilityGraph:
-    """Confusability structure of M states under one channel and POVM.
+class ConfusabilityGraph(Graph):
+    """Confusability graph of M states under one channel and POVM.
+
+    A :class:`Graph` whose vertex k is state k and whose edges join confusable states.
 
     Attributes
     ----------
-    vertex_count : int
-        Number of states M; vertex k is state k.
-    edges : frozenset of (int, int)
-        Confusable pairs, each stored as (a, b) with a < b.
     supports : tuple of frozenset
         ``supports[k]`` is the outcome support set of state k.
     eps : float
@@ -129,18 +129,9 @@ class ConfusabilityGraph:
         to the cutoff.
     """
 
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
     supports: tuple[frozenset[int], ...]
     eps: float
     fragile_count: int = 0
-
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-    def to_graph(self) -> Graph:
-        """The same adjacency as a bare combinatorial graph."""
-        return Graph(vertex_count=self.vertex_count, edges=self.edges)
 
 
 def confusability_graph(
@@ -176,9 +167,8 @@ def confusability_graph(
         except EmptySupportError:
             raise EmptySupportError(state_index=k, eps=eps) from None
     m = len(supports)
-    edges = frozenset(
-        (a, b) for a in range(m) for b in range(a + 1, m) if supports[a] & supports[b]
-    )
+    pairs = itertools.combinations(range(m), 2)
+    edges = frozenset((a, b) for a, b in pairs if not non_adjacent(supports[a], supports[b]))
     return ConfusabilityGraph(
         vertex_count=m,
         edges=edges,
@@ -188,7 +178,7 @@ def confusability_graph(
     )
 
 
-def has_positive_zero_error_capacity(g: ConfusabilityGraph) -> bool:
+def has_positive_zero_error_capacity(g: Graph) -> bool:
     """True iff at least one pair of states is non-adjacent.
 
     Equivalent to: the confusability graph is not complete, so two inputs
@@ -197,7 +187,7 @@ def has_positive_zero_error_capacity(g: ConfusabilityGraph) -> bool:
     return non_adjacent_pair_count(g) > 0
 
 
-def non_adjacent_pair_count(g: ConfusabilityGraph) -> int:
+def non_adjacent_pair_count(g: Graph) -> int:
     """Number of unordered state pairs with disjoint supports.
 
     This is the quantity the (states, POVM) search maximizes: an optimum

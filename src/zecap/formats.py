@@ -1,4 +1,4 @@
-"""File formats: channel specs, analysis reports, graph JSON, DOT export.
+"""File formats: channel specs (builtins included), reports, graph JSON, DOT export.
 
 All documents are plain JSON.  Complex numbers are encoded as two-element
 [re, im] arrays, a complex matrix as a row-major nested list of those pairs.
@@ -17,11 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
+from ._version import __version__
 from .blockcode import DecoderTable, QuantumBlockCode, ZeroErrorReport
 from .capacity import CapacityBounds
+from .channels import (
+    bitflip_channel,
+    dephasing_channel,
+    depolarizing_channel,
+    embed_classical,
+    identity_channel,
+    pentagon_matrix,
+)
 from .confusability import ConfusabilityGraph, StateSet, non_adjacent_pair_count
-from .errors import ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .graphs import Graph
 from .quantum import (
     DensityMatrix,
@@ -39,6 +47,7 @@ __all__ = [
     "complex_matrix_to_json",
     "complex_matrix_from_json",
     "channel_spec_document",
+    "builtin_spec",
     "parse_channel_spec",
     "graph_to_json",
     "graph_from_json",
@@ -141,10 +150,64 @@ def channel_spec_document(
         w = np.asarray(classical_matrix, dtype=np.float64)
         doc["classical_matrix"] = [[float(x) for x in row] for row in w]
     if states is not None:
-        doc["states"] = [complex_matrix_to_json(s.matrix) for s in states.states]
+        doc["states"] = _states_json(states)
     if povm is not None:
-        doc["povm"] = [complex_matrix_to_json(e) for e in povm.elements]
+        doc["povm"] = _povm_json(povm)
     return doc
+
+
+def _states_json(states: StateSet) -> list:
+    return [complex_matrix_to_json(s.matrix) for s in states.states]
+
+
+def _povm_json(povm: Povm) -> list:
+    return [complex_matrix_to_json(e) for e in povm.elements]
+
+
+_BUILTIN_HELP = (
+    "identity-d{2,3,5} | depolarizing-p{val} | dephasing-p{val} | "
+    "bitflip-p{val} | pentagon"
+)
+
+
+def builtin_spec(name: str) -> dict:
+    """Channel-spec document (JSON-ready dict) for a named builtin.
+
+    Accepted names: ``identity-d<dim>``, ``depolarizing-p<val>``,
+    ``dephasing-p<val>``, ``bitflip-p<val>``, ``pentagon``.
+
+    Raises
+    ------
+    KeyError
+        For an unrecognized name or malformed parameter.
+    """
+    if name == "pentagon":
+        return channel_spec_document(name, classical_matrix=pentagon_matrix())
+    if name.startswith("identity-d"):
+        dim = _parse_param(name, "identity-d", int)
+        if dim < 1:
+            raise KeyError(f"identity dimension must be >= 1, got {dim}")
+        return channel_spec_document(name, channel=identity_channel(dim))
+    for prefix, ctor in (
+        ("depolarizing-p", depolarizing_channel),
+        ("dephasing-p", dephasing_channel),
+        ("bitflip-p", bitflip_channel),
+    ):
+        if name.startswith(prefix):
+            p = _parse_param(name, prefix, float)
+            try:
+                return channel_spec_document(name, channel=ctor(p))
+            except DimensionMismatchError as exc:
+                raise KeyError(str(exc)) from None
+    raise KeyError(f"unknown builtin {name!r}; expected {_BUILTIN_HELP}")
+
+
+def _parse_param(name: str, prefix: str, kind):
+    raw = name[len(prefix) :]
+    try:
+        return kind(raw)
+    except ValueError:
+        raise KeyError(f"cannot parse {kind.__name__} from {name!r}") from None
 
 
 def parse_channel_spec(doc, allow_overcomplete: bool = False) -> ParsedChannelSpec:
@@ -161,8 +224,6 @@ def parse_channel_spec(doc, allow_overcomplete: bool = False) -> ParsedChannelSp
         (or a subclass) for every way the document can be malformed or
         mathematically invalid.
     """
-    from .channels import embed_classical  # channels imports this module too
-
     if not isinstance(doc, dict):
         raise ValidationError("spec must be a JSON object")
     name = doc.get("name")
@@ -278,7 +339,7 @@ def graph_from_json(doc) -> Graph:
     return Graph(vertex_count=v, edges=frozenset(edges))
 
 
-def graph_to_dot(g: ConfusabilityGraph | Graph) -> str:
+def graph_to_dot(g: Graph) -> str:
     """Graphviz DOT text; vertices are state indices, edges mean confusable."""
     lines = ["graph confusability {"]
     for v in range(g.vertex_count):
@@ -292,14 +353,6 @@ def graph_to_dot(g: ConfusabilityGraph | Graph) -> str:
 # ---------------------------------------------------------------------------
 # Result documents
 # ---------------------------------------------------------------------------
-
-
-def _states_json(states: StateSet) -> list:
-    return [complex_matrix_to_json(s.matrix) for s in states.states]
-
-
-def _povm_json(povm: Povm) -> list:
-    return [complex_matrix_to_json(e) for e in povm.elements]
 
 
 def _theta_json(res: ThetaResult | None) -> dict | None:
@@ -405,7 +458,7 @@ def search_result_document(res: SearchResult) -> dict:
         "proposals": res.proposals,
         "states": _states_json(res.best_states),
         "povm": _povm_json(res.best_povm),
-        "graph": graph_to_json(res.graph.to_graph()),
+        "graph": graph_to_json(res.graph),
     }
 
 
@@ -417,8 +470,6 @@ def report_document(
     povm: Povm,
     graph: ConfusabilityGraph,
     bounds: CapacityBounds,
-    eps: float,
-    n_max: int,
     seed: int | None,
     code: dict | None,
     code_failure: str | None,
@@ -446,8 +497,8 @@ def report_document(
         "tool": "zecap",
         "version": __version__,
         "seed": seed,
-        "eps_support": eps,
-        "n_max": n_max,
+        "eps_support": graph.eps,
+        "n_max": len(bounds.per_n),
         "channel": channel_doc,
         "ensemble": {
             "provenance": provenance,
@@ -458,7 +509,7 @@ def report_document(
         },
         "supports": [sorted(s) for s in graph.supports],
         "fragile_probability_count": graph.fragile_count,
-        "graph": graph_to_json(graph.to_graph()),
+        "graph": graph_to_json(graph),
         "non_adjacent_pairs": pairs,
         "positive_zero_error_capacity": pairs > 0,
         "bounds": _bounds_json(bounds),

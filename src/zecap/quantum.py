@@ -49,7 +49,6 @@ __all__ = [
     "basis_state",
     "maximally_mixed",
     "haar_unitary",
-    "random_pure_state",
     "random_density_matrix",
     "random_channel",
 ]
@@ -79,10 +78,25 @@ def _require_square(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    # Eigenvalue checks run on (M + M^dagger)/2 so roundoff in the
+def _require_squares(mats, name: str) -> list[np.ndarray]:
+    """``_require_square`` on each matrix, and one dimension for all of them."""
+    ops = [_require_square(m, name) for m in mats]
+    d = ops[0].shape[0]
+    for m in ops[1:]:
+        if m.shape[0] != d:
+            raise DimensionMismatchError(f"{name}s of mixed dimensions: {d} and {m.shape[0]}")
+    return ops
+
+
+def _require_hermitian_psd(m: np.ndarray) -> None:
+    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    if herm_dev > _TOL:
+        raise NotHermitianError(herm_dev, _TOL)
+    # The eigenvalue check runs on (M + M^dagger)/2 so roundoff in the
     # anti-Hermitian part cannot poison eigh.
-    return (m + m.conj().T) / 2.0
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
+    if eigs[0] < -_TOL:
+        raise NotPsdError(float(eigs[0]), _TOL)
 
 
 @dataclass(frozen=True)
@@ -183,12 +197,7 @@ def validate_state(matrix: np.ndarray) -> DensityMatrix:
     that is 1e-6 away from PSD is a bug in the caller, not noise to hide.
     """
     m = _require_square(matrix, "state")
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > _TOL:
-        raise NotHermitianError(herm_dev, _TOL)
-    eigs = np.linalg.eigvalsh(_hermitian_part(m))
-    if eigs[0] < -_TOL:
-        raise NotPsdError(float(eigs[0]), _TOL)
+    _require_hermitian_psd(m)
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > _TOL:
         raise TraceNotOneError(tr.real, _TOL)
@@ -216,13 +225,8 @@ def validate_channel(kraus: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Quan
     """
     if len(kraus) == 0:
         raise DimensionMismatchError("a channel needs at least one Kraus operator")
-    ops = [_require_square(k, "Kraus operator") for k in kraus]
+    ops = _require_squares(kraus, "Kraus operator")
     d = ops[0].shape[0]
-    for k in ops[1:]:
-        if k.shape[0] != d:
-            raise DimensionMismatchError(
-                f"Kraus operators of mixed dimensions: {d} and {k.shape[0]}"
-            )
     s = sum(k.conj().T @ k for k in ops)
     dev = float(np.linalg.norm(s - np.eye(d)))
     if dev > _TOL:
@@ -238,20 +242,10 @@ def validate_povm(elements: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Povm
     """
     if len(elements) == 0:
         raise DimensionMismatchError("a POVM needs at least one element")
-    ops = [_require_square(e, "POVM element") for e in elements]
+    ops = _require_squares(elements, "POVM element")
     d = ops[0].shape[0]
-    for e in ops[1:]:
-        if e.shape[0] != d:
-            raise DimensionMismatchError(
-                f"POVM elements of mixed dimensions: {d} and {e.shape[0]}"
-            )
     for e in ops:
-        herm_dev = float(np.max(np.abs(e - e.conj().T)))
-        if herm_dev > _TOL:
-            raise NotHermitianError(herm_dev, _TOL)
-        eigs = np.linalg.eigvalsh(_hermitian_part(e))
-        if eigs[0] < -_TOL:
-            raise NotPsdError(float(eigs[0]), _TOL)
+        _require_hermitian_psd(e)
     dev = float(np.linalg.norm(sum(ops) - np.eye(d)))
     if dev > _TOL:
         raise PovmIncompleteError(dev, _TOL)
@@ -341,7 +335,17 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two states, a state on the joint space."""
     # PSD and unit trace are preserved exactly by the Kronecker product,
     # so no re-validation beyond construction.
-    return DensityMatrix(dim=a.dim * b.dim, matrix=np.kron(a.matrix, b.matrix))
+    return DensityMatrix(dim=a.dim * b.dim, matrix=_kron(a.matrix, b.matrix))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` for square matrices, by one broadcast product.
+
+    Entry ((i, k), (j, l)) is the single product a[i, j] * b[k, l], so the
+    result equals ``np.kron`` bit for bit without its generic reshaping.
+    """
+    m, q = a.shape[0], b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * q, m * q)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +384,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     which corrects the QR gauge so the distribution is exactly Haar.
     """
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    return _haar_q(z)
+
+
+def _haar_q(z: np.ndarray) -> np.ndarray:
+    """Haar-distributed Q of a complex Ginibre ``z``: QR with the R-diagonal phases divided out."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Haar-random pure state: complex Gaussian vector, normalized."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return pure_state(v)
 
 
 def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -409,8 +412,6 @@ def random_channel(dim: int, kraus_count: int, rng: np.random.Generator) -> Quan
     z = rng.standard_normal((kraus_count * dim, dim)) + 1j * rng.standard_normal(
         (kraus_count * dim, dim)
     )
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
+    q = _haar_q(z)
     ops = [q[m * dim : (m + 1) * dim, :] for m in range(kraus_count)]
     return QuantumChannel(dim=dim, kraus=tuple(ops))

@@ -13,7 +13,8 @@ hit.  Each restart therefore climbs from the best of four starts, scored in
 this order - the computational-basis-aligned pair, the S-start, a
 Haar-aligned pair (random basis used for both states and POVM), and a fully
 random pair - and the result can only improve on them.  Ties go to the
-earlier start.
+earlier start.  A point where some state's support is empty scores -1, below
+every valid point, since ``confusability_graph`` refuses it.
 
 The S-start comes from the channel's operator space S = span{K_i^dagger K_j}
 (Duan, Severini & Winter, arXiv:1002.2514): pure inputs a, b are zero-error
@@ -53,7 +54,7 @@ from .confusability import (
 )
 from .errors import DimensionMismatchError
 from .graphs import independence_number
-from .quantum import Povm, QuantumChannel, haar_unitary, pure_state, validate_povm
+from .quantum import Povm, QuantumChannel, _haar_q, haar_unitary, pure_state, validate_povm
 
 __all__ = [
     "SearchConfig",
@@ -171,10 +172,7 @@ def _random_state_vectors(dim: int, count: int, rng: np.random.Generator) -> np.
 
 
 def _random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_q(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
 
 
 def _povm_from_isometry(iso: np.ndarray, dim: int, outcomes: int) -> list[np.ndarray]:
@@ -191,36 +189,27 @@ def _small_rotation(dim: int, step: float, rng: np.random.Generator) -> np.ndarr
     return (vecs * np.exp(1j * step * lam)) @ vecs.conj().T
 
 
-class _Candidate:
-    """Mutable (state vectors, measurement parameter) point in search space."""
-
-    __slots__ = ("vecs", "meas")
-
-    def __init__(self, vecs: np.ndarray, meas: np.ndarray):
-        self.vecs = vecs  # (M, dim) unit rows
-        self.meas = meas  # unitary (projective) or stacked isometry (general)
-
-    def copy(self) -> "_Candidate":
-        return _Candidate(self.vecs.copy(), self.meas.copy())
-
-
 def _prob_table(
     kraus: tuple[np.ndarray, ...],
-    cand: _Candidate,
+    cand: tuple[np.ndarray, np.ndarray],
     general: bool,
     outcomes: int,
 ) -> np.ndarray:
-    """p[k, j] = tr(E(|v_k><v_k|) E_j), computed without object wrappers."""
-    v = cand.vecs.T  # (dim, M)
+    """p[k, j] = tr(E(|v_k><v_k|) E_j) at the search point ``cand`` = (vecs, meas).
+
+    vecs: (M, dim) unit rows; meas: a unitary (projective) or stacked isometry (general).
+    """
+    vecs, meas = cand
+    v = vecs.T  # (dim, M)
     if general:
         dim = v.shape[0]
         p = np.zeros((outcomes, v.shape[1]))
         for k in kraus:
-            w = cand.meas @ (k @ v)  # (outcomes*dim, M)
+            w = meas @ (k @ v)  # (outcomes*dim, M)
             p += (np.abs(w.reshape(outcomes, dim, -1)) ** 2).sum(axis=1)
         return p.T
-    uh = cand.meas.conj().T
-    p = np.zeros((cand.meas.shape[0], v.shape[1]))
+    uh = meas.conj().T
+    p = np.zeros((meas.shape[0], v.shape[1]))
     for k in kraus:
         amp = uh @ (k @ v)  # (N, M)
         p += np.abs(amp) ** 2
@@ -228,7 +217,10 @@ def _prob_table(
 
 
 def _pair_count(p: np.ndarray, eps: float) -> int:
+    """Pairs of rows of ``p`` with disjoint supports, or -1 if some support is empty."""
     s = p > eps
+    if not s.any(axis=1).all():  # confusability_graph refuses this table
+        return -1
     shared = s @ s.T  # pairwise shared-outcome counts
     m = p.shape[0]
     iu = np.triu_indices(m, 1)
@@ -261,7 +253,7 @@ def _objective_bound(
 
 def _s_start(
     kraus: tuple[np.ndarray, ...], m: int, general: bool, outcomes: int, rng: np.random.Generator
-) -> _Candidate:
+) -> tuple[np.ndarray, np.ndarray]:
     """States from the eigenbasis of a random Hermitian element of S, measured on their output ranges."""
     basis = _operator_space(kraus)
     dim = basis.shape[1]
@@ -278,7 +270,7 @@ def _s_start(
         u, sv, _ = np.linalg.svd(out, full_matrices=False)
         cols = np.hstack([cols, u[:, sv > _RANK_TOL]])
     unitary, _ = np.linalg.qr(np.hstack([cols, np.eye(dim)]))
-    return _Candidate(vecs, _aligned_meas(unitary, dim, general, outcomes))
+    return vecs, _aligned_meas(unitary, dim, general, outcomes)
 
 
 def _aligned_meas(u: np.ndarray, dim: int, general: bool, outcomes: int) -> np.ndarray:
@@ -299,7 +291,7 @@ def _starts(
     general: bool,
     outcomes: int,
     draw: Callable[[], np.random.Generator],
-) -> Iterator[_Candidate]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The four starts in scoring order, each drawn from ``draw()`` only when reached."""
     dim = kraus[0].shape[1]
     # Basis indices tile cyclically when m > dim; exact repeats are the best
@@ -307,35 +299,34 @@ def _starts(
     tile = np.arange(m) % dim
     # Computational alignment: recovers classical structure exactly.
     eye = np.eye(dim, dtype=np.complex128)
-    yield _Candidate(eye[tile].copy(), _aligned_meas(eye, dim, general, outcomes))
+    yield eye[tile].copy(), _aligned_meas(eye, dim, general, outcomes)
     rng = draw()
     yield _s_start(kraus, m, general, outcomes, rng)
     # Haar alignment: same basis for states and measurement.
     u = haar_unitary(dim, rng)
-    yield _Candidate(u.T[tile].copy(), _aligned_meas(u, dim, general, outcomes))
+    yield u.T[tile].copy(), _aligned_meas(u, dim, general, outcomes)
     # Fully random pair.
     vecs = _random_state_vectors(dim, m, rng)
     if general:
         meas = _random_isometry(outcomes * dim, dim, rng)
     else:
         meas = haar_unitary(dim, rng)
-    yield _Candidate(vecs, meas)
+    yield vecs, meas
 
 
-def _propose(cand: _Candidate, general: bool, rng: np.random.Generator) -> _Candidate:
-    m, dim = cand.vecs.shape
-    out = cand.copy()
+def _propose(
+    cand: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate one state or the measurement; the array left unchanged is shared."""
+    vecs, meas = cand
+    m, dim = vecs.shape
     target = int(rng.integers(0, m + 1))
     if target < m:
-        rot = _small_rotation(dim, _STEP, rng)
-        out.vecs[target] = rot @ out.vecs[target]
-    elif general:
-        rot = _small_rotation(cand.meas.shape[0], _STEP, rng)
-        out.meas = rot @ out.meas
+        vecs = vecs.copy()
+        vecs[target] = _small_rotation(dim, _STEP, rng) @ vecs[target]
     else:
-        rot = _small_rotation(dim, _STEP, rng)
-        out.meas = rot @ out.meas
-    return out
+        meas = _small_rotation(meas.shape[0], _STEP, rng) @ meas
+    return vecs, meas
 
 
 def _run_restart(
@@ -344,7 +335,7 @@ def _run_restart(
     restart_index: int,
     outcomes: int,
     bound: float,
-) -> tuple[float, _Candidate, list[float], int]:
+) -> tuple[float, tuple[np.ndarray, np.ndarray], list[float], int]:
     rng = None
     general = cfg.general_povm
 
@@ -356,10 +347,10 @@ def _run_restart(
             rng = np.random.default_rng(cfg.seed + restart_index)
         return rng
 
-    def score(cand: _Candidate) -> float:
+    def score(cand: tuple[np.ndarray, np.ndarray]) -> float:
         return float(_pair_count(_prob_table(kraus, cand, general, outcomes), cfg.eps_support))
 
-    best, best_score = None, -1.0
+    best, best_score = None, -math.inf
     for cand in _starts(kraus, cfg.num_states, general, outcomes, draw):
         sc = score(cand)
         if sc > best_score:
@@ -372,7 +363,7 @@ def _run_restart(
     current = best
     history: list[float] = []
     while len(history) < cfg.iterations and best_score < bound:
-        proposal = _propose(current, general, draw())
+        proposal = _propose(current, draw())
         sc = score(proposal)
         if sc >= best_score:
             current = proposal
@@ -382,6 +373,18 @@ def _run_restart(
     proposals = len(history)
     history += [best_score] * (cfg.iterations - proposals)
     return best_score, best, history, proposals
+
+
+def _ensemble(
+    cand: tuple[np.ndarray, np.ndarray], general: bool, allow_overcomplete: bool
+) -> tuple[StateSet, Povm]:
+    """The validated (states, POVM) pair a search point stands for."""
+    vecs, meas = cand
+    dim = vecs.shape[1]
+    states = StateSet(dim, tuple(pure_state(v) for v in vecs), allow_overcomplete)
+    if general:
+        return states, validate_povm(_povm_from_isometry(meas, dim, dim * dim))
+    return states, validate_povm([np.outer(meas[:, j], meas[:, j].conj()) for j in range(dim)])
 
 
 def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
@@ -420,21 +423,9 @@ def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
     for r in range(1, cfg.restarts):
         if runs[r][0] > runs[best_restart][0]:
             best_restart = r
-    best_cand = runs[best_restart][1]
-
-    states = StateSet(
-        dim=dim,
-        states=tuple(pure_state(v) for v in best_cand.vecs),
-        allow_overcomplete=cfg.allow_overcomplete,
-    )
-    if cfg.general_povm:
-        povm = validate_povm(_povm_from_isometry(best_cand.meas, dim, outcomes))
-    else:
-        povm = validate_povm(
-            [np.outer(best_cand.meas[:, j], best_cand.meas[:, j].conj()) for j in range(dim)]
-        )
+    states, povm = _ensemble(runs[best_restart][1], cfg.general_povm, cfg.allow_overcomplete)
     graph = confusability_graph(channel, states, povm, eps=cfg.eps_support)
-    alpha_1, _ = independence_number(graph.to_graph())
+    alpha_1, _ = independence_number(graph)
     return SearchResult(
         best_states=states,
         best_povm=povm,

@@ -178,6 +178,25 @@ def graph_channel_matrix(vertex_count: int, edges) -> np.ndarray:
     return w
 
 
+def decoder_fill(w: np.ndarray, codewords, eps: float):
+    """Decoding table of a code on the classical channel ``w``, filled in codeword order.
+
+    Codeword i reaches every word whose position t has w[c_t, word_t] > eps.
+    The codewords claim their words in order, each codeword's words in
+    lexicographic order.  Returns ``(mapping, None)`` when no word is claimed
+    twice, else ``(None, ((first_owner, i), word))`` for the first word that
+    a later codeword i reaches again.
+    """
+    mapping: dict[tuple[int, ...], int] = {}
+    for i, cw in enumerate(codewords):
+        per_position = [[j for j in range(w.shape[1]) if w[c, j] > eps] for c in cw]
+        for word in sorted(itertools.product(*per_position)):
+            if word in mapping:
+                return None, ((mapping[word], i), word)
+            mapping[word] = i
+    return mapping, None
+
+
 def random_graph(vertex_count: int, p: float, rng: np.random.Generator):
     """Erdos-Renyi edge list, for property suites."""
     return [

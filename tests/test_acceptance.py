@@ -68,7 +68,7 @@ def test_criterion_1_noiseless_channels_have_log_dim_capacity():
             graph = confusability_graph(channel, states, _computational_povm(dim))
             assert graph.edges == frozenset()
             assert has_positive_zero_error_capacity(graph)
-            bounds = capacity_bounds(graph.to_graph(), n_max=1)
+            bounds = capacity_bounds(graph, n_max=1)
             assert bounds.per_n[0].rate == pytest.approx(math.log2(dim), abs=0)
         elapsed = time.monotonic() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -105,14 +105,14 @@ def test_criterion_3_pentagon_rates_meet_the_theta_bound():
         graph = confusability_graph(channel, states, povm)
         assert graph.edges == cycle_graph(5).edges
 
-        alpha1, _ = independence_number(graph.to_graph())
+        alpha1, _ = independence_number(graph)
         assert alpha1 == 2 == brute_alpha(5, graph.edges)[0]
-        power = strong_power(graph.to_graph(), 2)
+        power = strong_power(graph, 2)
         alpha2, witness = independence_number(power)
         assert alpha2 == 5 == pruned_alpha(25, power.edges)[0]
         assert witness == (0, 7, 14, 16, 23)
 
-        bounds = capacity_bounds(graph.to_graph(), n_max=2)
+        bounds = capacity_bounds(graph, n_max=2)
         rate2 = bounds.per_n[1].rate
         assert rate2 == pytest.approx(math.log2(5.0) / 2.0, abs=1e-12)
         assert bounds.theta.value == pytest.approx(math.sqrt(5.0), abs=1e-5)

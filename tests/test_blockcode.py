@@ -37,6 +37,7 @@ from zecap.quantum import (
 from zecap.search import random_general_povm
 
 from invariants import check_decoder_iff_independent
+from oracles import decoder_fill
 
 PENTAGON_CODEWORDS = ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))
 
@@ -182,6 +183,36 @@ def test_confusable_codewords_are_rejected_with_the_witness_word():
         build_decoder(code, channel, eps=1e-9)
     assert exc.value.pair == (0, 1)
     assert exc.value.word == (0,)
+
+
+def test_the_decoder_reports_the_collision_a_fill_in_codeword_order_meets_first():
+    # Random sparse classical channels and random codes of 3 to 6 codewords:
+    # the raised pair and word, or the whole table, match the fill oracle.
+    rng = np.random.default_rng(23)
+    clashes_without_0 = clashes = tables = 0
+    for _ in range(300):
+        m_in, n_out, n = int(rng.integers(3, 5)), int(rng.integers(3, 6)), int(rng.integers(1, 3))
+        w = np.zeros((m_in, n_out))
+        for row in w:
+            cols = rng.choice(n_out, size=int(rng.integers(1, 3)), replace=False)
+            row[cols] = rng.dirichlet(np.ones(len(cols)) * 5.0)
+        channel, states, povm = embed_classical(w)
+        words = list(itertools.product(range(m_in), repeat=n))
+        count = int(rng.integers(3, min(6, len(words)) + 1))
+        codewords = tuple(words[i] for i in rng.choice(len(words), size=count, replace=False))
+        code = QuantumBlockCode(block_length=n, codewords=codewords, source=states, povm=povm)
+        mapping, clash = decoder_fill(w, codewords, 1e-9)
+        if clash is None:
+            decoder = build_decoder(code, channel, eps=1e-9)
+            assert list(decoder.mapping.items()) == list(mapping.items())
+            tables += 1
+            continue
+        with pytest.raises(AmbiguousSupportsError) as exc:
+            build_decoder(code, channel, eps=1e-9)
+        assert (exc.value.pair, exc.value.word) == clash
+        clashes += 1
+        clashes_without_0 += 0 not in clash[0]
+    assert tables > 20 and clashes > 20 and clashes_without_0 > 20
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ def test_analyze_finds_the_bitflip_x_basis_pair(tmp_path):
     assert report["code"]["certificate"]["paths_agree"] is True
 
 
+def test_analyze_at_a_large_eps_searches_past_empty_supports(tmp_path):
+    # At eps = 0.9 the computational start (p = 0.7 / 0.3) leaves both
+    # supports empty; the search must not keep it, or the graph is refused.
+    spec = write_spec(tmp_path / "bf.json", "bitflip-p0.3")
+    report = load_stdout_json(run_cli(["analyze", spec, "--eps", "0.9"]))
+    assert report["supports"] == [[0], [1]]
+    assert [e["alpha"] for e in report["bounds"]["per_n"]] == [2, 4]
+    assert report["code"]["certificate"]["passed"] is True
+
+
 @pytest.mark.parametrize(
     "name",
     [

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from zecap import (
+    Graph,
     StateSet,
     basis_state,
+    capacity_bounds,
     confusability_graph,
     depolarizing_channel,
     embed_classical,
@@ -129,6 +131,9 @@ def test_pentagon_embedding_gives_the_five_cycle():
     assert g.supports == tuple(frozenset({i, (i + 1) % 5}) for i in range(5))
     assert non_adjacent_pair_count(g) == 5
     assert has_positive_zero_error_capacity(g)
+    # The confusability graph is a Graph: the bounds take it as is.
+    assert isinstance(g, Graph)
+    assert capacity_bounds(g, 2) == capacity_bounds(Graph(g.vertex_count, g.edges), 2)
 
 
 def test_edge_membership_follows_eps():

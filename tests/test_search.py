@@ -26,9 +26,16 @@ from zecap import (
     random_pure_state_set,
 )
 from zecap import search
-from zecap.errors import DimensionMismatchError
+from zecap.errors import DimensionMismatchError, EmptySupportError
 from zecap.quantum import random_channel
-from zecap.search import _objective_bound, _operator_space
+from zecap.search import (
+    _ensemble,
+    _objective_bound,
+    _operator_space,
+    _pair_count,
+    _prob_table,
+    _starts,
+)
 
 SMALL = dict(restarts=3, iterations=80)
 
@@ -191,6 +198,32 @@ def test_operator_space_has_the_known_dimension_and_spans_every_product(channel,
         for b in channel.kraus:
             v = (a.conj().T @ b).reshape(-1)
             assert np.allclose(flat.T @ (flat.conj() @ v), v, atol=1e-12)
+
+
+def test_the_search_score_is_the_graph_pair_count_or_minus_one_when_the_graph_is_refused():
+    # Every start of seeded random channels, scored by the search's own
+    # kernel, against the public graph of the same (states, POVM) pair.
+    refused = counted = 0
+    for seed in range(6):
+        dim, kraus_count = 2 + seed % 2, 1 + seed % 3
+        channel = random_channel(dim, kraus_count, np.random.default_rng(seed))
+        for general in (False, True):
+            outcomes = dim * dim if general else dim
+            rng = np.random.default_rng(100 + seed)
+            for cand in _starts(channel.kraus, dim, general, outcomes, lambda: rng):
+                p = _prob_table(channel.kraus, cand, general, outcomes)
+                states, povm = _ensemble(cand, general, False)
+                for eps in (1e-9, 0.1, 0.5, 0.9):
+                    score = _pair_count(p, eps)
+                    try:
+                        graph = confusability_graph(channel, states, povm, eps=eps)
+                    except EmptySupportError:
+                        assert score == -1
+                        refused += 1
+                    else:
+                        assert score == non_adjacent_pair_count(graph)
+                        counted += 1
+    assert refused > 10 and counted > 10
 
 
 def test_depolarizing_admits_no_pair_in_any_ensemble_as_the_bound_says():
