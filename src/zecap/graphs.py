@@ -12,6 +12,7 @@ Edge semantics follow the package convention: an edge means confusable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ class Graph:
 
     Edges are stored as a frozenset of (a, b) pairs with a < b; build
     through :meth:`from_edges` to normalize arbitrary pair iterables.
+    Endpoints are stored as Python ints, whatever integer type they came in.
     """
 
     vertex_count: int
@@ -47,11 +49,20 @@ class Graph:
     def __post_init__(self):
         if self.vertex_count < 1:
             raise DimensionMismatchError("a graph needs at least one vertex")
+        edges = set()
         for a, b in self.edges:
+            try:
+                a, b = operator.index(a), operator.index(b)
+            except TypeError:
+                raise DimensionMismatchError(
+                    f"edge ({a!r}, {b!r}) has a non-integer endpoint"
+                ) from None
             if not (0 <= a < b < self.vertex_count):
                 raise DimensionMismatchError(
                     f"edge ({a}, {b}) invalid for {self.vertex_count} vertices"
                 )
+            edges.add((a, b))
+        object.__setattr__(self, "edges", frozenset(edges))
 
     @staticmethod
     def from_edges(vertex_count: int, pairs) -> "Graph":
@@ -272,12 +283,32 @@ def independence_number(
     vertex inside it is kept without a query; every other query is answered
     by the same clique search stopped at its first hit, and a hit becomes
     the new completion.
+
+    A graph of at least ``_TRANSITIVE_FLOOR`` vertices that is proven
+    vertex-transitive (automorphisms map 0 to every vertex, each checked
+    edge by edge) is searched as G - N[0] instead, in its own degeneracy
+    order.  The witness is unchanged: an automorphism moves a member of any
+    maximum set to 0, so the lexicographically smallest maximum set starts
+    with 0, and its remainder is the lexicographically smallest maximum set
+    of G - N[0].
     """
     n = g.vertex_count
     if n > max_vertices:
         raise SizeLimitError(n, max_vertices)
+    masks = g.adjacency_masks()
+    if n < _TRANSITIVE_FLOOR or not _vertex_transitive(g):
+        return _maximum_independent_set(masks)
+    rest = [v for v in range(1, n) if not masks[0] >> v & 1]
+    sub = [sum(1 << i for i, u in enumerate(rest) if masks[v] >> u & 1) for v in rest]
+    alpha, witness = _maximum_independent_set(sub)
+    return 1 + alpha, (0,) + tuple(rest[i] for i in witness)
+
+
+def _maximum_independent_set(masks) -> tuple[int, tuple[int, ...]]:
+    """The clique engine on the complement of the graph with these masks."""
+    n = len(masks)
     full = (1 << n) - 1
-    comp = [full & ~m & ~(1 << v) for v, m in enumerate(g.adjacency_masks())]
+    comp = [full & ~m & ~(1 << v) for v, m in enumerate(masks)]
     # Degeneracy order: peel a vertex of least remaining degree (lowest label
     # on ties, as ``left`` stays sorted) into the highest free position.
     deg = [m.bit_count() for m in comp]
@@ -329,3 +360,139 @@ def independence_number(
         if need == 0:
             break
     return alpha, tuple(witness)
+
+
+# ---------------------------------------------------------------------------
+# Vertex-transitive graphs
+# ---------------------------------------------------------------------------
+#
+# If some automorphism maps any vertex to 0, every maximum independent set
+# has an image through 0, so alpha(G) = 1 + alpha(G - N[0]).  The witness
+# keeps its contract: a set through 0 starts with the smallest label, so the
+# lexicographically smallest maximum set of G contains 0, and the rest of it
+# is the lexicographically smallest maximum set of G - N[0] (an
+# order-preserving relabel keeps lexicographic order).  The symmetry is
+# proven from the edges, never read off the labels: automorphisms 0 -> w are
+# searched by individualisation and colour refinement, and each is accepted
+# only once it maps every edge onto an edge.
+
+# Below this many vertices the whole search costs no more than the proof
+# (C7xC7, 49 vertices, breaks even), so the proof is not tried.
+_TRANSITIVE_FLOOR = 50
+# Refinements one automorphism search may spend before the proof gives up.
+_PROOF_NODES = 64
+
+
+def _refine(nbrs: list[list[int]], colors: list[int], expect=None):
+    """Colour refinement to the stable colouring; returns (colors, rounds).
+
+    A round recolours v by (its colour, the sorted colours of its neighbours),
+    flat, as every vertex has the same degree, and named by rank among the
+    round's distinct signatures, so the colouring depends on the edges and
+    never on the labels.  ``rounds`` lists each round's sorted signatures.
+    With ``expect`` (the rounds of a colouring to match) the refinement stops
+    at the first round that differs and returns None: no automorphism maps
+    the one colouring onto the other.
+    """
+    classes = len(set(colors))
+    rounds = []
+    while True:
+        get = colors.__getitem__
+        sigs = [(c, *sorted(map(get, vs))) for c, vs in zip(colors, nbrs)]
+        ordered = sorted(sigs)
+        if expect is not None and (len(rounds) == len(expect) or ordered != expect[len(rounds)]):
+            return None
+        rounds.append(ordered)
+        names = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
+        colors = [names[s] for s in sigs]
+        if len(names) == classes:
+            return colors, rounds
+        classes = len(names)
+
+
+def _automorphism(nbrs, masks, path, leaf: list[int], w: int) -> list[int] | None:
+    """An automorphism mapping 0 to ``w``, found within ``_PROOF_NODES`` refinements.
+
+    ``path`` holds the rounds and the chosen cell of each individualisation
+    from 0, down to the discrete colouring ``leaf``.  The search follows the
+    same path from ``w``, trying every vertex of the chosen cell in turn,
+    depth first, lowest first; None when it finds nothing or runs out.
+    """
+    n = len(nbrs)
+    stack = [(0, [0] * n, w)]
+    for _ in range(_PROOF_NODES):
+        if not stack:
+            return None
+        depth, colors, y = stack.pop()
+        colors = colors.copy()
+        colors[y] = n
+        rounds, cell = path[depth]
+        refined = _refine(nbrs, colors, rounds)
+        if refined is None:
+            continue
+        colors = refined[0]
+        if cell >= 0:
+            stack += [(depth + 1, colors, z) for z in range(n - 1, -1, -1) if colors[z] == cell]
+            continue
+        at = [0] * n
+        for v, c in enumerate(colors):
+            at[c] = v
+        sigma = [at[c] for c in leaf]
+        # Refinement narrows the candidates; only the edges decide.
+        if all(masks[sigma[v]] >> sigma[u] & 1 for v in range(n) for u in nbrs[v]):
+            return sigma
+    return None
+
+
+def _vertex_transitive(g: Graph) -> bool:
+    """True only if automorphisms of ``g`` map vertex 0 to every vertex.
+
+    False means "not proven": the graph is irregular, an automorphism search
+    came out empty, or one ran out of its ``_PROOF_NODES`` refinements.
+    """
+    n = g.vertex_count
+    masks = g.adjacency_masks()
+    degree = masks[0].bit_count()
+    if any(m.bit_count() != degree for m in masks):
+        return False
+    if degree in (0, n - 1):
+        return True
+    nbrs = [[u for u in range(n) if m >> u & 1] for m in masks]
+
+    # One path of individualisations from 0, each in the largest cell (lowest
+    # colour on ties), down to a discrete colouring.  An automorphism 0 -> w
+    # maps this path onto a path from w through the same cells.
+    path = []  # (rounds, cell to individualise next, or -1 at the leaf)
+    colors, x = [0] * n, 0
+    while True:
+        colors = colors.copy()
+        colors[x] = n  # a fresh colour, the same on both sides
+        colors, rounds = _refine(nbrs, colors)
+        sizes = [0] * n
+        for c in colors:
+            sizes[c] += 1
+        cell = max(range(n), key=sizes.__getitem__)
+        if sizes[cell] == 1:
+            cell = -1
+        path.append((rounds, cell))
+        if cell < 0:
+            break
+        x = colors.index(cell)
+    leaf = colors  # discrete: each colour names one vertex
+
+    orbit, gens = 1, []
+    for w in range(1, n):
+        if orbit >> w & 1:
+            continue
+        sigma = _automorphism(nbrs, masks, path, leaf, w)
+        if sigma is None:
+            return False
+        gens.append(sigma)
+        todo = [v for v in range(n) if orbit >> v & 1]
+        while todo:
+            v = todo.pop()
+            for s in gens:
+                if not orbit >> s[v] & 1:
+                    orbit |= 1 << s[v]
+                    todo.append(s[v])
+    return True

@@ -207,6 +207,50 @@ def random_graph(vertex_count: int, p: float, rng: np.random.Generator):
     ]
 
 
+def random_regular_graph(vertex_count: int, degree: int, rng: np.random.Generator):
+    """Uniform d-regular edge list: random stub pairings, retried until simple."""
+    while True:
+        stubs = rng.permutation(np.repeat(np.arange(vertex_count), degree)).tolist()
+        pairs = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])}
+        if len(pairs) * 2 == len(stubs) and all(a != b for a, b in pairs):
+            return sorted(pairs)
+
+
+def orbit_of_zero(vertex_count: int, edges) -> tuple[int, ...]:
+    """Every vertex some automorphism maps vertex 0 to, by plain backtracking.
+
+    Vertices are mapped in breadth-first order from 0 (component by
+    component), each partial map kept adjacency- and non-adjacency-preserving
+    on every pair mapped so far.  Use on small graphs only.
+    """
+    adj = _adjacency_masks(vertex_count, edges)
+    order: list[int] = []
+    for start in range(vertex_count):
+        if start in order:
+            continue
+        queue = [start]
+        order.append(start)
+        for v in queue:
+            for u in range(vertex_count):
+                if (adj[v] >> u) & 1 and u not in order:
+                    order.append(u)
+                    queue.append(u)
+
+    def extend(image: list[int]) -> bool:
+        if len(image) == vertex_count:
+            return True
+        v = order[len(image)]
+        for u in range(vertex_count):
+            if u in image:
+                continue
+            if all(((adj[v] >> x) & 1) == ((adj[u] >> y) & 1) for x, y in zip(order, image)):
+                if extend(image + [u]):
+                    return True
+        return False
+
+    return tuple(w for w in range(vertex_count) if extend([w]))
+
+
 def kraus_output(kraus, rho) -> np.ndarray:
     """sum_k K_k rho K_k^dagger entry by entry, as explicit index sums.
 

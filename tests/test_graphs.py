@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,14 @@ from zecap import graphs
 from zecap.errors import DimensionMismatchError, SizeLimitError
 
 from invariants import check_alpha_supermultiplicative
-from oracles import brute_alpha, pruned_alpha, random_graph, strong_product_edges
+from oracles import (
+    brute_alpha,
+    orbit_of_zero,
+    pruned_alpha,
+    random_graph,
+    random_regular_graph,
+    strong_product_edges,
+)
 
 # Petersen graph: outer 5-cycle, inner pentagram, spokes.
 PETERSEN_EDGES = (
@@ -42,6 +51,18 @@ def test_graph_normalizes_and_validates_edges():
         Graph(vertex_count=3, edges=frozenset({(0, 3)}))
     with pytest.raises(DimensionMismatchError):
         Graph(vertex_count=0, edges=frozenset())
+
+
+def test_graph_stores_integer_endpoints_as_python_ints():
+    # rng.permutation hands out numpy integers; the solver's bit tricks need
+    # Python ints, above 63 vertices too.
+    a, b = sorted(np.random.default_rng(5).permutation(70)[:2])
+    g = Graph(vertex_count=70, edges=frozenset({(a, b)}))
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert independence_number(g, max_vertices=70)[0] == 69
+    assert independence_number(Graph(4, frozenset({(np.int64(0), np.int64(3))}))) == (3, (0, 1, 2))
+    with pytest.raises(DimensionMismatchError, match=r"\(0\.0, 3\.0\)"):
+        Graph(4, frozenset({(0.0, 3.0)}))
 
 
 def test_standard_families():
@@ -252,7 +273,141 @@ def test_clique_search_node_count_is_pinned(monkeypatch):
         corpus.append(Graph.from_edges(60, random_graph(60, 0.15, np.random.default_rng(seed))))
     alphas = [independence_number(g, max_vertices=81)[0] for g in corpus]
     assert alphas[:6] == [13] * 3 + [18] * 3  # Hales 1973
-    assert len(nodes) == 60_535
+    assert len(nodes) == 15_677
+
+
+# ---------------------------------------------------------------------------
+# Vertex-transitive route
+# ---------------------------------------------------------------------------
+
+
+def _relabelled(g: Graph, seed: int) -> Graph:
+    perm = np.random.default_rng(seed).permutation(g.vertex_count)
+    return Graph.from_edges(g.vertex_count, [(perm[a], perm[b]) for a, b in g.edges])
+
+
+def _kneser(n: int, k: int) -> Graph:
+    sets = [frozenset(c) for c in itertools.combinations(range(n), k)]
+    pairs = itertools.combinations(range(len(sets)), 2)
+    return Graph.from_edges(len(sets), [(i, j) for i, j in pairs if not sets[i] & sets[j]])
+
+
+def _paley(q: int) -> Graph:
+    squares = {x * x % q for x in range(1, q)}
+    pairs = itertools.combinations(range(q), 2)
+    return Graph.from_edges(q, [(a, b) for a, b in pairs if (b - a) % q in squares])
+
+
+def _cubic_corpus():
+    rng = np.random.default_rng(16)
+    return [random_regular_graph(16, 3, rng) for _ in range(200)]
+
+
+def _alpha_through_zero(n: int, edges) -> int:
+    """1 + alpha(G - N[0]): the reduction's answer, proof or not."""
+    g = Graph.from_edges(n, edges)
+    keep = [v for v in range(1, n) if not g.has_edge(0, v)]
+    pairs = itertools.combinations(range(len(keep)), 2)
+    rest = [(i, j) for i, j in pairs if g.has_edge(keep[i], keep[j])]
+    return 1 + brute_alpha(len(keep), rest)[0]
+
+
+@pytest.mark.parametrize("m, n", [(5, 5), (5, 7), (7, 7)])
+def test_transitive_route_keeps_the_canonical_witness(monkeypatch, m, n):
+    monkeypatch.setattr(graphs, "_TRANSITIVE_FLOOR", 0)
+    g = strong_product(cycle_graph(m), cycle_graph(n))
+    for seed in range(4):
+        h = _relabelled(g, seed)
+        assert graphs._vertex_transitive(h)
+        assert independence_number(h) == pruned_alpha(m * n, h.edges)
+
+
+def test_transitive_route_is_exact_on_random_cubic_graphs(monkeypatch):
+    # Vertex 0 lies outside every maximum set of many of these graphs, so
+    # the reduction applied without a proof of symmetry would get them wrong.
+    monkeypatch.setattr(graphs, "_TRANSITIVE_FLOOR", 0)
+    wrong_unproven = 0
+    for edges in _cubic_corpus():
+        want = brute_alpha(16, edges)
+        assert independence_number(Graph.from_edges(16, edges)) == want
+        wrong_unproven += _alpha_through_zero(16, edges) != want[0]
+    assert wrong_unproven >= 20
+
+
+def test_transitive_route_on_complete_and_edgeless_graphs(monkeypatch):
+    monkeypatch.setattr(graphs, "_TRANSITIVE_FLOOR", 0)
+    for k in range(1, 6):
+        assert independence_number(complete_graph(k)) == (1, (0,))
+        assert independence_number(edgeless_graph(k)) == (k, tuple(range(k)))
+
+
+def test_transitive_route_searches_only_the_remainder(monkeypatch):
+    sizes = []
+    inner = graphs._maximum_independent_set
+    monkeypatch.setattr(
+        graphs, "_maximum_independent_set", lambda masks: sizes.append(len(masks)) or inner(masks)
+    )
+    g = _relabelled(strong_product(cycle_graph(7), cycle_graph(9), max_vertices=63), 79)
+    assert independence_number(g, max_vertices=63)[0] == 13
+    assert sizes == [63 - 9]  # G - N[0]: vertex 0 and its 8 neighbours go
+    sizes.clear()
+    g = _relabelled(strong_product(cycle_graph(7), cycle_graph(7)), 79)
+    independence_number(g)
+    assert sizes == [49]  # below the floor, the whole graph is searched
+
+
+def test_a_proof_out_of_nodes_falls_back_to_the_whole_search(monkeypatch):
+    g = _relabelled(strong_product(cycle_graph(7), cycle_graph(9), max_vertices=63), 3)
+    want = independence_number(g, max_vertices=63)
+    monkeypatch.setattr(graphs, "_PROOF_NODES", 0)
+    assert not graphs._vertex_transitive(g)
+    assert independence_number(g, max_vertices=63) == want
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        strong_product(cycle_graph(7), cycle_graph(9), max_vertices=63),
+        strong_product(cycle_graph(9), cycle_graph(9), max_vertices=81),
+        _kneser(8, 3),
+        _paley(61),
+    ],
+    ids=["C7xC9", "C9xC9", "Kneser(8,3)", "Paley(61)"],
+)
+def test_symmetry_is_proven_on_relabelled_vertex_transitive_graphs(g):
+    assert graphs._vertex_transitive(_relabelled(g, 11))
+
+
+def test_symmetry_is_refused_where_no_automorphism_moves_zero_everywhere():
+    for edges in _cubic_corpus():
+        assert len(orbit_of_zero(16, edges)) < 16
+        assert not graphs._vertex_transitive(Graph.from_edges(16, edges))
+    assert not graphs._vertex_transitive(Graph.from_edges(10, PETERSEN_EDGES + [(0, 2)]))
+    # C6 plus two triangles: 2-regular, so colour refinement alone splits
+    # nothing, yet 0 (on the hexagon) maps to no triangle vertex.
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    triangles = [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
+    assert orbit_of_zero(12, hexagon + triangles) == tuple(range(6))
+    assert not graphs._vertex_transitive(Graph.from_edges(12, hexagon + triangles))
+    # Relabelled, so vertex 0 sits on a triangle.
+    assert not graphs._vertex_transitive(_relabelled(Graph.from_edges(12, hexagon + triangles), 2))
+
+
+def test_symmetry_proof_agrees_with_backtracking_on_small_regular_graphs():
+    # Circulants are vertex-transitive; two cycles of different lengths are
+    # 2-regular and are not.  Relabelled, so neither shows in the labels.
+    rng = np.random.default_rng(9)
+    for _ in range(40):
+        n = int(rng.integers(6, 13))
+        steps = [d for d in range(1, n // 2 + 1) if rng.random() < 0.4] or [1]
+        a = int(rng.integers(3, n - 2))
+        for edges in (
+            [(v, (v + d) % n) for v in range(n) for d in steps],
+            [(v, (v + 1) % a) for v in range(a)]
+            + [(a + v, a + (v + 1) % (n - a)) for v in range(n - a)],
+        ):
+            g = _relabelled(Graph.from_edges(n, edges), int(rng.integers(1 << 30)))
+            assert graphs._vertex_transitive(g) == (orbit_of_zero(n, g.edges) == tuple(range(n)))
 
 
 def test_independence_number_respects_size_cap():
