@@ -17,6 +17,7 @@ from zecap import (
     lovasz_theta,
     strong_product,
 )
+from zecap import theta
 from zecap.errors import SizeLimitError
 
 from invariants import check_alpha_theta_sandwich
@@ -226,3 +227,92 @@ def test_the_triggered_check_leaves_the_steps_of_random_graphs_as_they_were(
     g = Graph.from_edges(vertex_count, random_graph(vertex_count, p, np.random.default_rng(seed)))
     res = lovasz_theta(g)
     assert res.converged and res.iterations <= unchecked_iterations + 1
+
+
+# The 31 graphs of the corpus G(V, p), V in {12, 16, 20, 24, 30},
+# p in {.3, .5, .7}, seeds 0-3, that converge within 1,500 iterations, with
+# their iteration counts under the factor-2 balancing rule alone (10,804 in
+# all).  Their residual ratios stay within 10^1.34, inside the band where
+# that rule still applies, so each count must hold exactly.
+FACTOR_TWO_ITERATIONS = [
+    (12, 0.3, 0, 326),
+    (12, 0.3, 1, 176),
+    (12, 0.3, 2, 251),
+    (12, 0.3, 3, 151),
+    (12, 0.5, 0, 1226),
+    (12, 0.5, 2, 476),
+    (12, 0.5, 3, 151),
+    (12, 0.7, 0, 226),
+    (12, 0.7, 1, 425),
+    (12, 0.7, 2, 126),
+    (16, 0.3, 0, 476),
+    (16, 0.3, 1, 76),
+    (16, 0.5, 2, 176),
+    (16, 0.5, 3, 126),
+    (16, 0.7, 0, 1451),
+    (16, 0.7, 1, 51),
+    (16, 0.7, 2, 301),
+    (16, 0.7, 3, 301),
+    (20, 0.3, 0, 726),
+    (20, 0.3, 1, 475),
+    (20, 0.3, 3, 1276),
+    (20, 0.5, 0, 76),
+    (20, 0.7, 0, 276),
+    (24, 0.3, 2, 301),
+    (24, 0.3, 3, 201),
+    (24, 0.5, 0, 451),
+    (24, 0.5, 1, 126),
+    (24, 0.5, 2, 126),
+    (24, 0.7, 0, 101),
+    (30, 0.7, 0, 101),
+    (30, 0.7, 3, 76),
+]
+
+
+@pytest.mark.parametrize("vertex_count, p, seed, iterations", FACTOR_TWO_ITERATIONS)
+def test_random_graphs_take_the_steps_of_the_factor_two_rule(vertex_count, p, seed, iterations):
+    g = Graph.from_edges(vertex_count, random_graph(vertex_count, p, np.random.default_rng(seed)))
+    res = lovasz_theta(g)
+    assert res.converged and res.iterations == iterations
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("m, n", [(7, 9), (9, 9)])
+def test_stalled_cycle_products_converge_after_one_large_rescale(m, n, seed):
+    # Under the factor-2 rule alone C7 x C9 took 74 iterations and C9 x C9
+    # 102-126: their residual ratio reaches 10^10 at the first check, and
+    # rho then grew by 2 per check.
+    g = strong_product(cycle_graph(m), cycle_graph(n), max_vertices=m * n)
+    perm = np.random.default_rng(seed).permutation(m * n)
+    g = Graph.from_edges(m * n, ((perm[a], perm[b]) for a, b in g.edges))
+    res = lovasz_theta(g)
+    assert res.converged and res.iterations <= 45
+    assert_in_bracket(res.lower, res.upper, odd_cycle_theta(m) * odd_cycle_theta(n))
+
+
+def test_rho_is_kept_when_both_residuals_vanish():
+    assert theta._rho_scale(0.0, 0.0) == 1.0
+
+
+def test_a_vanishing_residual_against_a_positive_one_gets_the_cap():
+    assert theta._rho_scale(1e-3, 0.0) == theta._MAX_RESCALE
+    assert theta._rho_scale(0.0, 1e-3) == 1.0 / theta._MAX_RESCALE
+
+
+@pytest.mark.parametrize("r_primal, r_dual", [(1.0, 1.0), (3.0, 1.0), (10.0, 1.0), (1.0, 10.0), (0.2, 0.5)])
+def test_residuals_within_a_factor_of_ten_keep_rho(r_primal, r_dual):
+    assert theta._rho_scale(r_primal, r_dual) == 1.0
+
+
+@pytest.mark.parametrize("ratio", [10.5, 100.0, 1e3])
+def test_inside_the_band_rho_doubles_or_halves(ratio):
+    assert theta._rho_scale(ratio * 1e-4, 1e-4) == 2.0
+    assert theta._rho_scale(1e-4, ratio * 1e-4) == 0.5
+
+
+@pytest.mark.parametrize("ratio, factor", [(2e3, math.sqrt(2e3)), (4e3, math.sqrt(4e3)), (5e3, 64.0), (1e13, 64.0)])
+def test_past_the_band_rho_moves_by_the_capped_root_of_the_ratio(ratio, factor):
+    assert theta._MAX_RESCALE == 64.0
+    assert theta._rho_scale(ratio, 1.0) == pytest.approx(factor, rel=1e-15)
+    # The mirrored imbalance divides rho by the same factor.
+    assert theta._rho_scale(1.0, ratio) == pytest.approx(1.0 / factor, rel=1e-15)
