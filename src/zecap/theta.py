@@ -16,8 +16,21 @@ projection), with a scaled dual update in between.  Written on y = x + u
 
     z = P_psd(y),  u = y - z,  x = P_affine(z - u + J/rho),  T(y) = x + u,
 
-with fixed-point residual T(y) - y = x - z.  Each evaluation of T costs one
-V x V eigendecomposition, which is nearly all of the solver's time.
+with fixed-point residual T(y) - y = x - z.  The costly part of T is
+P_psd.  A fresh V x V eigendecomposition is most of the solver's time, so
+the projection keeps the eigenbasis Q of the last one and reuses it while
+it still diagonalises the argument S: when |offdiag Q^T S Q|_F is within
+10^3 * n * eps * |S|_F, eigh's own rounding order, P_psd(S) is taken as Q
+max(diag Q^T S Q, 0) Q^T, which is off by at most that norm because P_psd
+is nonexpansive.  On a symmetric graph every iterate stays in the
+commutative algebra spanned by the data (Gatermann & Parrilo, J. Pure
+Appl. Algebra 2004; de Klerk, Pasechnik & Schrijver, Math. Program. 2007),
+so an eigenbasis of one iterate diagonalises the later ones: odd-cycle
+products, Kneser and Paley graphs take one to three eigendecompositions per
+solve.  On other
+graphs the test fails by about twelve orders of magnitude; after a failed
+try the next waits until the projection count has doubled, and the
+projection is the eigendecomposition it would be without the try.
 
 Plain ADMM iterates y <- T(y).  This solver extrapolates instead (type-II
 Anderson acceleration; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020; Fu,
@@ -49,10 +62,10 @@ has stopped moving while x has not; doubling rho once per check took about
 100 steps to close that gap, which one step of the capped factor closes.  In
 between, the first time the fixed-point residual falls below ``tol`` the
 solver also checks the plain step from the current point, computed aside:
-one more eigendecomposition that leaves the sequence of steps as it is.  A
+one more projection that leaves the sequence of steps as it is.  A
 solve therefore stops no later than at the step it would stop at without
 these extra checks, its count raised by one per extra check, unless those
-extra eigendecompositions use up the budget first.  Only a
+extra projections use up the budget first.  Only a
 25-step check whose residual is at or above ``tol`` re-arms the trigger, so
 a graph whose bracket lags its residual pays for one extra check.
 
@@ -64,9 +77,13 @@ scaled dual variable supplies an edge-supported dual candidate Z, and
 lambda_max(J + Z) is a true upper bound for ANY such Z by weak duality.
 Both eigenvalues are widened by their rounding allowance, n * eps * |A|_F,
 so the bracket holds theta in floating point too.  Both bounds hold for any
-iterate, extrapolated or not.  Iteration stops only when primal residual,
-dual residual, and bracket width are all below ``tol``; a solve whose budget
-runs out returns the tightest bracket seen, marked ``converged=False``.
+iterate, extrapolated or projected through a reused basis, since both
+eigenvalues are computed afresh.  Iteration stops only when primal
+residual, dual residual, and bracket width are all below ``tol``; a solve
+whose budget runs out returns the tightest bracket seen, marked
+``converged=False``.  So does a solve whose eigendecomposition fails to
+converge (LAPACK can, even on a well-scaled matrix), with the bracket of
+its last accepted point folded in.
 """
 
 from __future__ import annotations
@@ -103,6 +120,14 @@ _BALANCE_BAND = 1e3
 # V^3-weighted sum, which is what the eigendecompositions cost; 48 splits
 # C7xC7 between 38 and 51 by labelling; with no cap C7xC9 takes 248.
 _MAX_RESCALE = 64.0
+# A held eigenbasis Q is reused for S when |offdiag Q^T S Q|_F is at most
+# this many n * eps * |S|_F, eigh's own rounding order.  P_psd is
+# nonexpansive, so the reused projection is then off by at most that much.
+# Over the cycle products, Kneser and Paley graphs of the benchmark, 12
+# labellings each, accepted tries measured at most 3.7 of these units and
+# rejected ones at least 1.4e12; on 60 random graphs G(V, p), V from 12 to
+# 30, every try was rejected.
+_REUSE_TOLERANCE = 1e3
 
 
 @dataclass(frozen=True)
@@ -122,10 +147,38 @@ class ThetaResult:
     converged: bool
 
 
-def _psd_project(m: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh((m + m.T) / 2.0)
-    np.maximum(vals, 0.0, out=vals)
-    return (vecs * vals) @ vecs.T
+class _PsdProjector:
+    """P_psd for one solve, reusing the last eigenbasis while it diagonalises.
+
+    Each call projects S = (m + m^T)/2.  When a basis Q from an earlier
+    ``eigh`` is held and a try is due, D = Q^T S Q is formed; if its
+    off-diagonal part is within ``_REUSE_TOLERANCE * n * eps * |S|_F``, the
+    projection is Q max(diag D, 0) Q^T.  Otherwise ``eigh`` runs as it
+    would with no basis held, and its vectors are kept.  After a rejected
+    try, none is made again until the projection count has doubled.
+    """
+
+    def __init__(self) -> None:
+        self.vecs: np.ndarray | None = None  # eigenvectors of the last eigh
+        self.count = 0  # projections made
+        self.next_try = 0  # the count from which a reuse may be tried
+
+    def __call__(self, m: np.ndarray) -> np.ndarray:
+        s = (m + m.T) / 2.0
+        self.count += 1
+        if self.vecs is not None and self.count >= self.next_try:
+            q = self.vecs
+            d = q.T @ s @ q
+            vals = d.diagonal().copy()
+            np.fill_diagonal(d, 0.0)
+            if np.linalg.norm(d) <= _REUSE_TOLERANCE * len(s) * _EPS * np.linalg.norm(s):
+                np.maximum(vals, 0.0, out=vals)
+                return (q * vals) @ q.T
+            self.next_try = 2 * self.count
+        vals, vecs = np.linalg.eigh(s)
+        self.vecs = vecs
+        np.maximum(vals, 0.0, out=vals)
+        return (vecs * vals) @ vecs.T
 
 
 def _rho_scale(r_primal: float, r_dual: float) -> float:
@@ -185,20 +238,23 @@ def lovasz_theta(
         Bound on the primal residual, dual residual, and certified bracket
         width at termination.
     max_iterations : int, optional
-        Budget of PSD projections (eigendecompositions).
+        Budget of PSD projections, fresh or through a reused eigenbasis.
 
     Returns
     -------
     ThetaResult
         ``result.value`` is within ``tol/2`` of theta(G) on convergence.
         When ``max_iterations`` runs out first, ``converged`` is False and the
-        bracket is the tightest certified one seen (over all checks).
+        bracket is the tightest certified one seen (over all checks).  When
+        an eigendecomposition fails to converge, ``converged`` is False and
+        the bracket is that one tightened by the bracket of the last accepted
+        point, which is the start when the first projection fails.
 
     Raises
     ------
     SizeLimitError
-        If the graph exceeds ``MAX_SDP_VERTICES`` vertices; the
-        per-iteration eigendecomposition is O(V^3).
+        If the graph exceeds ``MAX_SDP_VERTICES`` vertices; each projection
+        is O(V^3).
     ValueError
         If ``tol`` or ``max_iterations`` is not positive (a NaN ``tol`` included).
 
@@ -221,9 +277,14 @@ def lovasz_theta(
     2011, sec. 3.4.1; Wohlberg 2017, arXiv:1704.06209).  The first time
     the fixed-point residual falls below ``tol`` (again after a check that
     found it at or above ``tol``), the plain step from that point is also
-    checked, computed aside so the steps are unchanged.
-    ``iterations`` counts PSD projections, rejected extrapolations and
-    those extra checks included.
+    checked, computed aside so the steps are unchanged.  A projection
+    reuses the eigenbasis of the last eigendecomposition while the
+    off-diagonal part of the new matrix in that basis is within 10^3 times
+    eigh's rounding order; on symmetric graphs one to three bases serve
+    the whole solve, while on others a failed try is repeated only once
+    the projection count has doubled (see the module docstring).
+    ``iterations`` counts PSD projections, fresh or reused, rejected
+    extrapolations and those extra checks included.
     """
     n = g.vertex_count
     if n > MAX_SDP_VERTICES:
@@ -260,10 +321,12 @@ def lovasz_theta(
         lower, upper = (lo, up) if done else (max(lower, lo), min(upper, up))
         return done, r_primal, r_dual
 
+    project = _PsdProjector()
     j = np.ones((n, n))
     rho = 1.0
     j_rho = j / rho
     z_prev = np.eye(n) / n
+    u_prev = np.zeros((n, n))
     x_prev = affine(z_prev + j_rho)  # u starts at 0
     y = x_prev
 
@@ -283,82 +346,90 @@ def lovasz_theta(
 
     lower, upper, done = -np.inf, np.inf, False
     it = steps = 0  # PSD projections; steps of the iteration (the cadence)
-    while it < max_iterations:
-        z = _psd_project(y)
-        it += 1
-        steps += 1
-        u = y - z
-        x = affine(z - u + j_rho)
-        f = x - z
-        r = float(np.linalg.norm(f))
-        if extrapolated and r > r_prev:
-            # Safeguard: the extrapolation raised the residual.  Take the
-            # plain step from the last accepted point and drop the history.
-            y = t_prev.reshape(n, n)
-            extrapolated = False
-            depth = slot = 0
-            continue
-
-        if steps % _CHECK_EVERY == 0 or it == max_iterations:
-            # The step into this point was plain, so these are the ADMM
-            # primal and dual residuals.
-            done, r_primal, r_dual = measure(z, u, x_prev, z_prev)
-            if done:
-                break
-            # Residual balancing.  A new rho is a new map T, so the history
-            # no longer describes it.
-            scale = _rho_scale(r_primal, r_dual)
-            if scale != 1.0:
-                rho *= scale
-                u /= scale
-                j_rho = j / rho
-                x = affine(z - u + j_rho)
-                f = x - z
-                r = float(np.linalg.norm(f))
-                depth = slot = 0
-                f_prev = None
-            armed = r >= tol
-        z_prev, x_prev = z, x
-
-        f = f.ravel()
-        t = (x + u).ravel()
-        if f_prev is not None:
-            np.subtract(f, f_prev, out=d_f[slot])
-            np.subtract(t, t_prev, out=d_t[slot])
-            depth = min(depth + 1, _MEMORY)
-            col = d_f[:depth] @ d_f[slot]
-            gram[slot, :depth] = col
-            gram[:depth, slot] = col
-            gram[slot, slot] *= 1.0 + _REGULARIZATION
-            slot = (slot + 1) % _MEMORY
-        f_prev, t_prev, r_prev = f, t, r
-
-        if armed and r < tol and (steps + 1) % _CHECK_EVERY and it + 2 < max_iterations:
-            # The residual has just fallen below tol, and the bracket often
-            # closes with it: check the plain step from here, aside, so the
-            # steps go on as if it had not been taken.  (When the next step
-            # is a check anyway, this one is left to it.)
-            armed = False
-            t_plain = t.reshape(n, n)
-            z_plain = _psd_project(t_plain)
+    try:
+        while it < max_iterations:
+            z = project(y)
             it += 1
-            done, _, _ = measure(z_plain, t_plain - z_plain, x, z)
-            if done:
-                break
-
-        # Type-II Anderson step: gamma minimises |f - d_f^T gamma|, and the
-        # next point is T(y) - d_t^T gamma.  The step into a check and the
-        # last step stay plain.
-        y = t.reshape(n, n)
-        extrapolated = False
-        if depth and (steps + 1) % _CHECK_EVERY and it + 1 < max_iterations:
-            try:
-                gamma = np.linalg.solve(gram[:depth, :depth], d_f[:depth] @ f)
-            except np.linalg.LinAlgError:  # singular history: stay plain
+            steps += 1
+            u = y - z
+            x = affine(z - u + j_rho)
+            f = x - z
+            r = float(np.linalg.norm(f))
+            if extrapolated and r > r_prev:
+                # Safeguard: the extrapolation raised the residual.  Take the
+                # plain step from the last accepted point and drop the history.
+                y = t_prev.reshape(n, n)
+                extrapolated = False
+                depth = slot = 0
                 continue
-            # A NaN sum fails the comparison too.
-            if sum(map(abs, gamma.tolist())) <= _MAX_COEFFICIENT_SUM:
-                y = (t - gamma @ d_t[:depth]).reshape(n, n)
-                extrapolated = True
+
+            if steps % _CHECK_EVERY == 0 or it == max_iterations:
+                # The step into this point was plain, so these are the ADMM
+                # primal and dual residuals.
+                done, r_primal, r_dual = measure(z, u, x_prev, z_prev)
+                if done:
+                    break
+                # Residual balancing.  A new rho is a new map T, so the history
+                # no longer describes it.
+                scale = _rho_scale(r_primal, r_dual)
+                if scale != 1.0:
+                    rho *= scale
+                    u /= scale
+                    j_rho = j / rho
+                    x = affine(z - u + j_rho)
+                    f = x - z
+                    r = float(np.linalg.norm(f))
+                    depth = slot = 0
+                    f_prev = None
+                armed = r >= tol
+            z_prev, x_prev, u_prev = z, x, u
+
+            f = f.ravel()
+            t = (x + u).ravel()
+            if f_prev is not None:
+                np.subtract(f, f_prev, out=d_f[slot])
+                np.subtract(t, t_prev, out=d_t[slot])
+                depth = min(depth + 1, _MEMORY)
+                col = d_f[:depth] @ d_f[slot]
+                gram[slot, :depth] = col
+                gram[:depth, slot] = col
+                gram[slot, slot] *= 1.0 + _REGULARIZATION
+                slot = (slot + 1) % _MEMORY
+            f_prev, t_prev, r_prev = f, t, r
+
+            if armed and r < tol and (steps + 1) % _CHECK_EVERY and it + 2 < max_iterations:
+                # The residual has just fallen below tol, and the bracket often
+                # closes with it: check the plain step from here, aside, so the
+                # steps go on as if it had not been taken.  (When the next step
+                # is a check anyway, this one is left to it.)
+                armed = False
+                t_plain = t.reshape(n, n)
+                z_plain = project(t_plain)
+                it += 1
+                done, _, _ = measure(z_plain, t_plain - z_plain, x, z)
+                if done:
+                    break
+
+            # Type-II Anderson step: gamma minimises |f - d_f^T gamma|, and the
+            # next point is T(y) - d_t^T gamma.  The step into a check and the
+            # last step stay plain.
+            y = t.reshape(n, n)
+            extrapolated = False
+            if depth and (steps + 1) % _CHECK_EVERY and it + 1 < max_iterations:
+                try:
+                    gamma = np.linalg.solve(gram[:depth, :depth], d_f[:depth] @ f)
+                except np.linalg.LinAlgError:  # singular history: stay plain
+                    continue
+                # A NaN sum fails the comparison too.
+                if sum(map(abs, gamma.tolist())) <= _MAX_COEFFICIENT_SUM:
+                    y = (t - gamma @ d_t[:depth]).reshape(n, n)
+                    extrapolated = True
+    except np.linalg.LinAlgError:
+        # LAPACK's eigh can fail to converge even on a finite, well-scaled
+        # iterate.  Stop unconverged, with the tightest bracket seen
+        # tightened by that of the last accepted point (the start, if none
+        # was accepted).
+        lo, up = _certified_bracket(z_prev, u_prev, rho, edge_rows, edge_cols, n)
+        lower, upper = max(lower, lo), min(upper, up)
 
     return ThetaResult((lower + upper) / 2.0, lower, upper, upper - lower, it, done)

@@ -207,6 +207,16 @@ def random_graph(vertex_count: int, p: float, rng: np.random.Generator):
     ]
 
 
+def kneser_graph(n: int, k: int):
+    """Edge list of the Kneser graph K(n, k) on the C(n, k) k-subsets of range(n).
+
+    Subsets are numbered in lexicographic order and adjacent iff disjoint;
+    K(5, 2) is the Petersen graph.
+    """
+    sets = [set(c) for c in itertools.combinations(range(n), k)]
+    return [(i, j) for i, j in itertools.combinations(range(len(sets)), 2) if not sets[i] & sets[j]]
+
+
 def random_regular_graph(vertex_count: int, degree: int, rng: np.random.Generator):
     """Uniform d-regular edge list: random stub pairings, retried until simple."""
     while True:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
+import json
 import math
 
 import numpy as np
@@ -17,11 +17,12 @@ from zecap import (
     lovasz_theta,
     strong_product,
 )
-from zecap import theta
+from zecap import cli, theta
 from zecap.errors import SizeLimitError
 
+from cliutil import write_spec
 from invariants import check_alpha_theta_sandwich
-from oracles import random_graph
+from oracles import kneser_graph, random_graph
 
 
 def odd_cycle_theta(n: int) -> float:
@@ -38,13 +39,8 @@ def paley_graph(q: int) -> Graph:
     )
 
 
-def kneser_graph(n: int, k: int) -> Graph:
-    # k-subsets of range(n), adjacent iff disjoint; K(5, 2) is the Petersen graph.
-    sets = [set(c) for c in itertools.combinations(range(n), k)]
-    return Graph.from_edges(
-        len(sets),
-        ((i, j) for i, j in itertools.combinations(range(len(sets)), 2) if not sets[i] & sets[j]),
-    )
+def kneser(n: int, k: int) -> Graph:
+    return Graph.from_edges(math.comb(n, k), kneser_graph(n, k))
 
 
 SLACK = 1e-9
@@ -159,7 +155,7 @@ def test_upper_bound_dominates_alpha_on_random_graphs():
 
 
 @pytest.mark.parametrize(
-    "g", [cycle_graph(7), paley_graph(13), kneser_graph(5, 2)], ids=["C7", "Paley13", "Petersen"]
+    "g", [cycle_graph(7), paley_graph(13), kneser(5, 2)], ids=["C7", "Paley13", "Petersen"]
 )
 def test_theta_times_theta_of_the_complement_is_v_for_vertex_transitive_graphs(g):
     # Lovasz 1979, Theorem 8: theta(G) theta(complement G) = V when G is
@@ -170,7 +166,7 @@ def test_theta_times_theta_of_the_complement_is_v_for_vertex_transitive_graphs(g
 
 @pytest.mark.parametrize("n, k", [(5, 2), (7, 3)])
 def test_kneser_theta_is_n_minus_1_choose_k_minus_1(n, k):
-    res = lovasz_theta(kneser_graph(n, k))
+    res = lovasz_theta(kneser(n, k))
     assert res.converged
     assert_in_bracket(res.lower, res.upper, float(math.comb(n - 1, k - 1)))
 
@@ -185,7 +181,7 @@ def test_theta_is_multiplicative_on_c5_times_c7():
 
 def test_c7_squared_converges_well_inside_the_plain_admm_iteration_count():
     # Plain ADMM needs 325 iterations on C7 x C7; the accelerated step needs
-    # 41, its residual-triggered check stopping it before the check at 50.
+    # 51, or 50 under this budget, whose last step is a check.
     res = lovasz_theta(strong_product(cycle_graph(7), cycle_graph(7)), max_iterations=50)
     assert res.converged and res.iterations <= 50
     assert_in_bracket(res.lower, res.upper, odd_cycle_theta(7) ** 2)
@@ -316,3 +312,129 @@ def test_past_the_band_rho_moves_by_the_capped_root_of_the_ratio(ratio, factor):
     assert theta._rho_scale(ratio, 1.0) == pytest.approx(factor, rel=1e-15)
     # The mirrored imbalance divides rho by the same factor.
     assert theta._rho_scale(1.0, ratio) == pytest.approx(1.0 / factor, rel=1e-15)
+
+
+def count_eigh(monkeypatch, fail_on: int | None = None) -> list[int]:
+    """Count np.linalg.eigh calls in the returned one-item list; raise
+    LinAlgError on call number ``fail_on``, as LAPACK can on a rare matrix."""
+    eigh = np.linalg.eigh
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        if calls[0] == fail_on:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    perm = np.random.default_rng(seed).permutation(g.vertex_count)
+    return Graph.from_edges(g.vertex_count, ((perm[a], perm[b]) for a, b in g.edges))
+
+
+@pytest.mark.parametrize("vertex_count, p, seed, iterations", FACTOR_TWO_ITERATIONS)
+def test_random_graphs_take_a_fresh_eigendecomposition_per_projection(
+    monkeypatch, vertex_count, p, seed, iterations
+):
+    # Their iterates share no eigenbasis, so every try at reusing one fails
+    # and each projection is the eigh it was before reuse existed.
+    g = Graph.from_edges(vertex_count, random_graph(vertex_count, p, np.random.default_rng(seed)))
+    calls = count_eigh(monkeypatch)
+    res = lovasz_theta(g)
+    assert res.converged and calls[0] == res.iterations == iterations
+
+
+@pytest.mark.parametrize(
+    "g, want",
+    [
+        (strong_product(cycle_graph(9), cycle_graph(9), max_vertices=81), odd_cycle_theta(9) ** 2),
+        (kneser(9, 3), 28.0),
+        (paley_graph(61), math.sqrt(61.0)),
+    ],
+    ids=["C9xC9", "K(9,3)", "Paley61"],
+)
+def test_symmetric_graphs_keep_one_eigenbasis_for_the_whole_solve(monkeypatch, g, want):
+    # The iterates of a vertex-transitive graph stay in a commutative algebra,
+    # so an eigenbasis of one diagonalises the next (Gatermann & Parrilo 2004;
+    # de Klerk, Pasechnik & Schrijver 2007).  C9 x C9 needs two bases more:
+    # its first iterates have eigenvalues that coincide where later ones split.
+    g = relabelled(g, 3)
+    calls = count_eigh(monkeypatch)
+    res = lovasz_theta(g)
+    assert res.converged and calls[0] <= 3 < res.iterations
+    assert_in_bracket(res.lower, res.upper, want)
+
+
+def symmetric_matrix(n: int, seed: int) -> np.ndarray:
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return (a + a.T) / 2.0
+
+
+def test_a_matrix_commuting_with_the_last_one_reuses_its_eigenbasis(monkeypatch):
+    a = symmetric_matrix(20, 0)
+    s = a @ a - 2.0 * a - 0.5 * np.eye(20)  # a polynomial in a: same eigenvectors
+    fresh = theta._PsdProjector()(s)
+    calls = count_eigh(monkeypatch)
+    project = theta._PsdProjector()
+    project(a)
+    reused = project(s)
+    assert calls[0] == 1
+    bound = theta._REUSE_TOLERANCE * 20 * np.finfo(float).eps * np.linalg.norm(s)
+    assert 0.0 < np.linalg.norm(reused - fresh) <= bound
+
+
+def test_a_matrix_not_commuting_with_the_last_one_is_projected_afresh(monkeypatch):
+    a, b = symmetric_matrix(20, 0), symmetric_matrix(20, 1)
+    fresh = theta._PsdProjector()(b)
+    calls = count_eigh(monkeypatch)
+    project = theta._PsdProjector()
+    project(a)
+    assert np.array_equal(project(b), fresh)
+    assert calls[0] == 2
+
+
+def test_after_a_failed_reuse_the_next_try_waits_until_the_count_doubles(monkeypatch):
+    a, b = symmetric_matrix(20, 0), symmetric_matrix(20, 1)
+    calls = count_eigh(monkeypatch)
+    project = theta._PsdProjector()
+    project(a)
+    project(b)  # projection 2: the try fails, so none before projection 4
+    project(b @ b)  # would commute, but is not tried
+    assert calls[0] == 3
+    project(b @ b + b)  # tried against the basis of b @ b, and kept
+    assert calls[0] == 3
+
+
+def test_an_eigh_failure_on_the_first_projection_still_gives_a_bracket(monkeypatch):
+    # The bracket comes from the starting point, B = I/V and U = 0.
+    g = strong_product(cycle_graph(7), cycle_graph(7))
+    count_eigh(monkeypatch, fail_on=1)
+    res = lovasz_theta(g)
+    assert res.converged is False and res.iterations == 0
+    assert math.isfinite(res.lower) and math.isfinite(res.upper)
+    assert_in_bracket(res.lower, res.upper, odd_cycle_theta(7) ** 2)
+    assert res.gap == res.upper - res.lower
+
+
+def test_an_eigh_failure_past_the_first_check_keeps_the_bracket(monkeypatch):
+    g = Graph.from_edges(12, random_graph(12, 0.5, np.random.default_rng(0)))
+    solved = lovasz_theta(g)
+    count_eigh(monkeypatch, fail_on=40)
+    res = lovasz_theta(g)
+    assert res.converged is False and res.iterations == 39
+    assert math.isfinite(res.lower) and math.isfinite(res.upper)
+    assert res.lower <= solved.lower and solved.upper <= res.upper
+
+
+def test_analyze_writes_its_report_when_eigh_fails(monkeypatch, tmp_path):
+    monkeypatch.delenv("ZECAP_SEED", raising=False)
+    spec = write_spec(tmp_path / "pentagon.json", "pentagon")
+    out = tmp_path / "report.json"
+    count_eigh(monkeypatch, fail_on=1)
+    assert cli.main(["analyze", spec, "--out", str(out)]) == 0
+    bounds = json.loads(out.read_text())["bounds"]
+    assert bounds["theta"]["converged"] is False
+    assert_in_bracket(bounds["theta"]["lower"], bounds["theta"]["upper"], math.sqrt(5.0))
