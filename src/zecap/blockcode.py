@@ -156,7 +156,6 @@ def _enumerate_supports(
     code: QuantumBlockCode,
     channel: QuantumChannel,
     eps: float,
-    enumeration_cap: int,
 ) -> tuple[tuple[frozenset[_Word], ...], list[np.ndarray], dict[_Word, list[int]]]:
     """Reachable word set of each codeword, each state's outcome table, and owners.
 
@@ -169,8 +168,8 @@ def _enumerate_supports(
     owners: dict[_Word, list[int]] = {}
     for i, cw in enumerate(code.codewords):
         size = math.prod(len(supports[c]) for c in cw)
-        if size > enumeration_cap:
-            raise SizeLimitError(size, enumeration_cap, what="output words")
+        if size > ENUMERATION_CAP:
+            raise SizeLimitError(size, ENUMERATION_CAP, what="output words")
         words = list(itertools.product(*(supports[c] for c in cw)))
         for w in words:
             owners.setdefault(w, []).append(i)
@@ -238,7 +237,6 @@ def reachable_supports(
     code: QuantumBlockCode,
     channel: QuantumChannel,
     eps: float,
-    enumeration_cap: int = ENUMERATION_CAP,
 ) -> tuple[frozenset[tuple[int, ...]], ...]:
     """Output words each codeword can produce, as Cartesian support products.
 
@@ -248,16 +246,15 @@ def reachable_supports(
     Raises
     ------
     SizeLimitError
-        If some codeword's support product exceeds ``enumeration_cap`` words.
+        If some codeword's support product exceeds ``ENUMERATION_CAP`` words.
     """
-    return _enumerate_supports(code, channel, eps, enumeration_cap)[0]
+    return _enumerate_supports(code, channel, eps)[0]
 
 
 def build_decoder(
     code: QuantumBlockCode,
     channel: QuantumChannel,
     eps: float,
-    enumeration_cap: int = ENUMERATION_CAP,
 ) -> DecoderTable:
     """Zero-error decoding table, or proof that none exists.
 
@@ -270,8 +267,10 @@ def build_decoder(
         If two codewords share a reachable word.  The error carries the
         offending message pair and word: the first collision a fill in codeword
         order meets, i.e. the least second owner, then the least word.
+    SizeLimitError
+        If some codeword's support product exceeds ``ENUMERATION_CAP`` words.
     """
-    _, _, owners = _enumerate_supports(code, channel, eps, enumeration_cap)
+    _, _, owners = _enumerate_supports(code, channel, eps)
     clash = min(((idx[1], w) for w, idx in owners.items() if len(idx) > 1), default=None)
     if clash is not None:
         second, w = clash
@@ -289,15 +288,14 @@ def verify_zero_error(
     code: QuantumBlockCode,
     channel: QuantumChannel,
     eps: float,
-    enumeration_cap: int = ENUMERATION_CAP,
-    tensor_dim_cap: int = TENSOR_DIM_CAP,
 ) -> ZeroErrorReport:
     """Certify (or refute) that ``code`` is zero-error for ``channel``.
 
     Two support computations are compared:
 
     * product path: Cartesian products of per-position support sets;
-    * Kronecker path (when the joint dimension fits ``tensor_dim_cap``):
+    * Kronecker path (when the joint dimension d^n fits ``TENSOR_DIM_CAP``
+      and the N^n words fit ``ENUMERATION_CAP``):
       the codeword's post-channel states are tensored into one joint state
       (the full d^n x d^n operator, built by broadcasting, one codeword at
       a time), whose probabilities tr(joint (E_w0 x ... x E_wn-1)) for all
@@ -310,8 +308,13 @@ def verify_zero_error(
     agreed exactly.  Probabilities within roundoff of ``eps`` can make the
     paths differ legitimately; the confusability graph's fragility counter
     flags those instances.
+
+    Raises
+    ------
+    SizeLimitError
+        If some codeword's support product exceeds ``ENUMERATION_CAP`` words.
     """
-    word_sets, tables, owners = _enumerate_supports(code, channel, eps, enumeration_cap)
+    word_sets, tables, owners = _enumerate_supports(code, channel, eps)
 
     # Pairwise disjointness plus the worst confusable mass: a word with
     # several owners is shared by each pair of them.  Shared words go in
@@ -333,7 +336,7 @@ def verify_zero_error(
     n_outcomes = len(code.povm)
     joint_dim = channel.dim**n
     word_count = n_outcomes**n
-    tensor_checked = joint_dim <= tensor_dim_cap and word_count <= enumeration_cap
+    tensor_checked = joint_dim <= TENSOR_DIM_CAP and word_count <= ENUMERATION_CAP
     paths_agree: bool | None = None
     if tensor_checked:
         paths_agree = _tensor_path_agrees(code, channel, eps, word_sets)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import SizeLimitError
-from .graphs import MAX_VERTICES, Graph, independence_number, strong_power
+from .graphs import Graph, independence_number, strong_power
 from .theta import ThetaResult, lovasz_theta
 
 __all__ = ["RateEntry", "CapacityBounds", "capacity_bounds"]
@@ -59,9 +59,10 @@ def capacity_bounds(g: Graph, n_max: int) -> CapacityBounds:
     g : Graph
         Confusability graph (edge = confusable).
     n_max : int
-        Largest block length to attempt.  Block lengths whose strong power
-        would exceed ``MAX_VERTICES`` vertices are recorded as skipped
-        entries, not errors.
+        Largest block length to attempt.  A block length whose strong power
+        or its exact alpha the graph module refuses (``SizeLimitError``) is
+        recorded as a skipped entry carrying the refusal's message, not
+        raised.
 
     Returns
     -------
@@ -81,20 +82,11 @@ def capacity_bounds(g: Graph, n_max: int) -> CapacityBounds:
     entries: list[RateEntry] = []
     best_lower = 0.0
     for n in range(1, n_max + 1):
-        size = g.vertex_count**n
-        if size > MAX_VERTICES:
-            entries.append(
-                RateEntry(
-                    n=n,
-                    alpha=None,
-                    rate=None,
-                    skipped=True,
-                    reason=f"{size} vertices exceeds the limit of {MAX_VERTICES}",
-                )
-            )
+        try:
+            alpha, witness = independence_number(strong_power(g, n))
+        except SizeLimitError as exc:
+            entries.append(RateEntry(n=n, alpha=None, rate=None, skipped=True, reason=str(exc)))
             continue
-        power = strong_power(g, n, MAX_VERTICES)
-        alpha, witness = independence_number(power, MAX_VERTICES)
         rate = math.log2(alpha) / n
         best_lower = max(best_lower, rate)
         entries.append(RateEntry(n=n, alpha=alpha, rate=rate, witness=witness))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .confusability import StateSet
 from .errors import DimensionMismatchError, NotStochasticError
-from .quantum import Povm, QuantumChannel, basis_state, validate_channel, validate_povm
+from .quantum import Povm, QuantumChannel, _projective_povm, basis_state, validate_channel
 
 __all__ = [
     "identity_channel",
@@ -152,6 +152,5 @@ def embed_classical(w: np.ndarray) -> tuple[QuantumChannel, StateSet, Povm]:
 
     channel = validate_channel(kraus)
     states = StateSet(dim=dim, states=tuple(basis_state(dim, i) for i in range(m_in)))
-    eye = np.eye(dim, dtype=np.complex128)
-    povm = validate_povm([np.outer(eye[:, j], eye[:, j].conj()) for j in range(dim)])
+    povm = _projective_povm(np.eye(dim, dtype=np.complex128))
     return channel, states, povm

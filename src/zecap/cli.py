@@ -84,10 +84,11 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _ensure_ensemble(spec: ParsedChannelSpec, seed: int, eps: float):
-    """(states, povm, provenance, search_doc): searched when the spec has none."""
+    """(states, povm, graph, provenance, search_doc), all from a search if the spec has none."""
     if spec.states is not None and spec.povm is not None:
         provenance = "classical-embedding" if spec.source == "classical_matrix" else "given"
-        return spec.states, spec.povm, provenance, None
+        graph = confusability_graph(spec.channel, spec.states, spec.povm, eps=eps)
+        return spec.states, spec.povm, graph, provenance, None
     cfg = SearchConfig(
         num_states=spec.channel.dim,
         restarts=_ANALYZE_RESTARTS,
@@ -96,7 +97,7 @@ def _ensure_ensemble(spec: ParsedChannelSpec, seed: int, eps: float):
         eps_support=eps,
     )
     res = optimize_pair(spec.channel, cfg)
-    return res.best_states, res.best_povm, "searched", search_result_document(res)
+    return res.best_states, res.best_povm, res.graph, "searched", search_result_document(res)
 
 
 def _cmd_validate(args) -> int:
@@ -115,22 +116,18 @@ def _cmd_analyze(args) -> int:
     doc = _load_json(args.spec)
     spec = parse_channel_spec(doc)
     seed = _env_seed()
-    states, povm, provenance, search_doc = _ensure_ensemble(spec, seed, args.eps)
-    graph = confusability_graph(spec.channel, states, povm, eps=args.eps)
+    states, povm, graph, provenance, search_doc = _ensure_ensemble(spec, seed, args.eps)
     bounds = capacity_bounds(graph, n_max=args.n_max)
 
     code_doc = None
     code_failure = None
-    best_n = None
-    best_rate = -1.0
-    for e in bounds.per_n:
-        if not e.skipped and e.rate is not None and e.rate > best_rate:
-            best_n, best_rate = e.n, e.rate
-    if best_n is None:
+    # The first block length of the best rate.
+    best = max((e for e in bounds.per_n if not e.skipped), key=lambda e: e.rate, default=None)
+    if best is None:
         code_failure = "no block length fit the exact-computation cap"
     else:
         try:
-            code = build_code(graph, states, povm, n=best_n)
+            code = build_code(graph, states, povm, n=best.n)
             decoder = build_decoder(code, spec.channel, eps=args.eps)
             certificate = verify_zero_error(code, spec.channel, eps=args.eps)
             code_doc = code_document(code, decoder, certificate)
@@ -177,8 +174,7 @@ def _cmd_code(args) -> int:
     spec = parse_channel_spec(doc)
     seed = _env_seed()
     eps = DEFAULT_EPS
-    states, povm, _, _ = _ensure_ensemble(spec, seed, eps)
-    graph = confusability_graph(spec.channel, states, povm, eps=eps)
+    states, povm, graph, _, _ = _ensure_ensemble(spec, seed, eps)
     code = build_code(graph, states, povm, n=args.n)
     decoder = None
     decoder_failure = None

@@ -145,15 +145,22 @@ def channel_spec_document(
     doc: dict = {"name": str(name)}
     if channel is not None:
         doc["dim"] = channel.dim
-        doc["kraus"] = [complex_matrix_to_json(k) for k in channel.kraus]
+        doc["kraus"] = _kraus_json(channel)
     else:
-        w = np.asarray(classical_matrix, dtype=np.float64)
-        doc["classical_matrix"] = [[float(x) for x in row] for row in w]
+        doc["classical_matrix"] = _classical_json(classical_matrix)
     if states is not None:
         doc["states"] = _states_json(states)
     if povm is not None:
         doc["povm"] = _povm_json(povm)
     return doc
+
+
+def _kraus_json(channel: QuantumChannel) -> list:
+    return [complex_matrix_to_json(k) for k in channel.kraus]
+
+
+def _classical_json(w: np.ndarray | None) -> list | None:
+    return None if w is None else np.asarray(w, dtype=np.float64).tolist()
 
 
 def _states_json(states: StateSet) -> list:
@@ -485,12 +492,8 @@ def report_document(
         "dim": spec.channel.dim,
         "source": spec.source,
         "kraus_count": len(spec.channel.kraus),
-        "kraus": [complex_matrix_to_json(k) for k in spec.channel.kraus],
-        "classical_matrix": (
-            [[float(x) for x in row] for row in spec.classical_matrix]
-            if spec.classical_matrix is not None
-            else None
-        ),
+        "kraus": _kraus_json(spec.channel),
+        "classical_matrix": _classical_json(spec.classical_matrix),
     }
     pairs = non_adjacent_pair_count(graph)
     return {

@@ -252,6 +252,11 @@ def validate_povm(elements: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Povm
     return Povm(dim=d, elements=tuple(ops))
 
 
+def _projective_povm(u: np.ndarray) -> Povm:
+    """The rank-one projective POVM {|u_j><u_j|} on the columns of the unitary ``u``."""
+    return validate_povm([np.outer(u[:, j], u[:, j].conj()) for j in range(u.shape[1])])
+
+
 def _apply_kraus(kraus: tuple[np.ndarray, ...], m: np.ndarray) -> np.ndarray:
     """``sum_k K_k m K_k^dagger`` as one batched product over the stacked Kraus operators.
 

@@ -54,7 +54,15 @@ from .confusability import (
 )
 from .errors import DimensionMismatchError
 from .graphs import independence_number
-from .quantum import Povm, QuantumChannel, _haar_q, haar_unitary, pure_state, validate_povm
+from .quantum import (
+    Povm,
+    QuantumChannel,
+    _haar_q,
+    _projective_povm,
+    haar_unitary,
+    pure_state,
+    validate_povm,
+)
 
 __all__ = [
     "SearchConfig",
@@ -146,8 +154,7 @@ def random_pure_state_set(dim: int, count: int, seed: int) -> StateSet:
 
 def random_projective_povm(dim: int, seed: int) -> Povm:
     """Rank-one projective POVM from the columns of a Haar unitary."""
-    u = haar_unitary(dim, np.random.default_rng(seed))
-    return validate_povm([np.outer(u[:, j], u[:, j].conj()) for j in range(dim)])
+    return _projective_povm(haar_unitary(dim, np.random.default_rng(seed)))
 
 
 def random_general_povm(dim: int, outcomes: int, seed: int) -> Povm:
@@ -158,7 +165,7 @@ def random_general_povm(dim: int, outcomes: int, seed: int) -> Povm:
     V^dagger V = I by construction.
     """
     iso = _random_isometry(outcomes * dim, dim, np.random.default_rng(seed))
-    return validate_povm(_povm_from_isometry(iso, dim, outcomes))
+    return _povm_from_isometry(iso, dim, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +182,10 @@ def _random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarr
     return _haar_q(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
 
 
-def _povm_from_isometry(iso: np.ndarray, dim: int, outcomes: int) -> list[np.ndarray]:
+def _povm_from_isometry(iso: np.ndarray, dim: int, outcomes: int) -> Povm:
+    """E_j = V_j^dagger V_j for the j-th dim x dim block V_j of the stacked isometry."""
     blocks = iso.reshape(outcomes, dim, dim)
-    return [b.conj().T @ b for b in blocks]
+    return validate_povm([b.conj().T @ b for b in blocks])
 
 
 def _small_rotation(dim: int, step: float, rng: np.random.Generator) -> np.ndarray:
@@ -279,9 +287,7 @@ def _aligned_meas(u: np.ndarray, dim: int, general: bool, outcomes: int) -> np.n
     # Isometry whose j-th block is |u_j><u_j|, mirroring the projective
     # alignment; blocks past the dim-th are zero.
     iso = np.zeros((outcomes, dim, dim), dtype=np.complex128)
-    for jj in range(dim):
-        col = u[:, jj]
-        iso[jj] = np.outer(col, col.conj())
+    iso[:dim] = u.T[:, :, None] * u.T.conj()[:, None, :]
     return iso.reshape(outcomes * dim, dim)
 
 
@@ -383,8 +389,8 @@ def _ensemble(
     dim = vecs.shape[1]
     states = StateSet(dim, tuple(pure_state(v) for v in vecs), allow_overcomplete)
     if general:
-        return states, validate_povm(_povm_from_isometry(meas, dim, dim * dim))
-    return states, validate_povm([np.outer(meas[:, j], meas[:, j].conj()) for j in range(dim)])
+        return states, _povm_from_isometry(meas, dim, dim * dim)
+    return states, _projective_povm(meas)
 
 
 def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:

@@ -101,6 +101,7 @@ __all__ = ["MAX_SDP_VERTICES", "ThetaResult", "lovasz_theta"]
 MAX_SDP_VERTICES = 100
 
 _CHECK_EVERY = 25  # residual/gap checks and rho adaptation cadence
+_MAX_ITERATIONS = 50_000  # budget of PSD projections per solve
 _MEMORY = 10  # Anderson history length; costs 2 * _MEMORY * V^2 doubles
 _MAX_COEFFICIENT_SUM = 100.0  # extrapolations with larger sum |gamma| are refused
 _REGULARIZATION = 1e-10  # relative weight on the diagonal of the history's Gram matrix
@@ -224,11 +225,7 @@ def _certified_bracket(
     return lower, upper
 
 
-def lovasz_theta(
-    g: Graph,
-    tol: float = 1e-6,
-    max_iterations: int = 50_000,
-) -> ThetaResult:
+def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
     """Compute theta(G) with a certified duality gap at most ``tol``.
 
     Parameters
@@ -237,14 +234,13 @@ def lovasz_theta(
     tol : float, optional
         Bound on the primal residual, dual residual, and certified bracket
         width at termination.
-    max_iterations : int, optional
-        Budget of PSD projections, fresh or through a reused eigenbasis.
 
     Returns
     -------
     ThetaResult
         ``result.value`` is within ``tol/2`` of theta(G) on convergence.
-        When ``max_iterations`` runs out first, ``converged`` is False and the
+        When the budget of 50,000 PSD projections (fresh or through a
+        reused eigenbasis) runs out first, ``converged`` is False and the
         bracket is the tightest certified one seen (over all checks).  When
         an eigendecomposition fails to converge, ``converged`` is False and
         the bracket is that one tightened by the bracket of the last accepted
@@ -256,7 +252,7 @@ def lovasz_theta(
         If the graph exceeds ``MAX_SDP_VERTICES`` vertices; each projection
         is O(V^3).
     ValueError
-        If ``tol`` or ``max_iterations`` is not positive (a NaN ``tol`` included).
+        If ``tol`` is not positive (a NaN ``tol`` included).
 
     Notes
     -----
@@ -291,8 +287,7 @@ def lovasz_theta(
         raise SizeLimitError(n, MAX_SDP_VERTICES)
     if not tol > 0:  # also refuses NaN
         raise ValueError(f"tol must be positive, got {tol!r}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be positive, got {max_iterations!r}")
+    max_iterations = _MAX_ITERATIONS
 
     er, ec = [], []
     for a, b in sorted(g.edges):

@@ -21,6 +21,7 @@ from zecap import (
     reachable_supports,
     verify_zero_error,
 )
+from zecap import blockcode
 from zecap.blockcode import _kron, _tensor_path_agrees, _word_probabilities
 from zecap.confusability import StateSet
 from zecap.errors import (
@@ -126,11 +127,25 @@ def test_pentagon_words_per_codeword():
         assert not (a & b)
 
 
-def test_reachable_supports_respects_the_enumeration_cap():
+def test_reachable_supports_respects_the_enumeration_cap(monkeypatch):
     channel, states, povm, graph = pentagon_ensemble()
     code = build_code(graph, states, povm, n=2)
+    monkeypatch.setattr(blockcode, "ENUMERATION_CAP", 3)
     with pytest.raises(SizeLimitError):
-        reachable_supports(code, channel, eps=1e-9, enumeration_cap=3)
+        reachable_supports(code, channel, eps=1e-9)
+
+
+@pytest.mark.parametrize("check", [build_decoder, verify_zero_error])
+def test_decoder_and_certificate_refuse_past_the_enumeration_cap(check, monkeypatch):
+    # Every pentagon n = 2 codeword reaches 4 words: the cap is read at call
+    # time, and 4 is the first cap that lets the enumeration through.
+    channel, states, povm, graph = pentagon_ensemble()
+    code = build_code(graph, states, povm, n=2)
+    monkeypatch.setattr(blockcode, "ENUMERATION_CAP", 3)
+    with pytest.raises(SizeLimitError, match="4 output words exceeds the limit of 3"):
+        check(code, channel, eps=1e-9)
+    monkeypatch.setattr(blockcode, "ENUMERATION_CAP", 4)
+    check(code, channel, eps=1e-9)
 
 
 def test_identity_decoder_is_the_identity_map():
@@ -252,10 +267,11 @@ def test_certificate_reports_full_overlap_for_confusable_codewords():
     assert rep.max_overlap_mass == pytest.approx(1.0, abs=1e-12)
 
 
-def test_certificate_skips_tensor_path_over_the_cap():
+def test_certificate_skips_tensor_path_over_the_cap(monkeypatch):
     channel, states, povm, graph = pentagon_ensemble()
     code = build_code(graph, states, povm, n=2)
-    rep = verify_zero_error(code, channel, eps=1e-9, tensor_dim_cap=4)
+    monkeypatch.setattr(blockcode, "TENSOR_DIM_CAP", 4)
+    rep = verify_zero_error(code, channel, eps=1e-9)
     assert rep.tensor_path_checked is False
     assert rep.paths_agree is None
     assert rep.passed

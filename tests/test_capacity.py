@@ -13,8 +13,9 @@ from zecap import (
     complete_graph,
     cycle_graph,
     edgeless_graph,
+    strong_power,
 )
-from zecap.errors import DimensionMismatchError
+from zecap.errors import DimensionMismatchError, SizeLimitError
 
 from oracles import random_graph
 
@@ -55,6 +56,21 @@ def test_oversized_block_lengths_are_skipped_not_fatal():
     assert "125" in b.per_n[2].reason
     assert b.per_n[1].alpha == 5
     assert b.theta is not None
+
+
+@pytest.mark.parametrize("g", [cycle_graph(5), edgeless_graph(1)], ids=["C5", "one-vertex"])
+def test_a_skipped_block_length_carries_the_graph_modules_refusal(g):
+    # The vertex cap is decided in graphs alone: an entry is skipped exactly
+    # when strong_power refuses, with that refusal's message.
+    b = capacity_bounds(g, n_max=6)
+    for n, e in enumerate(b.per_n, start=1):
+        try:
+            strong_power(g, n)
+        except SizeLimitError as exc:
+            assert e.skipped and e.alpha is None and e.rate is None
+            assert e.reason == str(exc)
+        else:
+            assert not e.skipped and e.reason is None
 
 
 def test_n_max_must_be_positive():

@@ -346,8 +346,7 @@ def test_theta_subcommand_on_a_graph_file(tmp_path):
 def test_an_unconverged_theta_subcommand_prints_its_bracket_and_exits_0(
     tmp_path, monkeypatch, capsys
 ):
-    solve = cli.lovasz_theta
-    monkeypatch.setattr(cli, "lovasz_theta", lambda g, tol: solve(g, tol=tol, max_iterations=2))
+    monkeypatch.setattr(zecap.theta, "_MAX_ITERATIONS", 2)
     path = tmp_path / "c5.json"
     path.write_text(dumps_canonical(graph_to_json(cycle_graph(5))))
     assert cli.main(["theta", str(path), "--tol", "1e-12"]) == 0

@@ -4,6 +4,10 @@ Every intra-package import counts, at module level or inside a function: a
 deferred import is how a cycle hides, so one of those is a failure too.  The
 package facade ``__init__`` is a node like any other; a module that needs a
 name the facade binds has to import it from where the facade gets it.
+
+The vertex cap of exact computation is decided in ``graphs`` alone: no other
+module reads ``MAX_VERTICES``, except ``build_code`` as the default of its
+``max_vertices``.  Importing the name (the facade re-exports it) is no read.
 """
 
 from __future__ import annotations
@@ -95,3 +99,55 @@ def test_the_cycle_finder_sees_a_deferred_import_and_a_facade_import(tmp_path):
     graph = import_graph(pkg)
     assert graph["a"] == {FACADE} and graph["b"] == {"a"}
     assert find_cycle(graph) == [FACADE, "b", "a", FACADE]
+
+
+CAP = "MAX_VERTICES"
+
+
+def cap_reads(path: Path) -> list[int]:
+    """Lines of ``path`` that read ``MAX_VERTICES``, other than build_code's default."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {CAP}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(a.asname for a in node.names if a.name == CAP and a.asname)
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "build_code":
+            allowed.update(id(d) for d in node.args.defaults + node.args.kw_defaults if d)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in allowed
+        and isinstance(getattr(node, "ctx", None), ast.Load)
+        and (
+            (isinstance(node, ast.Name) and node.id in names)
+            or (isinstance(node, ast.Attribute) and node.attr == CAP)
+        )
+    )
+
+
+def test_only_the_graph_module_reads_the_vertex_cap():
+    reads = {
+        p.name: cap_reads(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "graphs.py"
+    }
+    assert {name: lines for name, lines in reads.items() if lines} == {}
+    assert cap_reads(PACKAGE / "graphs.py")
+
+
+def test_the_cap_scan_sees_a_read_and_allows_build_codes_default(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from .graphs import MAX_VERTICES, MAX_VERTICES as LIMIT\n"
+        "def build_code(g, max_vertices=MAX_VERTICES):\n"
+        "    return g\n"
+    )
+    assert cap_reads(path) == []
+    path.write_text(
+        "from . import graphs\n"
+        "from .graphs import MAX_VERTICES as LIMIT\n"
+        "def capacity_bounds(g, n):\n"
+        "    if g.vertex_count**n > LIMIT:\n"
+        "        return graphs.MAX_VERTICES\n"
+    )
+    assert cap_reads(path) == [4, 5]

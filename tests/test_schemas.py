@@ -92,11 +92,12 @@ def test_an_unconverged_theta_still_reports_its_certified_upper_bound(tmp_path, 
     solve = zecap.capacity.lovasz_theta
     results = []
 
-    def two_iterations(g):
-        results.append(solve(g, max_iterations=2))
+    def recorded(g):
+        results.append(solve(g))
         return results[-1]
 
-    monkeypatch.setattr(zecap.capacity, "lovasz_theta", two_iterations)
+    monkeypatch.setattr(zecap.theta, "_MAX_ITERATIONS", 2)
+    monkeypatch.setattr(zecap.capacity, "lovasz_theta", recorded)
     spec = write_spec(tmp_path / "pent.json", "pentagon")
     out = tmp_path / "report.json"
     assert cli.main(["analyze", spec, "--out", str(out)]) == 0

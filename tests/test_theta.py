@@ -109,14 +109,9 @@ def test_a_nan_tol_is_refused_before_any_eigendecomposition(monkeypatch):
         lovasz_theta(cycle_graph(5), tol=float("nan"))
 
 
-def test_an_empty_iteration_budget_is_refused():
-    # With no iteration there is no certified bracket to report.
-    with pytest.raises(ValueError):
-        lovasz_theta(cycle_graph(5), max_iterations=0)
-
-
-def test_iteration_cap_returns_an_unconverged_bracket():
-    res = lovasz_theta(cycle_graph(5), tol=1e-12, max_iterations=2)
+def test_iteration_cap_returns_an_unconverged_bracket(monkeypatch):
+    monkeypatch.setattr(theta, "_MAX_ITERATIONS", 2)
+    res = lovasz_theta(cycle_graph(5), tol=1e-12)
     assert res.converged is False
     assert res.iterations <= 2
     assert res.lower <= math.sqrt(5.0) <= res.upper
@@ -124,7 +119,7 @@ def test_iteration_cap_returns_an_unconverged_bracket():
     assert res.value == (res.lower + res.upper) / 2.0
 
 
-def test_not_converged_carries_the_tightest_bracket_seen():
+def test_not_converged_carries_the_tightest_bracket_seen(monkeypatch):
     # Far from converged after 75 iterations (plain ADMM and the accelerated
     # step both need over 50,000 on this graph).  The first 50 iterations of
     # a 75-iteration run are those of a 50-iteration run, so its bracket can
@@ -132,7 +127,8 @@ def test_not_converged_carries_the_tightest_bracket_seen():
     g = Graph.from_edges(30, random_graph(30, 0.3, np.random.default_rng(0)))
     brackets = []
     for cap in (25, 50, 75):
-        res = lovasz_theta(g, max_iterations=cap)
+        monkeypatch.setattr(theta, "_MAX_ITERATIONS", cap)
+        res = lovasz_theta(g)
         assert res.converged is False and res.iterations <= cap
         assert res.gap == res.upper - res.lower
         brackets.append((res.lower, res.upper))
@@ -179,10 +175,11 @@ def test_theta_is_multiplicative_on_c5_times_c7():
     assert_in_bracket(prod.lower, prod.upper, math.sqrt(5.0) * odd_cycle_theta(7))
 
 
-def test_c7_squared_converges_well_inside_the_plain_admm_iteration_count():
+def test_c7_squared_converges_well_inside_the_plain_admm_iteration_count(monkeypatch):
     # Plain ADMM needs 325 iterations on C7 x C7; the accelerated step needs
     # 51, or 50 under this budget, whose last step is a check.
-    res = lovasz_theta(strong_product(cycle_graph(7), cycle_graph(7)), max_iterations=50)
+    monkeypatch.setattr(theta, "_MAX_ITERATIONS", 50)
+    res = lovasz_theta(strong_product(cycle_graph(7), cycle_graph(7)))
     assert res.converged and res.iterations <= 50
     assert_in_bracket(res.lower, res.upper, odd_cycle_theta(7) ** 2)
 
