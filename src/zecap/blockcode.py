@@ -16,13 +16,16 @@ built by broadcasting, one codeword at a time), which is contracted with
 the stacked POVM one position at a time to give the probability of
 every output word.  No product-POVM element is built; for N outcomes on a
 d-dimensional channel the cost is about N d^(2n) multiply-adds per codeword
-when N <= d^2.
+when N <= d^2.  They are real multiply-adds when the channel outputs and the
+POVM are exactly real, as for every classical embedding, and complex ones,
+four real multiplications each, when any entry is complex.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +37,14 @@ from .errors import (
     SizeLimitError,
 )
 from .graphs import MAX_VERTICES, Graph, independence_number, strong_power
-from .quantum import Povm, QuantumChannel, _kron, apply_channel, outcome_probabilities
+from .quantum import (
+    Povm,
+    QuantumChannel,
+    _exact_real,
+    _kron,
+    apply_channel,
+    outcome_probabilities,
+)
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -115,7 +125,17 @@ class DecoderTable:
     mapping: dict[tuple[int, ...], int] = field(repr=False)
 
     def decode(self, word: tuple[int, ...]) -> int | None:
-        word = tuple(int(w) for w in word)
+        """Message of ``word``, or ``None`` if no codeword reaches it.
+
+        Outcomes are read with ``operator.index``, so numpy integers pass and
+        a non-integer such as 0.9 is refused, not truncated.
+        """
+        try:
+            word = tuple(map(operator.index, word))
+        except TypeError:
+            raise DimensionMismatchError(
+                f"word {word!r} is not a sequence of integer outcomes"
+            ) from None
         if len(word) != self.block_length:
             raise DimensionMismatchError(
                 f"word length {len(word)}, expected {self.block_length}"
@@ -364,8 +384,13 @@ def _tensor_path_agrees(
 ) -> bool:
     """Recompute supports on the joint space and compare set-for-set."""
     n = code.block_length
-    outs = [apply_channel(channel, s).matrix for s in code.source.states]
+    outs = np.array([apply_channel(channel, s).matrix for s in code.source.states])
     elements = np.array(code.povm.elements)
+    # Exactly real outputs and POVM are contracted in float64, a quarter of
+    # the real multiplications; any complex entry keeps both complex.
+    real_outs, real_elements = _exact_real(outs), _exact_real(elements)
+    if real_outs is not None and real_elements is not None:
+        outs, elements = real_outs, real_elements
     for i, cw in enumerate(code.codewords):
         joint = outs[cw[0]]
         for t in range(1, n):
@@ -381,10 +406,11 @@ def _word_probabilities(joint: np.ndarray, elements: np.ndarray, n: int) -> np.n
     """``p[w_0, ..., w_{n-1}] = tr(joint (E_w0 x ... x E_wn-1))`` for every word.
 
     ``joint`` is any d^n x d^n operator, not assumed to factorise, and
-    ``elements`` the stacked (N, d, d) POVM.  The joint state is contracted
-    one position at a time, so no product element is built.  Step s costs
-    N^(s+1) d^(2(n-s)) multiply-adds, so the first step's N d^(2n) dominates
-    when N <= d^2, against N^n Kronecker chains and traces of size d^(2n).
+    ``elements`` the stacked (N, d, d) POVM, both complex or both real.  The
+    joint state is contracted one position at a time, so no product element
+    is built.  Step s costs N^(s+1) d^(2(n-s)) multiply-adds, so the first
+    step's N d^(2n) dominates when N <= d^2, against N^n Kronecker chains and
+    traces of size d^(2n).
     """
     d = elements.shape[1]
     # Axes (i_0..i_{n-1}, j_0..j_{n-1}); step s contracts the leading i_s and

@@ -13,9 +13,13 @@ loop: the Kraus operators are stacked into a (K, d, d) array and applied in
 one batched product, and the N POVM traces are one matrix-vector product
 with the (N, d, d) stack of elements.
 
-Matrices are plain ``numpy.ndarray`` of complex128.  Wrapper dataclasses
-(:class:`DensityMatrix`, :class:`QuantumChannel`, :class:`Povm`) certify that
-their contents passed validation; their arrays are frozen (non-writeable).
+Matrices are plain ``numpy.ndarray`` of complex128.  A channel whose Kraus
+operators and input are exactly real (imaginary parts identically zero, as in
+every classical embedding) is applied in float64, where a complex product
+would spend three of its four real multiplications on zeros; the output is
+complex128 all the same.  Wrapper dataclasses (:class:`DensityMatrix`,
+:class:`QuantumChannel`, :class:`Povm`) certify that their contents passed
+validation; their arrays are frozen (non-writeable).
 All indices are 0-based.
 """
 
@@ -257,13 +261,29 @@ def _projective_povm(u: np.ndarray) -> Povm:
     return validate_povm([np.outer(u[:, j], u[:, j].conj()) for j in range(u.shape[1])])
 
 
+def _exact_real(a: np.ndarray) -> np.ndarray | None:
+    """The real part of ``a``, C-ordered, if ``a`` is exactly real, else None.
+
+    Exactly means no tolerance: a single nonzero imaginary bit makes ``a``
+    complex.
+    """
+    if np.count_nonzero(a.imag):
+        return None
+    return np.ascontiguousarray(a.real)
+
+
 def _apply_kraus(kraus: tuple[np.ndarray, ...], m: np.ndarray) -> np.ndarray:
     """``sum_k K_k m K_k^dagger`` as one batched product over the stacked Kraus operators.
 
     The axis-0 sum adds the K terms in order, as a loop over ``kraus`` would.
+    When the Kraus stack and ``m`` are both exactly real, the product runs in
+    float64 as ``sum_k K_k m K_k^T``; the result is complex128 either way.
     """
     ks = np.asarray(kraus)
-    return (ks @ m @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
+    real_ks, real_m = _exact_real(ks), _exact_real(m)
+    if real_ks is None or real_m is None:
+        return (ks @ m @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
+    return (real_ks @ real_m @ real_ks.transpose(0, 2, 1)).sum(axis=0).astype(np.complex128)
 
 
 def apply_channel(channel: QuantumChannel, state: DensityMatrix) -> DensityMatrix:

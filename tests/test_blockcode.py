@@ -34,6 +34,7 @@ from zecap.quantum import (
     pure_state,
     random_density_matrix,
     validate_povm,
+    validate_state,
 )
 from zecap.search import random_general_povm
 
@@ -181,6 +182,16 @@ def test_decoder_validates_word_shape():
         decoder.decode((0,))
     with pytest.raises(DimensionMismatchError):
         decoder.decode((0, 9))
+
+
+def test_decoder_refuses_a_non_integer_outcome():
+    # Truncating would decode 0.9 as outcome 0 (message 0) and 2.5 as 2 (message 1).
+    channel, states, povm, graph = pentagon_ensemble()
+    decoder = build_decoder(build_code(graph, states, povm, n=1), channel, eps=1e-9)
+    for word in [(0.9,), np.array([2.5]), (2.0,), ("2",)]:
+        with pytest.raises(DimensionMismatchError):
+            decoder.decode(word)
+    assert decoder.decode(np.array([2])) == decoder.decode((np.int64(2),)) == 1
 
 
 def test_confusable_codewords_are_rejected_with_the_witness_word():
@@ -410,6 +421,51 @@ def trine_ensemble():
     return identity_channel(2), states, povm
 
 
+def conjugated_by_diag_1_i(channel, states, povm):
+    # U = diag(1, i) turns the real off-diagonal entries of every state and
+    # element imaginary and leaves each tr(rho E) as it was; the channel is
+    # the identity, which commutes with U.
+    u = np.diag([1.0, 1.0j])
+    states = StateSet(
+        dim=2, states=tuple(validate_state(u @ s.matrix @ u.conj().T) for s in states.states)
+    )
+    return channel, states, validate_povm([u @ e @ u.conj().T for e in povm.elements])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_real_and_complex_arithmetic_give_the_same_certificate(n, monkeypatch):
+    dtypes = []
+
+    def recorded(joint, elements, n):
+        dtypes.append((joint.dtype, elements.dtype))
+        return _word_probabilities(joint, elements, n)
+
+    monkeypatch.setattr(blockcode, "_word_probabilities", recorded)
+    results = []
+    for ensemble, dtype in [
+        (trine_ensemble(), np.dtype(np.float64)),
+        (conjugated_by_diag_1_i(*trine_ensemble()), np.dtype(np.complex128)),
+    ]:
+        channel, states, povm = ensemble
+        assert any(np.any(s.matrix.imag) for s in states.states) == (dtype == np.complex128)
+        graph = confusability_graph(channel, states, povm)
+        code = build_code(graph, states, povm, n=n)
+        dtypes.clear()
+        results.append(
+            (
+                [outcome_probabilities(channel, s, povm) for s in states.states],
+                build_decoder(code, channel, eps=1e-9),
+                verify_zero_error(code, channel, eps=1e-9),
+                verify_zero_error(all_words_code(states, povm, n), channel, eps=1e-9),
+            )
+        )
+        assert dtypes and set(dtypes) == {(dtype, dtype)}
+    (tables_r, *rest_r), (tables_c, *rest_c) = results
+    assert all(np.array_equal(a, b) for a, b in zip(tables_r, tables_c))
+    assert rest_r == rest_c
+    assert not rest_r[2].passed and rest_r[2].paths_agree is True
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_certificate_in_a_complex_basis(n):
     channel, states, povm = y_basis_ensemble()
@@ -450,18 +506,29 @@ def test_tensor_path_catches_a_lost_or_a_gained_word():
 
 
 @pytest.mark.parametrize(
-    "d,outcomes,n", [(2, 3, 1), (3, 5, 1), (2, 3, 2), (3, 5, 2), (2, 4, 3), (3, 3, 3)]
+    "d,outcomes,n,real",
+    [
+        pytest.param(d, outcomes, n, real, id=f"{d}-{outcomes}-{n}" + ("-real" if real else ""))
+        for real in (False, True)
+        for d, outcomes, n in [(2, 3, 1), (3, 5, 1), (2, 3, 2), (3, 5, 2), (2, 4, 3), (3, 3, 3)]
+    ],
 )
-def test_word_probabilities_match_the_trace_of_every_product_element(d, outcomes, n):
-    # Reference: build each product element and take tr(joint E) directly.
-    # The joint state is a generic mixed state on d^n, so it is entangled.
+def test_word_probabilities_match_the_trace_of_every_product_element(d, outcomes, n, real):
+    # Reference: build each product element and take tr(joint E) directly,
+    # in complex arithmetic.  The joint state is a generic mixed state on
+    # d^n, so it is entangled.  Its real part and the elements' real parts
+    # are again a state and a POVM, and are contracted in float64.
     rng = np.random.default_rng(100 * d + 10 * outcomes + n)
-    elements = random_general_povm(d, outcomes, seed=d + outcomes + n).elements
+    elements = np.array(random_general_povm(d, outcomes, seed=d + outcomes + n).elements)
     joint = random_density_matrix(d**n, rng).matrix
-    got = _word_probabilities(joint, np.array(elements), n)
+    if real:
+        elements, joint = elements.real.copy(), joint.real.copy()
+    got = _word_probabilities(joint, elements, n)
     assert got.shape == (outcomes,) * n
+    assert got.dtype == np.float64
+    joint = joint.astype(np.complex128)
     for w in itertools.product(range(outcomes), repeat=n):
-        e = elements[w[0]]
+        e = elements[w[0]].astype(np.complex128)
         for t in range(1, n):
             e = np.kron(e, elements[w[t]])
         want = np.trace(joint @ e).real

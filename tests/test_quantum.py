@@ -29,6 +29,7 @@ from zecap.errors import (
     TraceNotOneError,
     ValidationError,
 )
+from zecap import quantum
 from zecap.search import random_general_povm
 
 from invariants import check_probability_normalization, check_trace_preservation
@@ -227,10 +228,21 @@ def test_outcome_probabilities_rejects_dimension_mixups():
         outcome_probabilities(channel, basis_state(2, 0), computational_povm(3))
 
 
-def test_stacked_kernels_match_the_loop_oracles():
+def test_stacked_kernels_match_the_loop_oracles(monkeypatch):
     # apply_channel and outcome_probabilities each run one stacked
-    # contraction; the oracles sum every term by hand.  N runs from 2 to d^2,
-    # so POVMs with more outcomes than dimensions are covered.
+    # contraction; the oracles sum every term by hand, in complex arithmetic.
+    # N runs from 2 to d^2, so POVMs with more outcomes than dimensions are
+    # covered.  Each case is also run on real data, which takes the float64
+    # channel product.
+    exact_real = quantum._exact_real
+    took_real = []
+
+    def recorded(a):
+        out = exact_real(a)
+        took_real.append(out is not None)
+        return out
+
+    monkeypatch.setattr(quantum, "_exact_real", recorded)
     rng = np.random.default_rng(4242)
     tol = 16 * np.finfo(float).eps
     overcomplete = 0
@@ -241,13 +253,24 @@ def test_stacked_kernels_match_the_loop_oracles():
         outcomes = int(rng.integers(2, dim * dim + 1))
         povm = random_general_povm(dim, outcomes, seed=4242 + case)
         overcomplete += outcomes > dim
-
-        sigma = kraus_output(channel.kraus, state.matrix)
-        got = apply_channel(channel, state).matrix
-        assert np.max(np.abs(got - sigma)) <= tol, case
-        p = outcome_probabilities(channel, state, povm)
-        want = povm_traces(sigma, povm.elements)
-        assert np.max(np.abs(p - want.real)) <= tol, case
+        # The real parts of a state and of a POVM are again a state and a
+        # POVM; a QR of the stacked Kraus operators' real part gives a real
+        # isometry, so a real channel.
+        q, _ = np.linalg.qr(np.concatenate([k.real for k in channel.kraus]))
+        real = (
+            validate_channel(np.split(q, len(channel.kraus))),
+            validate_state(state.matrix.real),
+            validate_povm([e.real for e in povm.elements]),
+        )
+        for is_real, (channel, state, povm) in [(False, (channel, state, povm)), (True, real)]:
+            took_real.clear()
+            sigma = kraus_output(channel.kraus, state.matrix)
+            got = apply_channel(channel, state).matrix
+            assert np.max(np.abs(got - sigma)) <= tol, case
+            p = outcome_probabilities(channel, state, povm)
+            want = povm_traces(sigma, povm.elements)
+            assert np.max(np.abs(p - want.real)) <= tol, case
+            assert took_real and set(took_real) == {is_real}, case
     assert overcomplete >= 40
 
 
