@@ -385,12 +385,11 @@ def _tensor_path_agrees(
     """Recompute supports on the joint space and compare set-for-set."""
     n = code.block_length
     outs = np.array([apply_channel(channel, s).matrix for s in code.source.states])
-    elements = np.array(code.povm.elements)
+    elements, real_outs = code.povm.elements, _exact_real(outs)
     # Exactly real outputs and POVM are contracted in float64, a quarter of
     # the real multiplications; any complex entry keeps both complex.
-    real_outs, real_elements = _exact_real(outs), _exact_real(elements)
-    if real_outs is not None and real_elements is not None:
-        outs, elements = real_outs, real_elements
+    if real_outs is not None and code.povm._real_elements is not None:
+        outs, elements = real_outs, code.povm._real_elements
     for i, cw in enumerate(code.codewords):
         joint = outs[cw[0]]
         for t in range(1, n):

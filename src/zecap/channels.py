@@ -124,8 +124,8 @@ def embed_classical(w: np.ndarray) -> tuple[QuantumChannel, StateSet, Povm]:
     Raises
     ------
     NotStochasticError
-        If some row has a negative entry or does not sum to 1 within
-        ``BUILTIN_STOCHASTIC_TOL``.
+        If some row has a negative or NaN entry or does not sum to 1
+        within ``BUILTIN_STOCHASTIC_TOL``.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
@@ -133,7 +133,8 @@ def embed_classical(w: np.ndarray) -> tuple[QuantumChannel, StateSet, Povm]:
     m_in, n_out = w.shape
     for i in range(m_in):
         row = w[i]
-        if float(row.min()) < 0.0 or abs(float(row.sum()) - 1.0) > BUILTIN_STOCHASTIC_TOL:
+        # A NaN entry fails both comparisons, so it is refused.
+        if not (row.min() >= 0.0 and abs(row.sum() - 1.0) <= BUILTIN_STOCHASTIC_TOL):
             raise NotStochasticError(row=i, row_sum=float(row.sum()))
 
     dim = max(m_in, n_out)

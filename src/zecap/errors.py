@@ -104,7 +104,11 @@ class SizeLimitError(ZecapError):
     def __init__(self, size: int, limit: int, what: str = "vertices"):
         self.size = int(size)
         self.limit = int(limit)
-        super().__init__(f"{size} {what} exceeds the limit of {limit}")
+        try:
+            shown = f"{size}"
+        except ValueError:  # past Python's limit on int-to-decimal conversion
+            shown = f"at least 2^{self.size.bit_length() - 1}"
+        super().__init__(f"{shown} {what} exceeds the limit of {limit}")
 
 
 class NotConvergedError(ZecapError):

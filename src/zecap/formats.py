@@ -62,9 +62,9 @@ __all__ = [
 
 
 def complex_matrix_to_json(m: np.ndarray) -> list:
-    """Row-major nested list of [re, im] pairs."""
+    """Row-major nested list of [re, im] pairs; a stack gives a list of matrices."""
     m = np.asarray(m, dtype=np.complex128)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def complex_matrix_from_json(rows, what: str = "matrix") -> np.ndarray:
@@ -145,18 +145,14 @@ def channel_spec_document(
     doc: dict = {"name": str(name)}
     if channel is not None:
         doc["dim"] = channel.dim
-        doc["kraus"] = _kraus_json(channel)
+        doc["kraus"] = complex_matrix_to_json(channel.kraus)
     else:
         doc["classical_matrix"] = _classical_json(classical_matrix)
     if states is not None:
         doc["states"] = _states_json(states)
     if povm is not None:
-        doc["povm"] = _povm_json(povm)
+        doc["povm"] = complex_matrix_to_json(povm.elements)
     return doc
-
-
-def _kraus_json(channel: QuantumChannel) -> list:
-    return [complex_matrix_to_json(k) for k in channel.kraus]
 
 
 def _classical_json(w: np.ndarray | None) -> list | None:
@@ -165,10 +161,6 @@ def _classical_json(w: np.ndarray | None) -> list | None:
 
 def _states_json(states: StateSet) -> list:
     return [complex_matrix_to_json(s.matrix) for s in states.states]
-
-
-def _povm_json(povm: Povm) -> list:
-    return [complex_matrix_to_json(e) for e in povm.elements]
 
 
 _BUILTIN_HELP = (
@@ -464,7 +456,7 @@ def search_result_document(res: SearchResult) -> dict:
         "objective_bound": res.objective_bound,
         "proposals": res.proposals,
         "states": _states_json(res.best_states),
-        "povm": _povm_json(res.best_povm),
+        "povm": complex_matrix_to_json(res.best_povm.elements),
         "graph": graph_to_json(res.graph),
     }
 
@@ -492,7 +484,7 @@ def report_document(
         "dim": spec.channel.dim,
         "source": spec.source,
         "kraus_count": len(spec.channel.kraus),
-        "kraus": _kraus_json(spec.channel),
+        "kraus": complex_matrix_to_json(spec.channel.kraus),
         "classical_matrix": _classical_json(spec.classical_matrix),
     }
     pairs = non_adjacent_pair_count(graph)
@@ -508,7 +500,7 @@ def report_document(
             "state_count": len(states.states),
             "povm_outcomes": len(povm.elements),
             "states": _states_json(states),
-            "povm": _povm_json(povm),
+            "povm": complex_matrix_to_json(povm.elements),
         },
         "supports": [sorted(s) for s in graph.supports],
         "fragile_probability_count": graph.fragile_count,

@@ -8,24 +8,27 @@ the validation policy: inputs that fail a contract are rejected with the
 measured deviation, never repaired.  Every check uses one fixed absolute
 tolerance of 1e-9, each in its own norm (see ``_TOL``).
 
-Each distribution is one stacked contraction, with no per-operator Python
-loop: the Kraus operators are stacked into a (K, d, d) array and applied in
-one batched product, and the N POVM traces are one matrix-vector product
-with the (N, d, d) stack of elements.
+A channel keeps its Kraus operators as one frozen (K, d, d) stack and a POVM
+its elements as one frozen (N, d, d) stack, both built at validation, so each
+distribution is one stacked contraction with no per-operator Python loop: one
+batched product applies the Kraus stack, and the N POVM traces are one
+matrix-vector product with the element stack.
 
 Matrices are plain ``numpy.ndarray`` of complex128.  A channel whose Kraus
 operators and input are exactly real (imaginary parts identically zero, as in
 every classical embedding) is applied in float64, where a complex product
 would spend three of its four real multiplications on zeros; the output is
-complex128 all the same.  Wrapper dataclasses (:class:`DensityMatrix`,
-:class:`QuantumChannel`, :class:`Povm`) certify that their contents passed
-validation; their arrays are frozen (non-writeable).
+complex128 all the same.  A stack's realness is decided once, on first use.
+Wrapper dataclasses (:class:`DensityMatrix`, :class:`QuantumChannel`,
+:class:`Povm`) certify that their contents passed validation; their arrays
+are frozen (non-writeable).
 All indices are 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,39 +126,43 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """A validated trace-preserving channel given by Kraus operators.
+    """A validated trace-preserving channel given by a frozen (K, d, d) Kraus stack.
 
     ``apply_channel`` computes ``sum_m K_m rho K_m^dagger``.  Input and
     output dimensions are equal by construction.
     """
 
     dim: int
-    kraus: tuple[np.ndarray, ...]
+    kraus: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "kraus", tuple(_freeze(k) for k in self.kraus))
+        object.__setattr__(self, "kraus", _freeze(self.kraus))
+
+    @cached_property
+    def _real_kraus(self) -> np.ndarray | None:
+        return _exact_real(self.kraus)
 
     def __eq__(self, other):
         if not isinstance(other, QuantumChannel):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and len(self.kraus) == len(other.kraus)
-            and all(np.array_equal(a, b) for a, b in zip(self.kraus, other.kraus))
-        )
+        return self.dim == other.dim and np.array_equal(self.kraus, other.kraus)
 
     __hash__ = None
 
 
 @dataclass(frozen=True)
 class Povm:
-    """A validated POVM: Hermitian PSD elements summing to the identity."""
+    """A validated POVM: a frozen (N, d, d) stack of PSD elements summing to the identity."""
 
     dim: int
-    elements: tuple[np.ndarray, ...]
+    elements: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(_freeze(e) for e in self.elements))
+        object.__setattr__(self, "elements", _freeze(self.elements))
+
+    @cached_property
+    def _real_elements(self) -> np.ndarray | None:
+        return _exact_real(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -163,11 +170,7 @@ class Povm:
     def __eq__(self, other):
         if not isinstance(other, Povm):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and len(self.elements) == len(other.elements)
-            and all(np.array_equal(a, b) for a, b in zip(self.elements, other.elements))
-        )
+        return self.dim == other.dim and np.array_equal(self.elements, other.elements)
 
     __hash__ = None
 
@@ -235,7 +238,7 @@ def validate_channel(kraus: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Quan
     dev = float(np.linalg.norm(s - np.eye(d)))
     if dev > _TOL:
         raise NotTracePreservingError(dev, _TOL)
-    return QuantumChannel(dim=d, kraus=tuple(ops))
+    return QuantumChannel(dim=d, kraus=ops)
 
 
 def validate_povm(elements: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Povm:
@@ -253,7 +256,7 @@ def validate_povm(elements: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Povm
     dev = float(np.linalg.norm(sum(ops) - np.eye(d)))
     if dev > _TOL:
         raise PovmIncompleteError(dev, _TOL)
-    return Povm(dim=d, elements=tuple(ops))
+    return Povm(dim=d, elements=ops)
 
 
 def _projective_povm(u: np.ndarray) -> Povm:
@@ -272,16 +275,17 @@ def _exact_real(a: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray(a.real)
 
 
-def _apply_kraus(kraus: tuple[np.ndarray, ...], m: np.ndarray) -> np.ndarray:
-    """``sum_k K_k m K_k^dagger`` as one batched product over the stacked Kraus operators.
+def _apply_kraus(channel: QuantumChannel, m: np.ndarray) -> np.ndarray:
+    """``sum_k K_k m K_k^dagger`` as one batched product over the channel's Kraus stack.
 
-    The axis-0 sum adds the K terms in order, as a loop over ``kraus`` would.
-    When the Kraus stack and ``m`` are both exactly real, the product runs in
-    float64 as ``sum_k K_k m K_k^T``; the result is complex128 either way.
+    The axis-0 sum adds the K terms in order, as a loop would.  When the
+    channel's Kraus stack (its realness decided once) and ``m`` (tested on
+    each call) are both exactly real, the product runs in float64 as
+    ``sum_k K_k m K_k^T``; the result is complex128 either way.
     """
-    ks = np.asarray(kraus)
-    real_ks, real_m = _exact_real(ks), _exact_real(m)
-    if real_ks is None or real_m is None:
+    ks, real_ks = channel.kraus, channel._real_kraus
+    real_m = None if real_ks is None else _exact_real(m)
+    if real_m is None:
         return (ks @ m @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
     return (real_ks @ real_m @ real_ks.transpose(0, 2, 1)).sum(axis=0).astype(np.complex128)
 
@@ -301,7 +305,7 @@ def apply_channel(channel: QuantumChannel, state: DensityMatrix) -> DensityMatri
         raise DimensionMismatchError(
             f"channel dim {channel.dim} != state dim {state.dim}"
         )
-    return validate_state(_apply_kraus(channel.kraus, state.matrix))
+    return validate_state(_apply_kraus(channel, state.matrix))
 
 
 def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: Povm) -> np.ndarray:
@@ -338,9 +342,9 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
         raise DimensionMismatchError(
             f"dimensions disagree: channel {channel.dim}, state {state.dim}, POVM {povm.dim}"
         )
-    sigma = _apply_kraus(channel.kraus, state.matrix)
+    sigma = _apply_kraus(channel, state.matrix)
     # tr(sigma E_j) = sum_{a,b} E_j[a, b] sigma^T[a, b].
-    raw = np.asarray(povm.elements).reshape(len(povm), -1) @ sigma.T.ravel()
+    raw = povm.elements.reshape(len(povm), -1) @ sigma.T.ravel()
     if float(np.max(np.abs(raw.imag))) > _TOL:
         raise InvalidProbabilitiesError(
             f"outcome trace has imaginary part up to {np.max(np.abs(raw.imag)):.3e}"
@@ -437,6 +441,4 @@ def random_channel(dim: int, kraus_count: int, rng: np.random.Generator) -> Quan
     z = rng.standard_normal((kraus_count * dim, dim)) + 1j * rng.standard_normal(
         (kraus_count * dim, dim)
     )
-    q = _haar_q(z)
-    ops = [q[m * dim : (m + 1) * dim, :] for m in range(kraus_count)]
-    return QuantumChannel(dim=dim, kraus=tuple(ops))
+    return QuantumChannel(dim=dim, kraus=_haar_q(z).reshape(kraus_count, dim, dim))

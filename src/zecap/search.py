@@ -198,7 +198,7 @@ def _small_rotation(dim: int, step: float, rng: np.random.Generator) -> np.ndarr
 
 
 def _prob_table(
-    kraus: tuple[np.ndarray, ...],
+    kraus: np.ndarray,
     cand: tuple[np.ndarray, np.ndarray],
     general: bool,
     outcomes: int,
@@ -209,19 +209,12 @@ def _prob_table(
     """
     vecs, meas = cand
     v = vecs.T  # (dim, M)
+    # The axis-0 sums add the K Kraus terms in order, as a loop would.
     if general:
-        dim = v.shape[0]
-        p = np.zeros((outcomes, v.shape[1]))
-        for k in kraus:
-            w = meas @ (k @ v)  # (outcomes*dim, M)
-            p += (np.abs(w.reshape(outcomes, dim, -1)) ** 2).sum(axis=1)
-        return p.T
-    uh = meas.conj().T
-    p = np.zeros((meas.shape[0], v.shape[1]))
-    for k in kraus:
-        amp = uh @ (k @ v)  # (N, M)
-        p += np.abs(amp) ** 2
-    return p.T
+        w = (meas @ (kraus @ v)).reshape(len(kraus), outcomes, v.shape[0], -1)  # (K, N, dim, M)
+        return (np.abs(w) ** 2).sum(axis=2).sum(axis=0).T
+    amp = meas.conj().T @ (kraus @ v)  # (K, N, M)
+    return (np.abs(amp) ** 2).sum(axis=0).T
 
 
 def _pair_count(p: np.ndarray, eps: float) -> int:
@@ -235,17 +228,17 @@ def _pair_count(p: np.ndarray, eps: float) -> int:
     return int(np.count_nonzero(shared[iu] == 0))
 
 
-def _operator_space(kraus: tuple[np.ndarray, ...]) -> np.ndarray:
+def _operator_space(kraus: np.ndarray) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) basis of S = span{K_i^dagger K_j}, shape (dim S, d, d)."""
-    d = kraus[0].shape[0]
-    prods = np.stack([a.conj().T @ b for a in kraus for b in kraus]).reshape(-1, d * d)
+    d = kraus.shape[1]
+    prods = (kraus.conj().transpose(0, 2, 1)[:, None] @ kraus).reshape(-1, d * d)
     _, sv, vh = np.linalg.svd(prods, full_matrices=False)
     rank = int(np.count_nonzero(sv > _RANK_TOL * sv[0]))
     return vh[:rank].reshape(rank, d, d)
 
 
 def _objective_bound(
-    kraus: tuple[np.ndarray, ...], dim: int, m: int, outcomes: int, eps: float
+    kraus: np.ndarray, dim: int, m: int, outcomes: int, eps: float
 ) -> float:
     """Upper bound on the pair count over every (states, measurement) pair.
 
@@ -254,13 +247,13 @@ def _objective_bound(
     lambda_min(C) dim/N exceeds eps, that outcome is in every support and no
     pair is distinguishable; otherwise all M(M-1)/2 pairs may be.
     """
-    vec = np.stack([k.reshape(-1) for k in kraus], axis=1)  # (d^2, K)
+    vec = kraus.reshape(len(kraus), -1).T  # (d^2, K)
     lam_min = np.linalg.eigvalsh(vec @ vec.conj().T)[0]
     return 0.0 if (lam_min - _ROUNDOFF) * dim / outcomes > eps else float(m * (m - 1) // 2)
 
 
 def _s_start(
-    kraus: tuple[np.ndarray, ...], m: int, general: bool, outcomes: int, rng: np.random.Generator
+    kraus: np.ndarray, m: int, general: bool, outcomes: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """States from the eigenbasis of a random Hermitian element of S, measured on their output ranges."""
     basis = _operator_space(kraus)
@@ -273,7 +266,7 @@ def _s_start(
     # against those before it, completed to a unitary.
     cols = np.zeros((dim, 0), dtype=np.complex128)
     for v in vecs:
-        out = np.stack([k @ v for k in kraus], axis=1)
+        out = (kraus @ v).T
         out -= cols @ (cols.conj().T @ out)
         u, sv, _ = np.linalg.svd(out, full_matrices=False)
         cols = np.hstack([cols, u[:, sv > _RANK_TOL]])
@@ -292,7 +285,7 @@ def _aligned_meas(u: np.ndarray, dim: int, general: bool, outcomes: int) -> np.n
 
 
 def _starts(
-    kraus: tuple[np.ndarray, ...],
+    kraus: np.ndarray,
     m: int,
     general: bool,
     outcomes: int,
@@ -336,7 +329,7 @@ def _propose(
 
 
 def _run_restart(
-    kraus: tuple[np.ndarray, ...],
+    kraus: np.ndarray,
     cfg: SearchConfig,
     restart_index: int,
     outcomes: int,

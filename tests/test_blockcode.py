@@ -21,7 +21,7 @@ from zecap import (
     reachable_supports,
     verify_zero_error,
 )
-from zecap import blockcode
+from zecap import blockcode, quantum
 from zecap.blockcode import _kron, _tensor_path_agrees, _word_probabilities
 from zecap.confusability import StateSet
 from zecap.errors import (
@@ -30,6 +30,7 @@ from zecap.errors import (
     SizeLimitError,
 )
 from zecap.quantum import (
+    apply_channel,
     outcome_probabilities,
     pure_state,
     random_density_matrix,
@@ -259,6 +260,31 @@ def test_pentagon_certificate_passes_with_agreeing_paths():
     assert rep.word_space_size == 25
     assert rep.tensor_path_checked
     assert rep.paths_agree
+
+
+def test_each_channel_and_povm_stack_is_tested_for_realness_once(monkeypatch):
+    # A Kraus stack's and a POVM stack's realness is decided on first use and
+    # kept; states and channel outputs are tested on every call.
+    exact_real = quantum._exact_real
+    tested = []
+
+    def recorded(a):
+        tested.append(a)
+        return exact_real(a)
+
+    monkeypatch.setattr(quantum, "_exact_real", recorded)
+    monkeypatch.setattr(blockcode, "_exact_real", recorded)
+    channel, states, povm, graph = pentagon_ensemble()
+    code = build_code(graph, states, povm, n=2)
+    for _ in range(3):
+        for s in states.states:
+            outcome_probabilities(channel, s, povm)
+            apply_channel(channel, s)
+        assert verify_zero_error(code, channel, eps=1e-9).paths_agree
+    assert code.povm is povm
+    assert sum(a is channel.kraus for a in tested) == 1
+    assert sum(a is povm.elements for a in tested) == 1
+    assert len(tested) > 3 * 2 * len(states.states)
 
 
 def test_certificate_reports_full_overlap_for_confusable_codewords():

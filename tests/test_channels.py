@@ -19,6 +19,7 @@ from zecap import (
     pentagon_matrix,
     pure_state,
     random_density_matrix,
+    validate_povm,
 )
 from zecap.errors import NotStochasticError, ValidationError
 from zecap.formats import parse_channel_spec
@@ -128,6 +129,21 @@ def test_embedding_rejects_non_stochastic_rows():
         embed_classical(np.array([[1.5, -0.5], [0.5, 0.5]]))
     with pytest.raises(ValidationError):
         embed_classical(np.zeros((0, 2)))
+    # NaN fails every comparison, so "min < 0 or |sum - 1| > tol" let it pass.
+    for w, row in (([[np.nan, 1.0], [0.0, 1.0]], 0), ([[0.0, 1.0], [1.0, np.nan]], 1)):
+        with pytest.raises(NotStochasticError) as exc:
+            embed_classical(np.array(w))
+        assert exc.value.row == row
+
+
+def test_channels_of_one_dimension_with_different_kraus_counts_are_unequal():
+    pentagon, _, povm5 = embed_classical(pentagon_matrix())
+    identity = identity_channel(5)
+    assert pentagon.dim == identity.dim == 5
+    assert (len(pentagon.kraus), len(identity.kraus)) == (10, 1)
+    assert pentagon != identity and identity != pentagon
+    assert pentagon == embed_classical(pentagon_matrix())[0]
+    assert povm5 != validate_povm([np.eye(5) / 4] * 4)  # 5 and 4 outcomes in dimension 5
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ def test_validate_rejects_bad_math_with_exit_1(tmp_path):
     assert "error" in proc.stderr
 
 
+def test_validate_rejects_a_nan_transition_probability_with_exit_1(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"name": "x", "classical_matrix": [[NaN, 1.0], [0.0, 1.0]]}')
+    proc = run_cli(["validate", str(path)])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "row 0 is not a probability distribution (sum = nan)" in proc.stderr
+
+
 def test_missing_and_malformed_files_exit_2(tmp_path):
     proc = run_cli(["validate", str(tmp_path / "absent.json")])
     assert proc.returncode == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +147,19 @@ def test_strong_power_respects_size_cap():
     assert exc.value.size == 125
     with pytest.raises(DimensionMismatchError):
         strong_power(cycle_graph(5), 0)
+
+
+def test_size_limit_message_formats_past_the_decimal_conversion_limit():
+    # 5^7000 has 4,893 decimal digits, past the 4,300 that Python converts
+    # by default; such a size is shown by the power of 2 below it.
+    assert str(SizeLimitError(125, 64)) == "125 vertices exceeds the limit of 64"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    shown = "at least 2^16253" if 0 < limit < 4893 else str(5**7000)
+    want = f"{shown} vertices exceeds the limit of 64"
+    assert str(SizeLimitError(5**7000, 64)) == want
+    with pytest.raises(SizeLimitError) as exc:
+        strong_power(cycle_graph(5), 7000)
+    assert exc.value.size == 5**7000 and str(exc.value) == want
 
 
 # ---------------------------------------------------------------------------

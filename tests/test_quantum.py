@@ -84,6 +84,15 @@ def test_validated_arrays_are_frozen():
     rho = validate_state(np.eye(2) / 2)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 9.0
+    # A channel's Kraus operators and a POVM's elements are each one
+    # C-ordered complex128 (count, d, d) stack.
+    channel = validate_channel([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * Z])
+    povm = validate_povm([np.eye(3) / 3] * 3)
+    for stack, shape in ((channel.kraus, (2, 2, 2)), (povm.elements, (3, 3, 3))):
+        assert stack.shape == shape and stack.dtype == np.complex128
+        assert stack.flags.c_contiguous
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 9.0
 
 
 # ---------------------------------------------------------------------------
