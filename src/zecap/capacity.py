@@ -59,10 +59,11 @@ def capacity_bounds(g: Graph, n_max: int) -> CapacityBounds:
     g : Graph
         Confusability graph (edge = confusable).
     n_max : int
-        Largest block length to attempt.  A block length whose strong power
-        or its exact alpha the graph module refuses (``SizeLimitError``) is
-        recorded as a skipped entry carrying the refusal's message, not
-        raised.
+        Largest block length to attempt.  The first block length whose
+        strong power or its exact alpha the graph module refuses
+        (``SizeLimitError``) is recorded as a skipped entry carrying the
+        refusal's message, not raised, and no larger block length is tried:
+        its power is larger still.  A one-vertex graph is never refused.
 
     Returns
     -------
@@ -86,7 +87,7 @@ def capacity_bounds(g: Graph, n_max: int) -> CapacityBounds:
             alpha, witness = independence_number(strong_power(g, n))
         except SizeLimitError as exc:
             entries.append(RateEntry(n=n, alpha=None, rate=None, skipped=True, reason=str(exc)))
-            continue
+            break
         rate = math.log2(alpha) / n
         best_lower = max(best_lower, rate)
         entries.append(RateEntry(n=n, alpha=alpha, rate=rate, witness=witness))

@@ -12,7 +12,9 @@ Edge semantics follow the package convention: an edge means confusable.
 
 from __future__ import annotations
 
+import itertools
 import operator
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,16 +40,19 @@ MAX_VERTICES = 64
 class Graph:
     """Immutable undirected simple graph on vertices 0..vertex_count-1.
 
-    Edges are stored as a frozenset of (a, b) pairs with a < b; build
-    through :meth:`from_edges` to normalize arbitrary pair iterables.
-    Endpoints are stored as Python ints, whatever integer type they came in.
+    Edges are stored as a frozenset of (a, b) pairs with a < b.  The
+    constructor takes any iterable of integer pairs, in either orientation,
+    and validates and normalizes it in one pass; :meth:`from_edges` is the
+    same constructor.  Endpoints are stored as Python ints, whatever integer
+    type they came in.
     """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.vertex_count < 1:
+        n = self.vertex_count
+        if n < 1:
             raise DimensionMismatchError("a graph needs at least one vertex")
         edges = set()
         for a, b in self.edges:
@@ -57,22 +62,18 @@ class Graph:
                 raise DimensionMismatchError(
                     f"edge ({a!r}, {b!r}) has a non-integer endpoint"
                 ) from None
-            if not (0 <= a < b < self.vertex_count):
-                raise DimensionMismatchError(
-                    f"edge ({a}, {b}) invalid for {self.vertex_count} vertices"
-                )
+            if a > b:
+                a, b = b, a
+            elif a == b:
+                raise DimensionMismatchError(f"self-loop at vertex {a}")
+            if a < 0 or b >= n:
+                raise DimensionMismatchError(f"edge ({a}, {b}) invalid for {n} vertices")
             edges.add((a, b))
         object.__setattr__(self, "edges", frozenset(edges))
 
     @staticmethod
     def from_edges(vertex_count: int, pairs) -> "Graph":
-        norm = set()
-        for a, b in pairs:
-            a, b = int(a), int(b)
-            if a == b:
-                raise DimensionMismatchError(f"self-loop at vertex {a}")
-            norm.add((min(a, b), max(a, b)))
-        return Graph(vertex_count=vertex_count, edges=frozenset(norm))
+        return Graph(vertex_count, pairs)
 
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
@@ -82,28 +83,36 @@ class Graph:
 
     def adjacency_masks(self) -> tuple[int, ...]:
         """Per-vertex neighbor bitmasks (bit b of masks[a] set iff a~b)."""
-        masks = [0] * self.vertex_count
-        for a, b in self.edges:
-            masks[a] |= 1 << b
-            masks[b] |= 1 << a
-        return tuple(masks)
+        return tuple(_pack(self._adjacency()))
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 adjacency matrix (float64, symmetric, zero diagonal)."""
-        m = np.zeros((self.vertex_count, self.vertex_count))
-        for a, b in self.edges:
-            m[a, b] = m[b, a] = 1.0
-        return m
+        return self._adjacency().astype(float)
+
+    def _adjacency(self) -> np.ndarray:
+        n = self.vertex_count
+        ends = np.fromiter(
+            itertools.chain.from_iterable(self.edges), dtype=np.intp, count=2 * len(self.edges)
+        )
+        a = np.zeros((n, n), dtype=bool)
+        a[ends[0::2], ends[1::2]] = True
+        return a | a.T
 
     def complement(self) -> "Graph":
-        n = self.vertex_count
-        comp = frozenset(
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if (a, b) not in self.edges
-        )
-        return Graph(vertex_count=n, edges=comp)
+        comp = ~self._adjacency()
+        return Graph(self.vertex_count, _upper_pairs(comp))
+
+
+def _upper_pairs(m: np.ndarray):
+    """The (a, b), a < b, where the square matrix ``m`` is nonzero."""
+    rows, cols = np.nonzero(np.triu(m, 1))
+    return zip(rows.tolist(), cols.tolist())
+
+
+def _pack(rows: np.ndarray) -> list[int]:
+    """Each boolean row as a Python int whose bit j is entry j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in packed]
 
 
 def complete_graph(n: int) -> Graph:
@@ -135,14 +144,11 @@ def strong_product(g: Graph, h: Graph, max_vertices: int = MAX_VERTICES) -> Grap
     n = g.vertex_count * h.vertex_count
     if n > max_vertices:
         raise SizeLimitError(n, max_vertices)
-    # (A_g + I) kron (A_h + I) has a positive entry exactly where the two
-    # coordinates are each equal-or-adjacent; drop the diagonal.
-    ag = g.adjacency_matrix() + np.eye(g.vertex_count)
-    ah = h.adjacency_matrix() + np.eye(h.vertex_count)
-    prod = np.kron(ag, ah)
-    np.fill_diagonal(prod, 0.0)
-    rows, cols = np.nonzero(prod)
-    return Graph.from_edges(n, ((int(a), int(b)) for a, b in zip(rows, cols) if a < b))
+    # (A_g + I) kron (A_h + I) is nonzero exactly where the two coordinates
+    # are each equal-or-adjacent; the diagonal falls outside the upper triangle.
+    ag = g._adjacency() | np.eye(g.vertex_count, dtype=bool)
+    ah = h._adjacency() | np.eye(h.vertex_count, dtype=bool)
+    return Graph(n, _upper_pairs(np.kron(ag, ah)))
 
 
 def strong_power(g: Graph, n: int, max_vertices: int = MAX_VERTICES) -> Graph:
@@ -285,8 +291,8 @@ def independence_number(
     the new completion.
 
     A graph of at least ``_TRANSITIVE_FLOOR`` vertices that is proven
-    vertex-transitive (automorphisms map 0 to every vertex, each checked
-    edge by edge) is searched as G - N[0] instead, in its own degeneracy
+    vertex-transitive (automorphisms map 0 to every vertex, each checked on
+    the adjacency matrix) is searched as G - N[0] instead, in its own degeneracy
     order.  The witness is unchanged: an automorphism moves a member of any
     maximum set to 0, so the lexicographically smallest maximum set starts
     with 0, and its remainder is the lexicographically smallest maximum set
@@ -295,40 +301,34 @@ def independence_number(
     n = g.vertex_count
     if n > max_vertices:
         raise SizeLimitError(n, max_vertices)
-    masks = g.adjacency_masks()
+    adj = g._adjacency()
     if n < _TRANSITIVE_FLOOR or not _vertex_transitive(g):
-        return _maximum_independent_set(masks)
-    rest = [v for v in range(1, n) if not masks[0] >> v & 1]
-    sub = [sum(1 << i for i, u in enumerate(rest) if masks[v] >> u & 1) for v in rest]
-    alpha, witness = _maximum_independent_set(sub)
-    return 1 + alpha, (0,) + tuple(rest[i] for i in witness)
+        return _maximum_independent_set(adj)
+    rest = np.flatnonzero(~adj[0])[1:]  # G - N[0]; vertex 0 is the first non-neighbour
+    alpha, witness = _maximum_independent_set(adj[np.ix_(rest, rest)])
+    return 1 + alpha, (0,) + tuple(rest[list(witness)].tolist())
 
 
-def _maximum_independent_set(masks) -> tuple[int, tuple[int, ...]]:
-    """The clique engine on the complement of the graph with these masks."""
-    n = len(masks)
+def _maximum_independent_set(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
+    """The clique engine on the complement of the graph with this adjacency."""
+    n = len(adj)
     full = (1 << n) - 1
-    comp = [full & ~m & ~(1 << v) for v, m in enumerate(masks)]
-    # Degeneracy order: peel a vertex of least remaining degree (lowest label
-    # on ties, as ``left`` stays sorted) into the highest free position.
-    deg = [m.bit_count() for m in comp]
-    left = list(range(n))
-    pos = [0] * n  # label -> bit position
+    comp = ~adj
+    np.fill_diagonal(comp, False)
+    # Degeneracy order: peel a vertex of least remaining degree (argmin takes
+    # the lowest label on ties) into the highest free position; a peeled
+    # vertex's degree is pushed past every live one.
+    deg = comp.sum(axis=1)
+    order = np.empty(n, dtype=np.intp)  # bit position -> label
     for rank in range(n - 1, -1, -1):
-        v = min(left, key=deg.__getitem__)
-        left.remove(v)
-        pos[v] = rank
-        for u in left:
-            deg[u] -= comp[v] >> u & 1
-    adj = [0] * n
-    for v, m in enumerate(comp):
-        bits = 0
-        while m:
-            low = m & -m
-            bits |= 1 << pos[low.bit_length() - 1]
-            m ^= low
-        adj[pos[v]] = bits
-    adj = tuple(adj)
+        v = deg.argmin()
+        order[rank] = v
+        deg -= comp[v]
+        deg[v] = 2 * n
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    pos = pos.tolist()  # label -> bit position
+    adj = tuple(_pack(comp[np.ix_(order, order)]))
     known = 0  # a maximum clique through every vertex chosen so far
     for b in _clique(adj, full, 0, False):
         known |= 1 << b
@@ -373,44 +373,63 @@ def _maximum_independent_set(masks) -> tuple[int, tuple[int, ...]]:
 # is the lexicographically smallest maximum set of G - N[0] (an
 # order-preserving relabel keeps lexicographic order).  The symmetry is
 # proven from the edges, never read off the labels: automorphisms 0 -> w are
-# searched by individualisation and colour refinement, and each is accepted
-# only once it maps every edge onto an edge.
+# searched by individualisation and colour refinement (McKay & Piperno 2014),
+# and each is accepted only once it maps the adjacency matrix onto itself.
+# Both are array operations: a refinement round is one sum over the
+# neighbour lists and one sort, and the check one permuted copy of the matrix.
 
-# Below this many vertices the whole search costs no more than the proof
-# (C7xC7, 49 vertices, breaks even), so the proof is not tried.
-_TRANSITIVE_FLOOR = 50
+# Below this many vertices the whole search costs no more than the proof and
+# the remainder search (C5xC7 and Paley(41) lose, C5xC9 wins), so the proof
+# is not tried.
+_TRANSITIVE_FLOOR = 45
 # Refinements one automorphism search may spend before the proof gives up.
 _PROOF_NODES = 64
 
 
-def _refine(nbrs: list[list[int]], colors: list[int], expect=None):
-    """Colour refinement to the stable colouring; returns (colors, rounds).
+def _weights(size: int) -> np.ndarray:
+    """Fixed pseudo-random 32-bit weights for colours 0..size-1; each table is
+    a prefix of every longer one, and fewer than 2^31 of them sum exactly."""
+    rng = random.Random(0)
+    return np.array([rng.getrandbits(32) for _ in range(size)], dtype=np.int64)
 
-    A round recolours v by (its colour, the sorted colours of its neighbours),
-    flat, as every vertex has the same degree, and named by rank among the
-    round's distinct signatures, so the colouring depends on the edges and
-    never on the labels.  ``rounds`` lists each round's sorted signatures.
-    With ``expect`` (the rounds of a colouring to match) the refinement stops
-    at the first round that differs and returns None: no automorphism maps
-    the one colouring onto the other.
+
+def _refine(nbrs: np.ndarray, weights: np.ndarray, colors: np.ndarray, expect=None):
+    """Colour refinement to a stable colouring; returns (colors, rounds).
+
+    A round keys v by its colour and the sum of its neighbours' colour
+    ``weights``, and names each key by its rank among the round's keys, so
+    the colouring depends on the edges and never on the labels.  Keys of one
+    colour whose weights happen to sum alike stay merged: the refinement then
+    splits less, which may cost the proof nodes but never its soundness.
+    ``rounds`` lists each round's sums in key order.  With ``expect`` (the
+    rounds of a colouring to match) the refinement stops at the first round
+    that differs and returns None: no automorphism maps the one colouring
+    onto the other.  The sums alone tell: colourings that have matched so far
+    hold each colour equally often, so their sorted colours agree.
     """
-    classes = len(set(colors))
     rounds = []
     while True:
-        get = colors.__getitem__
-        sigs = [(c, *sorted(map(get, vs))) for c, vs in zip(colors, nbrs)]
-        ordered = sorted(sigs)
-        if expect is not None and (len(rounds) == len(expect) or ordered != expect[len(rounds)]):
+        sums = weights[colors][nbrs].sum(axis=1)
+        order = np.lexsort((sums, colors))
+        c, s = colors[order], sums[order]
+        r = len(rounds)
+        if expect is not None and (r == len(expect) or not np.array_equal(s, expect[r])):
             return None
-        rounds.append(ordered)
-        names = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
-        colors = [names[s] for s in sigs]
-        if len(names) == classes:
+        rounds.append(s)
+        old = c[1:] != c[:-1]
+        new = old | (s[1:] != s[:-1])
+        colors = np.empty_like(colors)
+        colors[order] = np.concatenate(([0], np.cumsum(new)))
+        if np.count_nonzero(new) == np.count_nonzero(old):
             return colors, rounds
-        classes = len(names)
 
 
-def _automorphism(nbrs, masks, path, leaf: list[int], w: int) -> list[int] | None:
+def _is_automorphism(adj: np.ndarray, sigma: np.ndarray) -> bool:
+    """True iff ``sigma`` maps edges onto edges and non-edges onto non-edges."""
+    return np.array_equal(adj[np.ix_(sigma, sigma)], adj)
+
+
+def _automorphism(adj, nbrs, weights, path, leaf: np.ndarray, w: int) -> np.ndarray | None:
     """An automorphism mapping 0 to ``w``, found within ``_PROOF_NODES`` refinements.
 
     ``path`` holds the rounds and the chosen cell of each individualisation
@@ -418,8 +437,8 @@ def _automorphism(nbrs, masks, path, leaf: list[int], w: int) -> list[int] | Non
     same path from ``w``, trying every vertex of the chosen cell in turn,
     depth first, lowest first; None when it finds nothing or runs out.
     """
-    n = len(nbrs)
-    stack = [(0, [0] * n, w)]
+    n = len(leaf)
+    stack = [(0, np.zeros(n, dtype=np.intp), w)]
     for _ in range(_PROOF_NODES):
         if not stack:
             return None
@@ -427,19 +446,18 @@ def _automorphism(nbrs, masks, path, leaf: list[int], w: int) -> list[int] | Non
         colors = colors.copy()
         colors[y] = n
         rounds, cell = path[depth]
-        refined = _refine(nbrs, colors, rounds)
+        refined = _refine(nbrs, weights, colors, rounds)
         if refined is None:
             continue
         colors = refined[0]
         if cell >= 0:
-            stack += [(depth + 1, colors, z) for z in range(n - 1, -1, -1) if colors[z] == cell]
+            stack += [(depth + 1, colors, z) for z in np.flatnonzero(colors == cell)[::-1]]
             continue
-        at = [0] * n
-        for v, c in enumerate(colors):
-            at[c] = v
-        sigma = [at[c] for c in leaf]
+        at = np.empty(n, dtype=np.intp)
+        at[colors] = np.arange(n)
+        sigma = at[leaf]
         # Refinement narrows the candidates; only the edges decide.
-        if all(masks[sigma[v]] >> sigma[u] & 1 for v in range(n) for u in nbrs[v]):
+        if _is_automorphism(adj, sigma):
             return sigma
     return None
 
@@ -451,48 +469,45 @@ def _vertex_transitive(g: Graph) -> bool:
     came out empty, or one ran out of its ``_PROOF_NODES`` refinements.
     """
     n = g.vertex_count
-    masks = g.adjacency_masks()
-    degree = masks[0].bit_count()
-    if any(m.bit_count() != degree for m in masks):
+    adj = g._adjacency()
+    degrees = adj.sum(axis=1)
+    if (degrees != degrees[0]).any():
         return False
-    if degree in (0, n - 1):
+    if degrees[0] in (0, n - 1):
         return True
-    nbrs = [[u for u in range(n) if m >> u & 1] for m in masks]
+    nbrs = np.nonzero(adj)[1].reshape(n, -1)
+    weights = _weights(n + 1)
 
     # One path of individualisations from 0, each in the largest cell (lowest
     # colour on ties), down to a discrete colouring.  An automorphism 0 -> w
     # maps this path onto a path from w through the same cells.
     path = []  # (rounds, cell to individualise next, or -1 at the leaf)
-    colors, x = [0] * n, 0
+    colors, x = np.zeros(n, dtype=np.intp), 0
     while True:
         colors = colors.copy()
         colors[x] = n  # a fresh colour, the same on both sides
-        colors, rounds = _refine(nbrs, colors)
-        sizes = [0] * n
-        for c in colors:
-            sizes[c] += 1
-        cell = max(range(n), key=sizes.__getitem__)
+        colors, rounds = _refine(nbrs, weights, colors)
+        sizes = np.bincount(colors)
+        cell = int(sizes.argmax())
         if sizes[cell] == 1:
             cell = -1
         path.append((rounds, cell))
         if cell < 0:
             break
-        x = colors.index(cell)
+        x = int((colors == cell).argmax())
     leaf = colors  # discrete: each colour names one vertex
 
-    orbit, gens = 1, []
-    for w in range(1, n):
-        if orbit >> w & 1:
-            continue
-        sigma = _automorphism(nbrs, masks, path, leaf, w)
+    orbit = np.zeros(n, dtype=bool)
+    orbit[0] = True
+    gens = []
+    while not orbit.all():
+        sigma = _automorphism(adj, nbrs, weights, path, leaf, int(orbit.argmin()))
         if sigma is None:
             return False
         gens.append(sigma)
-        todo = [v for v in range(n) if orbit >> v & 1]
-        while todo:
-            v = todo.pop()
+        size = 0
+        while size < np.count_nonzero(orbit):  # close the orbit under every generator
+            size = np.count_nonzero(orbit)
             for s in gens:
-                if not orbit >> s[v] & 1:
-                    orbit |= 1 << s[v]
-                    todo.append(s[v])
+                orbit[s[orbit]] = True
     return True

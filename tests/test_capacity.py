@@ -58,6 +58,16 @@ def test_oversized_block_lengths_are_skipped_not_fatal():
     assert b.theta is not None
 
 
+def test_block_lengths_stop_at_the_first_refusal():
+    # Every power past the first one refused is larger still; a one-vertex
+    # graph is never refused.
+    b = capacity_bounds(cycle_graph(5), n_max=7000)
+    assert b.per_n == capacity_bounds(cycle_graph(5), n_max=3).per_n
+    assert [e.skipped for e in b.per_n] == [False, False, True]
+    b = capacity_bounds(edgeless_graph(1), n_max=40)
+    assert [e.alpha for e in b.per_n] == [1] * 40
+
+
 @pytest.mark.parametrize("g", [cycle_graph(5), edgeless_graph(1)], ids=["C5", "one-vertex"])
 def test_a_skipped_block_length_carries_the_graph_modules_refusal(g):
     # The vertex cap is decided in graphs alone: an entry is skipped exactly

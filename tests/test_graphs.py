@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import subprocess
 import sys
 
 import numpy as np
@@ -46,10 +47,16 @@ PETERSEN_EDGES = (
 def test_graph_normalizes_and_validates_edges():
     g = Graph.from_edges(3, [(2, 0), (0, 2), (1, 2)])
     assert g.edges == frozenset({(0, 2), (1, 2)})
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match="self-loop at vertex 0"):
         Graph.from_edges(3, [(0, 0)])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError, match=r"edge \(0, 3\) invalid for 3 vertices"):
         Graph(vertex_count=3, edges=frozenset({(0, 3)}))
+    with pytest.raises(DimensionMismatchError, match=r"edge \(-1, 2\) invalid"):
+        Graph.from_edges(3, [(2, -1)])
+    # One validating pass serves both: no endpoint is truncated to an integer.
+    with pytest.raises(DimensionMismatchError, match="non-integer endpoint"):
+        Graph.from_edges(3, [(0.5, 2)])
+    assert Graph(3, frozenset({(2, 0), (0, 2)})).edges == frozenset({(0, 2)})
     with pytest.raises(DimensionMismatchError):
         Graph(vertex_count=0, edges=frozenset())
 
@@ -365,9 +372,9 @@ def test_transitive_route_searches_only_the_remainder(monkeypatch):
     assert independence_number(g, max_vertices=63)[0] == 13
     assert sizes == [63 - 9]  # G - N[0]: vertex 0 and its 8 neighbours go
     sizes.clear()
-    g = _relabelled(strong_product(cycle_graph(7), cycle_graph(7)), 79)
-    independence_number(g)
-    assert sizes == [49]  # below the floor, the whole graph is searched
+    g = _relabelled(strong_product(cycle_graph(5), cycle_graph(7)), 79)
+    assert independence_number(g)[0] == 7
+    assert sizes == [35]  # below the floor, the whole graph is searched
 
 
 def test_a_proof_out_of_nodes_falls_back_to_the_whole_search(monkeypatch):
@@ -385,11 +392,19 @@ def test_a_proof_out_of_nodes_falls_back_to_the_whole_search(monkeypatch):
         strong_product(cycle_graph(9), cycle_graph(9), max_vertices=81),
         _kneser(8, 3),
         _paley(61),
+        strong_product(cycle_graph(5), cycle_graph(5)),
+        strong_product(cycle_graph(5), cycle_graph(7)),
+        strong_product(cycle_graph(7), cycle_graph(7)),
+        strong_product(cycle_graph(5), cycle_graph(9)),
+        _kneser(9, 3),
+        _paley(97),
     ],
-    ids=["C7xC9", "C9xC9", "Kneser(8,3)", "Paley(61)"],
+    ids=["C7xC9", "C9xC9", "Kneser(8,3)", "Paley(61)"]
+    + ["C5xC5", "C5xC7", "C7xC7", "C5xC9", "Kneser(9,3)", "Paley(97)"],
 )
 def test_symmetry_is_proven_on_relabelled_vertex_transitive_graphs(g):
-    assert graphs._vertex_transitive(_relabelled(g, 11))
+    for seed in range(12):
+        assert graphs._vertex_transitive(_relabelled(g, seed))
 
 
 def test_symmetry_is_refused_where_no_automorphism_moves_zero_everywhere():
@@ -422,6 +437,69 @@ def test_symmetry_proof_agrees_with_backtracking_on_small_regular_graphs():
         ):
             g = _relabelled(Graph.from_edges(n, edges), int(rng.integers(1 << 30)))
             assert graphs._vertex_transitive(g) == (orbit_of_zero(n, g.edges) == tuple(range(n)))
+
+
+def _circulant(n: int, steps, shift: int = 0) -> list[tuple[int, int]]:
+    return [(shift + v, shift + (v + d) % n) for v in range(n) for d in steps]
+
+
+def test_symmetry_proof_agrees_with_backtracking_at_the_sizes_it_serves():
+    # Circulants on 40-64 vertices are vertex-transitive.  Circulants on two
+    # different numbers of vertices, with as many steps each, all below half
+    # the size, have one degree: their disjoint union is regular, and no
+    # automorphism maps one component onto the other.  Relabelled.
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        n = int(rng.integers(40, 65))
+        steps = rng.choice(np.arange(1, n // 2 + 1), size=int(rng.integers(1, 3)), replace=False)
+        a, b = rng.choice(np.arange(20, 33), size=2, replace=False).tolist()
+        k = int(rng.integers(1, 3))
+        union = _circulant(a, rng.choice(np.arange(1, (a + 1) // 2), size=k, replace=False))
+        union += _circulant(b, rng.choice(np.arange(1, (b + 1) // 2), size=k, replace=False), a)
+        for v, edges in ((n, _circulant(n, steps)), (a + b, union)):
+            g = _relabelled(Graph.from_edges(v, edges), int(rng.integers(1 << 30)))
+            assert graphs._vertex_transitive(g) == (orbit_of_zero(v, g.edges) == tuple(range(v)))
+
+
+def test_a_weak_refinement_never_proves_a_false_symmetry(monkeypatch):
+    # With two weights, keys of one colour collide wholesale, so the
+    # refinement splits little and hands the edge check permutations that
+    # are no automorphisms.  The check alone must keep the proof sound.
+    monkeypatch.setattr(graphs, "_weights", lambda size: np.arange(size) % 2)
+    rejected = []
+    check = graphs._is_automorphism
+    monkeypatch.setattr(
+        graphs, "_is_automorphism", lambda adj, sigma: check(adj, sigma) or rejected.append(sigma)
+    )
+    hexagon = [(i, (i + 1) % 6) for i in range(6)]
+    triangles = [(6, 7), (7, 8), (6, 8), (9, 10), (10, 11), (9, 11)]
+    corpus = [Graph.from_edges(16, edges) for edges in _cubic_corpus()]
+    corpus.append(Graph.from_edges(10, PETERSEN_EDGES + [(0, 2)]))
+    corpus.append(Graph.from_edges(12, hexagon + triangles))
+    corpus.append(_relabelled(corpus[-1], 2))
+    for g in corpus:
+        if graphs._vertex_transitive(g):
+            assert orbit_of_zero(g.vertex_count, g.edges) == tuple(range(g.vertex_count))
+    assert rejected
+
+
+def test_the_symmetry_proof_never_imports_numpy_random():
+    code = (
+        "import sys, numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    print('preloaded')\n"
+        "    raise SystemExit\n"
+        "from zecap import Graph, cycle_graph, graphs, independence_number, strong_product\n"
+        "g = strong_product(cycle_graph(7), cycle_graph(9), max_vertices=63)\n"
+        "g = Graph.from_edges(63, [((5 * a + 3) % 63, (5 * b + 3) % 63) for a, b in g.edges])\n"
+        "alpha = independence_number(g, max_vertices=63)[0]\n"
+        "print(graphs._vertex_transitive(g), alpha, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.split() == ["preloaded"]:
+        pytest.skip("import numpy alone loads numpy.random")
+    assert proc.stdout.split() == ["True", "13", "False"]
 
 
 def test_independence_number_respects_size_cap():
