@@ -15,7 +15,6 @@ from .blockcode import (
     ZeroErrorReport,
     build_code,
     build_decoder,
-    reachable_supports,
     verify_zero_error,
 )
 from .channels import (
@@ -32,7 +31,6 @@ from .confusability import (
     StateSet,
     confusability_graph,
     has_positive_zero_error_capacity,
-    non_adjacent,
     non_adjacent_pair_count,
     support_set,
 )
@@ -70,12 +68,8 @@ from .quantum import (
     apply_channel,
     basis_state,
     haar_unitary,
-    maximally_mixed,
     outcome_probabilities,
     pure_state,
-    random_channel,
-    random_density_matrix,
-    tensor,
     validate_channel,
     validate_povm,
     validate_state,
@@ -84,8 +78,5 @@ from .search import (
     SearchConfig,
     SearchResult,
     optimize_pair,
-    random_general_povm,
-    random_projective_povm,
-    random_pure_state_set,
 )
 from .theta import MAX_SDP_VERTICES, ThetaResult, lovasz_theta

@@ -52,7 +52,6 @@ __all__ = [
     "DecoderTable",
     "ZeroErrorReport",
     "build_code",
-    "reachable_supports",
     "build_decoder",
     "verify_zero_error",
 ]
@@ -251,24 +250,6 @@ def build_code(
         source=states,
         povm=povm,
     )
-
-
-def reachable_supports(
-    code: QuantumBlockCode,
-    channel: QuantumChannel,
-    eps: float,
-) -> tuple[frozenset[tuple[int, ...]], ...]:
-    """Output words each codeword can produce, as Cartesian support products.
-
-    Word w = (w_0, ..., w_{n-1}) is reachable from codeword c iff every
-    position's probability p(w_t | c_t) exceeds ``eps``.
-
-    Raises
-    ------
-    SizeLimitError
-        If some codeword's support product exceeds ``ENUMERATION_CAP`` words.
-    """
-    return _enumerate_supports(code, channel, eps)[0]
 
 
 def build_decoder(

@@ -44,10 +44,8 @@ from .formats import (
 from .search import SearchConfig, optimize_pair
 from .theta import lovasz_theta
 
-_DEFAULT_SEED = 7
-
 # Search budget analyze runs when a spec has no ensemble of its own; the
-# search subcommand keeps its documented 32/2000 defaults.
+# search subcommand keeps SearchConfig's defaults.
 _ANALYZE_RESTARTS = 8
 _ANALYZE_ITERS = 400
 
@@ -55,7 +53,7 @@ _ANALYZE_ITERS = 400
 def _env_seed() -> int:
     raw = os.environ.get("ZECAP_SEED")
     if raw is None:
-        return _DEFAULT_SEED
+        return SearchConfig.seed
     try:
         return int(raw)
     except ValueError:
@@ -227,8 +225,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a (states, POVM) pair for the channel")
     p.add_argument("spec")
     p.add_argument("--M", type=int, default=None, help="states to place (default: dim)")
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--iters", type=int, default=2000)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--iters", type=int, default=SearchConfig.iterations)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--general-povm", action="store_true")
     p.add_argument("--allow-overcomplete", action="store_true")

@@ -35,7 +35,6 @@ __all__ = [
     "StateSet",
     "ConfusabilityGraph",
     "support_set",
-    "non_adjacent",
     "confusability_graph",
     "has_positive_zero_error_capacity",
     "non_adjacent_pair_count",
@@ -106,11 +105,6 @@ def support_set(probs: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     return idx
 
 
-def non_adjacent(a: frozenset[int], b: frozenset[int]) -> bool:
-    """True when two support sets are disjoint (states never confused)."""
-    return not (a & b)
-
-
 @dataclass(frozen=True)
 class ConfusabilityGraph(Graph):
     """Confusability graph of M states under one channel and POVM.
@@ -168,7 +162,7 @@ def confusability_graph(
             raise EmptySupportError(state_index=k, eps=eps) from None
     m = len(supports)
     pairs = itertools.combinations(range(m), 2)
-    edges = frozenset((a, b) for a, b in pairs if not non_adjacent(supports[a], supports[b]))
+    edges = frozenset((a, b) for a, b in pairs if supports[a] & supports[b])
     return ConfusabilityGraph(
         vertex_count=m,
         edges=edges,

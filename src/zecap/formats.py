@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ from .confusability import ConfusabilityGraph, StateSet, non_adjacent_pair_count
 from .errors import DimensionMismatchError, ValidationError
 from .graphs import Graph
 from .quantum import (
-    DensityMatrix,
     Povm,
     QuantumChannel,
     validate_channel,
@@ -56,7 +56,6 @@ __all__ = [
     "code_document",
     "report_document",
     "dumps_canonical",
-    "write_json_atomic",
     "write_text_atomic",
 ]
 
@@ -525,12 +524,24 @@ def dumps_canonical(doc) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via temp file + rename so readers never see a torn file."""
+    """Write via temp file + rename so readers never see a torn file.
+
+    The file ends with the mode ``open(path, "w")`` would give it: an
+    existing file keeps its mode, a new one gets 0o666 less the umask (the
+    temp file itself is created 0o600).
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".zecap-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)  # the umask can only be read by setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -538,7 +549,3 @@ def write_text_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def write_json_atomic(path: str, doc) -> None:
-    write_text_atomic(path, dumps_canonical(doc))

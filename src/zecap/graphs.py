@@ -78,17 +78,6 @@ class Graph:
     def has_edge(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
 
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks (bit b of masks[a] set iff a~b)."""
-        return tuple(_pack(self._adjacency()))
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix (float64, symmetric, zero diagonal)."""
-        return self._adjacency().astype(float)
-
     def _adjacency(self) -> np.ndarray:
         n = self.vertex_count
         ends = np.fromiter(
@@ -97,10 +86,6 @@ class Graph:
         a = np.zeros((n, n), dtype=bool)
         a[ends[0::2], ends[1::2]] = True
         return a | a.T
-
-    def complement(self) -> "Graph":
-        comp = ~self._adjacency()
-        return Graph(self.vertex_count, _upper_pairs(comp))
 
 
 def _upper_pairs(m: np.ndarray):
@@ -302,7 +287,7 @@ def independence_number(
     if n > max_vertices:
         raise SizeLimitError(n, max_vertices)
     adj = g._adjacency()
-    if n < _TRANSITIVE_FLOOR or not _vertex_transitive(g):
+    if n < _TRANSITIVE_FLOOR or not _vertex_transitive(adj):
         return _maximum_independent_set(adj)
     rest = np.flatnonzero(~adj[0])[1:]  # G - N[0]; vertex 0 is the first non-neighbour
     alpha, witness = _maximum_independent_set(adj[np.ix_(rest, rest)])
@@ -462,14 +447,13 @@ def _automorphism(adj, nbrs, weights, path, leaf: np.ndarray, w: int) -> np.ndar
     return None
 
 
-def _vertex_transitive(g: Graph) -> bool:
-    """True only if automorphisms of ``g`` map vertex 0 to every vertex.
+def _vertex_transitive(adj: np.ndarray) -> bool:
+    """True only if automorphisms of the graph with adjacency ``adj`` map 0 to every vertex.
 
     False means "not proven": the graph is irregular, an automorphism search
     came out empty, or one ran out of its ``_PROOF_NODES`` refinements.
     """
-    n = g.vertex_count
-    adj = g._adjacency()
+    n = len(adj)
     degrees = adj.sum(axis=1)
     if (degrees != degrees[0]).any():
         return False

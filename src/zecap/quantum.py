@@ -51,13 +51,9 @@ __all__ = [
     "validate_povm",
     "apply_channel",
     "outcome_probabilities",
-    "tensor",
     "pure_state",
     "basis_state",
-    "maximally_mixed",
     "haar_unitary",
-    "random_density_matrix",
-    "random_channel",
 ]
 
 
@@ -360,13 +356,6 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
     return np.clip(p, 0.0, 1.0)
 
 
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product of two states, a state on the joint space."""
-    # PSD and unit trace are preserved exactly by the Kronecker product,
-    # so no re-validation beyond construction.
-    return DensityMatrix(dim=a.dim * b.dim, matrix=_kron(a.matrix, b.matrix))
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron(a, b)`` for square matrices, by one broadcast product.
 
@@ -378,7 +367,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Constructors and random ensembles
+# Constructors and the Haar unitary
 # ---------------------------------------------------------------------------
 
 
@@ -401,11 +390,6 @@ def basis_state(dim: int, k: int) -> DensityMatrix:
     return DensityMatrix(dim=dim, matrix=m)
 
 
-def maximally_mixed(dim: int) -> DensityMatrix:
-    """The state I/d."""
-    return DensityMatrix(dim=dim, matrix=np.eye(dim, dtype=np.complex128) / dim)
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a Haar-distributed unitary.
 
@@ -421,24 +405,3 @@ def _haar_q(z: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Full-rank random mixed state ``G G^dagger / tr`` for a Ginibre G."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ g.conj().T
-    return DensityMatrix(dim=dim, matrix=m / np.trace(m).real)
-
-
-def random_channel(dim: int, kraus_count: int, rng: np.random.Generator) -> QuantumChannel:
-    """Random channel from a Haar-style isometry.
-
-    Orthonormalizes a (kraus_count*dim) x dim Gaussian block matrix and slices
-    it into Kraus operators, so sum K^dagger K = I holds to machine precision.
-    """
-    if kraus_count < 1:
-        raise DimensionMismatchError("kraus_count must be >= 1")
-    z = rng.standard_normal((kraus_count * dim, dim)) + 1j * rng.standard_normal(
-        (kraus_count * dim, dim)
-    )
-    return QuantumChannel(dim=dim, kraus=_haar_q(z).reshape(kraus_count, dim, dim))

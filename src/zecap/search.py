@@ -67,9 +67,6 @@ from .quantum import (
 __all__ = [
     "SearchConfig",
     "SearchResult",
-    "random_pure_state_set",
-    "random_projective_povm",
-    "random_general_povm",
     "optimize_pair",
 ]
 
@@ -139,33 +136,6 @@ class SearchResult:
     config: SearchConfig
     objective_bound: float
     proposals: int
-
-
-def random_pure_state_set(dim: int, count: int, seed: int) -> StateSet:
-    """``count`` Haar-random pure states (Gaussian vectors, normalized)."""
-    rng = np.random.default_rng(seed)
-    vecs = _random_state_vectors(dim, count, rng)
-    return StateSet(
-        dim=dim,
-        states=tuple(pure_state(v) for v in vecs),
-        allow_overcomplete=count > dim,
-    )
-
-
-def random_projective_povm(dim: int, seed: int) -> Povm:
-    """Rank-one projective POVM from the columns of a Haar unitary."""
-    return _projective_povm(haar_unitary(dim, np.random.default_rng(seed)))
-
-
-def random_general_povm(dim: int, outcomes: int, seed: int) -> Povm:
-    """General POVM with ``outcomes`` elements from a random isometry.
-
-    Stacks an (outcomes*dim) x dim Haar-style isometry V and sets
-    E_j = V_j^dagger V_j for the j-th dim x dim block, so completeness is
-    V^dagger V = I by construction.
-    """
-    iso = _random_isometry(outcomes * dim, dim, np.random.default_rng(seed))
-    return _povm_from_isometry(iso, dim, outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,12 @@ from zecap import (
     independence_number,
     lovasz_theta,
     outcome_probabilities,
-    random_channel,
-    random_density_matrix,
-    random_general_povm,
     strong_product,
     support_set,
 )
 from zecap.errors import AmbiguousSupportsError, EmptySupportError
 
+from ensembles import random_channel, random_density_matrix, random_general_povm
 from oracles import graph_channel_matrix, random_graph, words_adjacent
 
 

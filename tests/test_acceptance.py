@@ -30,14 +30,13 @@ from zecap import (
     non_adjacent_pair_count,
     optimize_pair,
     pentagon_matrix,
-    random_projective_povm,
-    random_pure_state_set,
     strong_power,
     validate_povm,
     verify_zero_error,
 )
 
 from cliutil import run_cli, write_spec
+from ensembles import random_projective_povm, random_pure_state_set
 from invariants import (
     check_alpha_supermultiplicative,
     check_alpha_theta_sandwich,

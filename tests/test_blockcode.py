@@ -18,11 +18,10 @@ from zecap import (
     embed_classical,
     identity_channel,
     pentagon_matrix,
-    reachable_supports,
     verify_zero_error,
 )
 from zecap import blockcode, quantum
-from zecap.blockcode import _kron, _tensor_path_agrees, _word_probabilities
+from zecap.blockcode import _enumerate_supports, _kron, _tensor_path_agrees, _word_probabilities
 from zecap.confusability import StateSet
 from zecap.errors import (
     AmbiguousSupportsError,
@@ -33,12 +32,11 @@ from zecap.quantum import (
     apply_channel,
     outcome_probabilities,
     pure_state,
-    random_density_matrix,
     validate_povm,
     validate_state,
 )
-from zecap.search import random_general_povm
 
+from ensembles import random_density_matrix, random_general_povm
 from invariants import check_decoder_iff_independent
 from oracles import decoder_fill
 
@@ -113,28 +111,20 @@ def test_build_code_respects_the_power_cap():
 
 
 # ---------------------------------------------------------------------------
-# reachable_supports / build_decoder
+# Reachable words / build_decoder
 # ---------------------------------------------------------------------------
 
 
 def test_pentagon_words_per_codeword():
     channel, states, povm, graph = pentagon_ensemble()
     code = build_code(graph, states, povm, n=2)
-    words = reachable_supports(code, channel, eps=1e-9)
+    words = _enumerate_supports(code, channel, eps=1e-9)[0]
     assert words[0] == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
     assert [len(w) for w in words] == [4, 4, 4, 4, 4]
     union = set().union(*words)
     assert len(union) == 20
     for a, b in itertools.combinations(words, 2):
         assert not (a & b)
-
-
-def test_reachable_supports_respects_the_enumeration_cap(monkeypatch):
-    channel, states, povm, graph = pentagon_ensemble()
-    code = build_code(graph, states, povm, n=2)
-    monkeypatch.setattr(blockcode, "ENUMERATION_CAP", 3)
-    with pytest.raises(SizeLimitError):
-        reachable_supports(code, channel, eps=1e-9)
 
 
 @pytest.mark.parametrize("check", [build_decoder, verify_zero_error])
@@ -318,7 +308,7 @@ def pairwise_overlap(code, channel, eps):
     # Brute-force reference: every codeword pair, the min of the two
     # production probabilities summed over its shared words; the first pair
     # in lexicographic order wins among those of largest mass.
-    word_sets = reachable_supports(code, channel, eps)
+    word_sets = _enumerate_supports(code, channel, eps)[0]
     tables = [outcome_probabilities(channel, s, code.povm) for s in code.source.states]
 
     def prob(cw, w):
@@ -514,7 +504,7 @@ def test_certificate_with_more_outcomes_than_dimensions(n):
     assert not rep.pairwise_disjoint and not rep.passed
     assert rep.tensor_path_checked
     assert rep.paths_agree is True
-    assert reachable_supports(code, channel, eps=1e-9)[0] == frozenset(
+    assert _enumerate_supports(code, channel, eps=1e-9)[0][0] == frozenset(
         itertools.product((1, 2), repeat=n)
     )
 
@@ -522,7 +512,7 @@ def test_certificate_with_more_outcomes_than_dimensions(n):
 def test_tensor_path_catches_a_lost_or_a_gained_word():
     channel, states, povm = trine_ensemble()
     code = all_words_code(states, povm, 2)
-    word_sets = reachable_supports(code, channel, eps=1e-9)
+    word_sets = _enumerate_supports(code, channel, eps=1e-9)[0]
     assert _tensor_path_agrees(code, channel, 1e-9, word_sets)
     lost = (word_sets[0] - {(1, 1)},) + word_sets[1:]
     assert not _tensor_path_agrees(code, channel, 1e-9, lost)

@@ -14,15 +14,15 @@ from zecap import (
     depolarizing_channel,
     embed_classical,
     identity_channel,
-    maximally_mixed,
     outcome_probabilities,
     pentagon_matrix,
     pure_state,
-    random_density_matrix,
     validate_povm,
 )
 from zecap.errors import NotStochasticError, ValidationError
 from zecap.formats import parse_channel_spec
+
+from ensembles import random_density_matrix
 
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
@@ -49,7 +49,7 @@ def test_depolarizing_action_matches_closed_form(p):
 
 def test_full_depolarizing_forgets_the_input():
     out = apply_channel(depolarizing_channel(1.0), basis_state(2, 0))
-    assert np.allclose(out.matrix, maximally_mixed(2).matrix, atol=1e-12)
+    assert np.allclose(out.matrix, np.eye(2) / 2.0, atol=1e-12)
 
 
 def test_half_dephasing_kraus_are_scaled_i_and_z():

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import os
+import stat
 
-import numpy as np
 import pytest
 
 import zecap
 from zecap import cli
 from zecap.formats import dumps_canonical, graph_to_json
-from zecap import cycle_graph
+from zecap import SearchConfig, cycle_graph
 
 from cliutil import load_stdout_json, run_cli, write_spec
 
@@ -130,6 +132,27 @@ def test_analyze_writes_report_and_dot_atomically(tmp_path):
     assert dot.read_text().count(" -- ") == 5
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_out_and_dot_files_get_the_mode_open_would_give_them(tmp_path, monkeypatch, umask):
+    # A new file is 0o666 less the umask; an overwritten file keeps its mode.
+    monkeypatch.delenv("ZECAP_SEED", raising=False)
+    spec = write_spec(tmp_path / "pent.json", "pentagon")
+    new = [tmp_path / "report.json", tmp_path / "graph.dot"]
+    old = [tmp_path / "old.json", tmp_path / "old.dot"]
+    for path in old:
+        path.write_text("stale\n")
+        path.chmod(0o644)
+    previous = os.umask(umask)
+    try:
+        for out, dot in (new, old):
+            assert cli.main(["analyze", spec, "--out", str(out), "--dot", str(dot)]) == 0
+    finally:
+        os.umask(previous)
+    assert [stat.S_IMODE(p.stat().st_mode) for p in new] == [0o666 & ~umask] * 2
+    assert [stat.S_IMODE(p.stat().st_mode) for p in old] == [0o644] * 2
+    assert [p.read_text() for p in old] == [p.read_text() for p in new]
+
+
 def test_analyze_reports_are_byte_identical_across_reruns(tmp_path):
     spec = write_spec(tmp_path / "pent.json", "pentagon")
     a = tmp_path / "a.json"
@@ -203,6 +226,23 @@ def test_analyze_seed_env_var_is_recorded(tmp_path):
     report = load_stdout_json(run_cli(["analyze", spec], env_extra={"ZECAP_SEED": "11"}))
     assert report["seed"] == 11
     assert report["search"]["seed"] == 11
+
+
+def test_search_defaults_are_search_configs(monkeypatch):
+    # The CLI reads its defaults off SearchConfig, so a change there reaches it.
+    @dataclasses.dataclass(frozen=True)
+    class Config(SearchConfig):
+        restarts: int = 3
+        iterations: int = 5
+        seed: int = 11
+
+    monkeypatch.setattr(cli, "SearchConfig", Config)
+    monkeypatch.delenv("ZECAP_SEED", raising=False)
+    args = cli._build_parser().parse_args(["search", "spec.json"])
+    assert (args.restarts, args.iters, args.seed) == (3, 5, None)
+    assert cli._env_seed() == 11
+    monkeypatch.setenv("ZECAP_SEED", "4")
+    assert cli._env_seed() == 4
 
 
 def test_a_malformed_seed_env_var_is_rejected(tmp_path):

@@ -15,7 +15,6 @@ from zecap import (
     embed_classical,
     has_positive_zero_error_capacity,
     identity_channel,
-    non_adjacent,
     non_adjacent_pair_count,
     pentagon_matrix,
     support_set,
@@ -38,7 +37,7 @@ def basis_states(dim: int, count: int) -> StateSet:
 
 
 # ---------------------------------------------------------------------------
-# support_set / non_adjacent
+# support_set
 # ---------------------------------------------------------------------------
 
 
@@ -76,11 +75,6 @@ def test_a_nan_eps_is_refused_before_any_eigendecomposition(monkeypatch):
         support_set(np.array([0.5, 0.5]), eps=float("nan"))
     with pytest.raises(ValueError, match="eps must be positive"):
         confusability_graph(channel, states, povm, eps=float("nan"))
-
-
-def test_non_adjacent_is_disjointness():
-    assert non_adjacent(frozenset({0, 1}), frozenset({2, 3}))
-    assert not non_adjacent(frozenset({0, 1}), frozenset({1, 2}))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from zecap.formats import (
     graph_to_dot,
     graph_to_json,
     parse_channel_spec,
-    write_json_atomic,
     write_text_atomic,
 )
 from zecap.quantum import validate_povm
@@ -179,7 +178,7 @@ def test_atomic_writers_leave_no_temp_files(tmp_path):
     target = tmp_path / "out.json"
     write_text_atomic(str(target), "hello\n")
     assert target.read_text() == "hello\n"
-    write_json_atomic(str(target), {"k": 1})
+    write_text_atomic(str(target), dumps_canonical({"k": 1}))
     assert json.loads(target.read_text()) == {"k": 1}
     leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".zecap-")]
     assert leftovers == []

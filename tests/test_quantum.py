@@ -10,12 +10,8 @@ from zecap import (
     apply_channel,
     basis_state,
     haar_unitary,
-    maximally_mixed,
     outcome_probabilities,
     pure_state,
-    random_channel,
-    random_density_matrix,
-    tensor,
     validate_channel,
     validate_povm,
     validate_state,
@@ -30,8 +26,8 @@ from zecap.errors import (
     ValidationError,
 )
 from zecap import quantum
-from zecap.search import random_general_povm
 
+from ensembles import random_channel, random_density_matrix, random_general_povm
 from invariants import check_probability_normalization, check_trace_preservation
 from oracles import kraus_output, povm_traces
 
@@ -286,13 +282,6 @@ def test_stacked_kernels_match_the_loop_oracles(monkeypatch):
 # ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
-
-
-def test_tensor_of_basis_states_and_dims():
-    joint = tensor(basis_state(2, 0), basis_state(2, 1))
-    assert joint.dim == 4
-    assert np.allclose(joint.matrix, basis_state(4, 1).matrix)
-    assert np.allclose(tensor(maximally_mixed(2), maximally_mixed(2)).matrix, np.eye(4) / 4)
 
 
 def test_pure_state_normalizes_and_rejects_zero():

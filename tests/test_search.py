@@ -21,13 +21,9 @@ from zecap import (
     non_adjacent_pair_count,
     optimize_pair,
     pentagon_matrix,
-    random_general_povm,
-    random_projective_povm,
-    random_pure_state_set,
 )
 from zecap import search
 from zecap.errors import DimensionMismatchError, EmptySupportError
-from zecap.quantum import random_channel
 from zecap.search import (
     _ensemble,
     _objective_bound,
@@ -35,6 +31,13 @@ from zecap.search import (
     _pair_count,
     _prob_table,
     _starts,
+)
+
+from ensembles import (
+    random_channel,
+    random_general_povm,
+    random_projective_povm,
+    random_pure_state_set,
 )
 
 SMALL = dict(restarts=3, iterations=80)
