@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .blockcode import build_code, build_decoder, verify_zero_error
 from .capacity import capacity_bounds
@@ -30,7 +31,6 @@ from .confusability import DEFAULT_EPS, confusability_graph
 from .errors import ZecapError
 from .formats import (
     ParsedChannelSpec,
-    _theta_json,
     builtin_spec,
     code_document,
     dumps_canonical,
@@ -189,7 +189,7 @@ def _cmd_theta(args) -> int:
     doc = _load_json(args.graph)
     g = graph_from_json(doc)
     res = lovasz_theta(g, tol=args.tol)
-    _emit({**_theta_json(res), "theta_upper_bits": math.log2(res.upper)}, None)
+    _emit({**asdict(res), "theta_upper_bits": math.log2(res.upper)}, None)
     return 0
 
 

@@ -74,6 +74,11 @@ class StateSet:
         return len(self.states)
 
 
+def _check_eps(eps: float) -> None:
+    if not eps > 0:  # also refuses NaN
+        raise ValueError(f"eps must be positive, got {eps!r}")
+
+
 def support_set(probs: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """Outcome indices with probability strictly above ``eps``.
 
@@ -96,8 +101,7 @@ def support_set(probs: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     ValueError
         If ``eps`` is not positive (NaN included).
     """
-    if not eps > 0:  # also refuses NaN
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    _check_eps(eps)
     p = np.asarray(probs, dtype=np.float64)
     idx = frozenset(int(j) for j in np.flatnonzero(p > eps))
     if not idx:

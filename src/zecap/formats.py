@@ -2,6 +2,8 @@
 
 All documents are plain JSON.  Complex numbers are encoded as two-element
 [re, im] arrays, a complex matrix as a row-major nested list of those pairs.
+The result blocks of reports (bounds, theta, certificate) are their
+dataclasses, written field for field by ``dataclasses.asdict``.
 Serialization is canonical (sorted keys, two-space indent, trailing newline,
 no timestamps), so identical analyses produce byte-identical files; writes
 go through a temp file and rename, so a crashed run never leaves a torn
@@ -14,7 +16,7 @@ import json
 import os
 import stat
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,7 +42,6 @@ from .quantum import (
     validate_state,
 )
 from .search import SearchResult
-from .theta import ThetaResult
 
 __all__ = [
     "ParsedChannelSpec",
@@ -135,8 +136,6 @@ def channel_spec_document(
     name: str,
     channel: QuantumChannel | None = None,
     classical_matrix: np.ndarray | None = None,
-    states: StateSet | None = None,
-    povm: Povm | None = None,
 ) -> dict:
     """Assemble a spec document from validated objects."""
     if (channel is None) == (classical_matrix is None):
@@ -147,10 +146,6 @@ def channel_spec_document(
         doc["kraus"] = complex_matrix_to_json(channel.kraus)
     else:
         doc["classical_matrix"] = _classical_json(classical_matrix)
-    if states is not None:
-        doc["states"] = _states_json(states)
-    if povm is not None:
-        doc["povm"] = complex_matrix_to_json(povm.elements)
     return doc
 
 
@@ -214,7 +209,9 @@ def parse_channel_spec(doc, allow_overcomplete: bool = False) -> ParsedChannelSp
     Exactly one of ``kraus`` / ``classical_matrix`` must be present.
     Classical specs carry their canonical embedding (basis states and
     computational POVM) and may not override it; Kraus specs may bundle
-    explicit ``states`` and ``povm`` (both or neither).
+    explicit ``states`` and ``povm`` (both or neither).  An optional
+    ``dim`` must equal the channel's dimension, for a classical spec that
+    of its embedding.
 
     Raises
     ------
@@ -234,38 +231,30 @@ def parse_channel_spec(doc, allow_overcomplete: bool = False) -> ParsedChannelSp
             'spec needs exactly one of "kraus" or "classical_matrix"'
         )
 
+    states = povm = classical = None
     if has_classical:
         if "states" in doc or "povm" in doc:
             raise ValidationError(
                 "classical specs use their canonical embedding; drop states/povm"
             )
-        w = _real_matrix_from_json(doc["classical_matrix"], "classical_matrix")
-        channel, states, povm = embed_classical(w)
-        return ParsedChannelSpec(
-            name=name,
-            channel=channel,
-            source="classical_matrix",
-            states=states,
-            povm=povm,
-            classical_matrix=w,
-        )
-
-    kraus_json = doc["kraus"]
-    if not isinstance(kraus_json, list) or not kraus_json:
-        raise ValidationError('"kraus" must be a non-empty list of matrices')
-    kraus = [
-        complex_matrix_from_json(k, f"kraus[{i}]") for i, k in enumerate(kraus_json)
-    ]
-    channel = validate_channel(kraus)
+        classical = _real_matrix_from_json(doc["classical_matrix"], "classical_matrix")
+        channel, states, povm = embed_classical(classical)
+    else:
+        kraus_json = doc["kraus"]
+        if not isinstance(kraus_json, list) or not kraus_json:
+            raise ValidationError('"kraus" must be a non-empty list of matrices')
+        kraus = [
+            complex_matrix_from_json(k, f"kraus[{i}]") for i, k in enumerate(kraus_json)
+        ]
+        channel = validate_channel(kraus)
     dim = doc.get("dim", channel.dim)
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:  # JSON true is no integer
         raise ValidationError(f'spec "dim" must be a positive integer, got {dim!r}')
     if dim != channel.dim:
         raise ValidationError(
-            f'spec "dim" = {dim} but Kraus operators are {channel.dim}-dimensional'
+            f'spec "dim" = {dim} but the channel is {channel.dim}-dimensional'
         )
 
-    states = povm = None
     if ("states" in doc) != ("povm" in doc):
         raise ValidationError("states and povm must be given together")
     if "states" in doc:
@@ -292,10 +281,10 @@ def parse_channel_spec(doc, allow_overcomplete: bool = False) -> ParsedChannelSp
     return ParsedChannelSpec(
         name=name,
         channel=channel,
-        source="kraus",
+        source="classical_matrix" if has_classical else "kraus",
         states=states,
         povm=povm,
-        classical_matrix=None,
+        classical_matrix=classical,
     )
 
 
@@ -353,54 +342,6 @@ def graph_to_dot(g: Graph) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _theta_json(res: ThetaResult | None) -> dict | None:
-    if res is None:
-        return None
-    return {
-        "value": res.value,
-        "lower": res.lower,
-        "upper": res.upper,
-        "gap": res.gap,
-        "iterations": res.iterations,
-        "converged": res.converged,
-    }
-
-
-def _bounds_json(bounds: CapacityBounds) -> dict:
-    return {
-        "per_n": [
-            {
-                "n": e.n,
-                "alpha": e.alpha,
-                "rate": e.rate,
-                "witness": list(e.witness) if e.witness is not None else None,
-                "skipped": e.skipped,
-                "reason": e.reason,
-            }
-            for e in bounds.per_n
-        ],
-        "best_lower": bounds.best_lower,
-        "theta": _theta_json(bounds.theta),
-        "theta_upper": bounds.theta_upper,
-        "theta_failure": bounds.theta_failure,
-    }
-
-
-def _certificate_json(rep: ZeroErrorReport) -> dict:
-    return {
-        "passed": rep.passed,
-        "eps": rep.eps,
-        "pairwise_disjoint": rep.pairwise_disjoint,
-        "overlap_pair": list(rep.overlap_pair) if rep.overlap_pair else None,
-        "max_overlap_mass": rep.max_overlap_mass,
-        "support_sizes": list(rep.support_sizes),
-        "total_reachable": rep.total_reachable,
-        "word_space_size": rep.word_space_size,
-        "tensor_path_checked": rep.tensor_path_checked,
-        "paths_agree": rep.paths_agree,
-    }
-
-
 _DECODER_JSON_CAP = 10_000
 
 
@@ -418,7 +359,7 @@ def code_document(
         "codewords": [list(cw) for cw in code.codewords],
         "decoder": None,
         "decoder_failure": decoder_failure,
-        "certificate": _certificate_json(certificate) if certificate else None,
+        "certificate": asdict(certificate) if certificate else None,
     }
     if decoder is not None:
         word_space = decoder.outcome_count**decoder.block_length
@@ -506,7 +447,7 @@ def report_document(
         "graph": graph_to_json(graph),
         "non_adjacent_pairs": pairs,
         "positive_zero_error_capacity": pairs > 0,
-        "bounds": _bounds_json(bounds),
+        "bounds": asdict(bounds),
         "code": code,
         "code_failure": code_failure,
         "search": search,

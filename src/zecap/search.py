@@ -49,6 +49,7 @@ from .confusability import (
     DEFAULT_EPS,
     ConfusabilityGraph,
     StateSet,
+    _check_eps,
     confusability_graph,
     non_adjacent_pair_count,
 )
@@ -93,7 +94,7 @@ class SearchConfig:
     seed : int
         Restart r uses the generator seeded with ``seed + r``.
     eps_support : float
-        Support cutoff used when scoring candidate pairs.
+        Support cutoff used when scoring candidate pairs.  Must be positive.
     general_povm : bool
         Search over arbitrary POVMs with dim^2 outcomes
         (isometry-parameterized) instead of projective rank-one
@@ -115,6 +116,7 @@ class SearchConfig:
             raise ValueError("num_states must be >= 2: pairs need two states")
         if self.restarts < 1 or self.iterations < 0:
             raise ValueError("restarts must be >= 1 and iterations >= 0")
+        _check_eps(self.eps_support)
 
 
 @dataclass(frozen=True)

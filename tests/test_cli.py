@@ -465,3 +465,24 @@ def test_validate_rejects_a_dim_that_is_not_a_positive_integer(tmp_path, dim):
     proc = run_cli(["validate", str(path)])
     assert proc.returncode == 1
     assert f'spec "dim" must be a positive integer, got {dim!r}' in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "dim, message",
+    [
+        ("bogus", "spec \"dim\" must be a positive integer, got 'bogus'"),
+        (2, 'spec "dim" = 2 but the channel is 3-dimensional'),
+    ],
+    ids=["string", "wrong-size"],
+)
+def test_validate_checks_the_dim_of_a_classical_spec(tmp_path, capsys, dim, message):
+    # A classical spec embeds into max(inputs, outputs) = 3 dimensions here.
+    doc = {"name": "x", "dim": dim, "classical_matrix": [[1, 0, 0], [0, 0.5, 0.5]]}
+    path = tmp_path / "classical.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    doc["dim"] = 3
+    path.write_text(json.dumps(doc))
+    assert cli.main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("OK: x: dim 3,")

@@ -72,7 +72,9 @@ def test_kraus_spec_with_explicit_ensemble_parses():
     states = StateSet(dim=2, states=(basis_state(2, 0), basis_state(2, 1)))
     eye = np.eye(2, dtype=np.complex128)
     povm = validate_povm([np.outer(eye[:, j], eye[:, j]) for j in range(2)])
-    doc = channel_spec_document("noiseless", channel=channel, states=states, povm=povm)
+    doc = channel_spec_document("noiseless", channel=channel)
+    doc["states"] = [complex_matrix_to_json(s.matrix) for s in states.states]
+    doc["povm"] = complex_matrix_to_json(povm.elements)
     spec = parse_channel_spec(doc)
     assert spec.source == "kraus"
     assert spec.states is not None and len(spec.states) == 2

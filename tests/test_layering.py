@@ -8,6 +8,9 @@ name the facade binds has to import it from where the facade gets it.
 The vertex cap of exact computation is decided in ``graphs`` alone: no other
 module reads ``MAX_VERTICES``, except ``build_code`` as the default of its
 ``max_vertices``.  Importing the name (the facade re-exports it) is no read.
+
+The CLI uses the library through public names only: ``cli`` imports no
+underscore name from the package.
 """
 
 from __future__ import annotations
@@ -151,3 +154,30 @@ def test_the_cap_scan_sees_a_read_and_allows_build_codes_default(tmp_path):
         "        return graphs.MAX_VERTICES\n"
     )
     assert cap_reads(path) == [4, 5]
+
+
+def private_imports(path: Path) -> list[str]:
+    """Underscore names that ``path`` imports from the package."""
+    return sorted(
+        a.name
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "zecap")
+        for a in node.names
+        if a.name.startswith("_")
+    )
+
+
+def test_the_cli_imports_no_private_name_of_the_package():
+    # The CLI is a client of the library: what it needs, a module makes public.
+    assert private_imports(PACKAGE / "cli.py") == []
+
+
+def test_the_private_import_scan_sees_relative_and_absolute_imports(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "from dataclasses import _MISSING_TYPE\n"
+        "from .formats import _theta_json, dumps_canonical\n"
+        "from zecap.theta import _MAX_ITERATIONS\n"
+    )
+    assert private_imports(path) == ["_MAX_ITERATIONS", "_theta_json"]

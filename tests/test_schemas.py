@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -14,6 +15,9 @@ from referencing.jsonschema import DRAFT202012
 
 import zecap.capacity
 from zecap import cli, cycle_graph
+from zecap.blockcode import ZeroErrorReport
+from zecap.capacity import CapacityBounds, RateEntry
+from zecap.theta import ThetaResult
 from zecap.formats import graph_to_json
 
 from cliutil import load_stdout_json, run_cli, write_spec
@@ -79,6 +83,27 @@ def test_builtin_spec_matches_the_channel_spec_schema():
 
 def test_graph_json_matches_the_graph_schema():
     validate(graph_to_json(cycle_graph(5)), "graph.schema.json")
+
+
+@pytest.mark.parametrize(
+    "cls, schema_file, pointer",
+    [
+        (RateEntry, "report.schema.json", "$defs/rateEntry"),
+        (CapacityBounds, "report.schema.json", "properties/bounds"),
+        (ThetaResult, "report.schema.json", "$defs/theta"),
+        (ZeroErrorReport, "code.schema.json", "$defs/certificate"),
+    ],
+    ids=["rateEntry", "bounds", "theta", "certificate"],
+)
+def test_each_report_block_documents_exactly_the_fields_of_its_dataclass(cls, schema_file, pointer):
+    # These blocks are written with dataclasses.asdict, so a new field reaches
+    # every report: it has to be documented (and required) here too.
+    block = json.loads((SCHEMA_DIR / schema_file).read_text())
+    for key in pointer.split("/"):
+        block = block[key]
+    fields = sorted(f.name for f in dataclasses.fields(cls))
+    assert sorted(block["properties"]) == fields
+    assert sorted(block["required"]) == fields
 
 
 def test_schema_violations_are_reported():

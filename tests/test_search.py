@@ -328,6 +328,14 @@ def test_config_rejects_nonsense():
         SearchConfig(num_states=2, restarts=0)
 
 
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -1e-9])
+def test_config_rejects_an_eps_support_that_is_not_positive(eps):
+    # Under NaN every candidate would score -1 and the whole budget be spent
+    # before the graph refused the cutoff.
+    with pytest.raises(ValueError, match=f"^eps must be positive, got {eps!r}$"):
+        SearchConfig(num_states=2, eps_support=eps)
+
+
 def test_a_search_that_never_draws_never_imports_numpy_random():
     # identity-d3 stops every restart at its computational start, and the
     # generator is made on the first draw, so numpy.random stays unloaded.
