@@ -148,6 +148,12 @@ class ThetaResult:
     converged: bool
 
 
+def _norm(v: np.ndarray) -> float:
+    # np.linalg.norm(v) with ord=None, without its wrapper: the same dot product.
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
 class _PsdProjector:
     """P_psd for one solve, reusing the last eigenbasis while it diagonalises.
 
@@ -165,14 +171,15 @@ class _PsdProjector:
         self.next_try = 0  # the count from which a reuse may be tried
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
-        s = (m + m.T) / 2.0
+        s = m + m.T
+        s *= 0.5
         self.count += 1
         if self.vecs is not None and self.count >= self.next_try:
             q = self.vecs
             d = q.T @ s @ q
             vals = d.diagonal().copy()
-            np.fill_diagonal(d, 0.0)
-            if np.linalg.norm(d) <= _REUSE_TOLERANCE * len(s) * _EPS * np.linalg.norm(s):
+            d.reshape(-1)[:: len(s) + 1] = 0.0
+            if _norm(d) <= _REUSE_TOLERANCE * len(s) * _EPS * _norm(s):
                 np.maximum(vals, 0.0, out=vals)
                 return (q * vals) @ q.T
             self.next_try = 2 * self.count
@@ -198,18 +205,20 @@ def _rho_scale(r_primal: float, r_dual: float) -> float:
 
 
 def _certified_bracket(
-    z: np.ndarray, u: np.ndarray, rho: float, edge_rows, edge_cols, n: int
+    z: np.ndarray, u: np.ndarray, rho: float, edges: np.ndarray, n: int
 ) -> tuple[float, float]:
     # eigvalsh is backward stable, so by Weyl each eigenvalue it returns may
     # be off by about n * eps * |m|_F.  Both ends concede that; without it the
     # upper end for an edgeless graph falls just below theta = n.
     # Lower bound: round the PSD iterate to an exactly feasible point.
-    b = (z + z.T) / 2.0
-    b[edge_rows, edge_cols] = 0.0
-    lam_min = float(np.linalg.eigvalsh(b)[0]) - n * _EPS * float(np.linalg.norm(b))
+    # ``edges`` holds the flat indices of both orientations of every edge.
+    b = z + z.T
+    b *= 0.5
+    b.reshape(-1)[edges] = 0.0
+    lam_min = float(np.linalg.eigvalsh(b)[0]) - n * _EPS * _norm(b)
     if lam_min < 0.0:
-        b = b - lam_min * np.eye(n)
-    tr = float(np.trace(b))
+        b.reshape(-1)[:: n + 1] -= lam_min
+    tr = float(b.trace())
     if tr <= 0.0:
         b = np.eye(n)
         tr = float(n)
@@ -219,9 +228,10 @@ def _certified_bracket(
     # weak duality.  At a fixed point rho*U = J - y*I - Lambda, so on an edge
     # (J + Z)_ij = 1 - Lambda_ij = rho*U_ij; off edges J + Z is all ones.
     a = np.ones((n, n))
-    a[edge_rows, edge_cols] = rho * u[edge_rows, edge_cols]
-    a = (a + a.T) / 2.0
-    upper = float(np.linalg.eigvalsh(a)[-1]) + n * _EPS * float(np.linalg.norm(a))
+    a.reshape(-1)[edges] = rho * u.reshape(-1)[edges]
+    a = a + a.T
+    a *= 0.5
+    upper = float(np.linalg.eigvalsh(a)[-1]) + n * _EPS * _norm(a)
     return lower, upper
 
 
@@ -289,19 +299,17 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
         raise ValueError(f"tol must be positive, got {tol!r}")
     max_iterations = _MAX_ITERATIONS
 
-    er, ec = [], []
-    for a, b in sorted(g.edges):
-        er += [a, b]
-        ec += [b, a]
-    edge_rows = np.array(er, dtype=np.intp)
-    edge_cols = np.array(ec, dtype=np.intp)
-    diag = np.diag_indices(n)
+    edges = np.flatnonzero(g._adjacency())  # flat indices of v[a, b] and v[b, a]
 
-    def affine(v: np.ndarray) -> np.ndarray:
-        # Projection onto the affine set, in place: zero edges, fix the trace.
-        v[edge_rows, edge_cols] = 0.0
-        v[diag] += (1.0 - np.trace(v)) / n
-        return v
+    def affine(z: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # x = P_affine(z - u + J/rho), the projection onto the affine set:
+        # zero the edges, shift the diagonal to fix the trace.
+        x = z - u
+        x += j_rho
+        flat = x.reshape(-1)
+        flat[edges] = 0.0
+        flat[:: n + 1] += (1.0 - x.trace()) / n
+        return x
 
     def measure(z, u, x_prev, z_prev):
         # The stop test's quantities after the plain step z = P_psd(x_prev +
@@ -309,9 +317,9 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
         # ADMM's primal and dual residuals, and the certified bracket, which
         # replaces the tightest one so far only when it meets the stop test.
         nonlocal lower, upper
-        r_primal = float(np.linalg.norm(x_prev - z))
-        r_dual = float(rho * np.linalg.norm(z - z_prev))
-        lo, up = _certified_bracket(z, u, rho, edge_rows, edge_cols, n)
+        r_primal = _norm(x_prev - z)
+        r_dual = rho * _norm(z - z_prev)
+        lo, up = _certified_bracket(z, u, rho, edges, n)
         done = r_primal < tol and r_dual < tol and up - lo < tol
         lower, upper = (lo, up) if done else (max(lower, lo), min(upper, up))
         return done, r_primal, r_dual
@@ -322,7 +330,7 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
     j_rho = j / rho
     z_prev = np.eye(n) / n
     u_prev = np.zeros((n, n))
-    x_prev = affine(z_prev + j_rho)  # u starts at 0
+    x_prev = affine(z_prev, u_prev)
     y = x_prev
 
     # Anderson history, a ring of the last _MEMORY differences between
@@ -347,9 +355,9 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
             it += 1
             steps += 1
             u = y - z
-            x = affine(z - u + j_rho)
-            f = x - z
-            r = float(np.linalg.norm(f))
+            x = affine(z, u)
+            f = (x - z).ravel()
+            r = _norm(f)
             if extrapolated and r > r_prev:
                 # Safeguard: the extrapolation raised the residual.  Take the
                 # plain step from the last accepted point and drop the history.
@@ -371,15 +379,14 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
                     rho *= scale
                     u /= scale
                     j_rho = j / rho
-                    x = affine(z - u + j_rho)
-                    f = x - z
-                    r = float(np.linalg.norm(f))
+                    x = affine(z, u)
+                    f = (x - z).ravel()
+                    r = _norm(f)
                     depth = slot = 0
                     f_prev = None
                 armed = r >= tol
             z_prev, x_prev, u_prev = z, x, u
 
-            f = f.ravel()
             t = (x + u).ravel()
             if f_prev is not None:
                 np.subtract(f, f_prev, out=d_f[slot])
@@ -424,7 +431,7 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
         # iterate.  Stop unconverged, with the tightest bracket seen
         # tightened by that of the last accepted point (the start, if none
         # was accepted).
-        lo, up = _certified_bracket(z_prev, u_prev, rho, edge_rows, edge_cols, n)
+        lo, up = _certified_bracket(z_prev, u_prev, rho, edges, n)
         lower, upper = max(lower, lo), min(upper, up)
 
     return ThetaResult((lower + upper) / 2.0, lower, upper, upper - lower, it, done)

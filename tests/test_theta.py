@@ -170,6 +170,38 @@ def test_kneser_theta_is_n_minus_1_choose_k_minus_1(n, k):
     assert_in_bracket(res.lower, res.upper, float(math.comb(n - 1, k - 1)))
 
 
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    n = g.vertex_count
+    return Graph.from_edges(n + h.vertex_count, [*g.edges, *((a + n, b + n) for a, b in h.edges)])
+
+
+def join(g: Graph, h: Graph) -> Graph:
+    # The disjoint union plus every edge between the two parts.
+    n, m = g.vertex_count, h.vertex_count
+    across = ((a, n + b) for a in range(n) for b in range(m))
+    return Graph.from_edges(n + m, [*disjoint_union(g, h).edges, *across])
+
+
+@pytest.mark.parametrize(
+    "g, want",
+    [
+        (disjoint_union(cycle_graph(5), cycle_graph(5)), 2.0 * math.sqrt(5.0)),
+        (disjoint_union(cycle_graph(5), complete_graph(3)), math.sqrt(5.0) + 1.0),
+        (disjoint_union(cycle_graph(5), cycle_graph(7)), math.sqrt(5.0) + odd_cycle_theta(7)),
+        (join(cycle_graph(5), cycle_graph(7)), odd_cycle_theta(7)),
+        (join(cycle_graph(5), complete_graph(3)), math.sqrt(5.0)),
+    ],
+    ids=["C5+C5", "C5+K3", "C5+C7", "C5vC7", "C5vK3"],
+)
+def test_theta_adds_over_a_disjoint_union_and_takes_the_max_over_a_join(g, want):
+    # Lovasz 1979; Knuth, "The sandwich theorem", 1994: theta(G + H) =
+    # theta(G) + theta(H) and theta(G v H) = max(theta(G), theta(H)).  These
+    # graphs are irregular and their iterates have repeated eigenvalues.
+    res = lovasz_theta(g)
+    assert res.converged
+    assert_in_bracket(res.lower, res.upper, want)
+
+
 def test_theta_is_multiplicative_on_c5_times_c7():
     c5, c7 = lovasz_theta(cycle_graph(5)), lovasz_theta(cycle_graph(7))
     prod = lovasz_theta(strong_product(cycle_graph(5), cycle_graph(7)))
@@ -333,6 +365,50 @@ def count_eigh(monkeypatch, fail_on: int | None = None) -> list[int]:
 def relabelled(g: Graph, seed: int) -> Graph:
     perm = np.random.default_rng(seed).permutation(g.vertex_count)
     return Graph.from_edges(g.vertex_count, ((perm[a], perm[b]) for a, b in g.edges))
+
+
+def test_a_solve_leaves_no_state_behind():
+    # Solving A, then B, then A again gives A's result twice: nothing a solve
+    # keeps or reuses carries over into the next.
+    a = Graph.from_edges(16, random_graph(16, 0.5, np.random.default_rng(2)))
+    b = strong_product(cycle_graph(5), cycle_graph(5))
+    first = lovasz_theta(a)
+    lovasz_theta(b)
+    assert lovasz_theta(a) == first
+
+
+@pytest.mark.parametrize(
+    "g",
+    [Graph.from_edges(20, random_graph(20, 0.3, np.random.default_rng(1))), kneser(7, 3)],
+    ids=["G(20,0.3)", "K(7,3)"],
+)
+def test_the_order_edges_are_given_in_does_not_change_the_solve(g):
+    flipped = Graph.from_edges(g.vertex_count, ((b, a) for a, b in reversed(sorted(g.edges))))
+    assert flipped == g
+    assert lovasz_theta(flipped) == lovasz_theta(g)
+
+
+# Iterations of the benchmark's theta graphs, each under the relabelling of
+# seed 0.  C7 x C9 takes 38 under some other labellings.  The counts hold
+# under one and two BLAS threads alike.
+SYMMETRIC_ITERATIONS = [
+    pytest.param(strong_product(cycle_graph(5), cycle_graph(5)), 21, id="C5xC5"),
+    pytest.param(strong_product(cycle_graph(5), cycle_graph(7)), 51, id="C5xC7"),
+    pytest.param(strong_product(cycle_graph(7), cycle_graph(7)), 51, id="C7xC7"),
+    pytest.param(strong_product(cycle_graph(5), cycle_graph(9)), 65, id="C5xC9"),
+    pytest.param(strong_product(cycle_graph(7), cycle_graph(9)), 39, id="C7xC9"),
+    pytest.param(strong_product(cycle_graph(9), cycle_graph(9), max_vertices=81), 36, id="C9xC9"),
+    pytest.param(kneser(8, 3), 26, id="K(8,3)"),
+    pytest.param(kneser(9, 3), 26, id="K(9,3)"),
+    pytest.param(paley_graph(61), 5, id="Paley61"),
+    pytest.param(paley_graph(97), 5, id="Paley97"),
+]
+
+
+@pytest.mark.parametrize("g, iterations", SYMMETRIC_ITERATIONS)
+def test_symmetric_graphs_take_a_pinned_number_of_iterations(g, iterations):
+    res = lovasz_theta(relabelled(g, 0))
+    assert res.converged and res.iterations == iterations
 
 
 @pytest.mark.parametrize("vertex_count, p, seed, iterations", FACTOR_TWO_ITERATIONS)
