@@ -3,9 +3,10 @@
 The zero-error size of an n-block code is the independence number of the
 n-th strong power of the confusability graph, so this module is the
 combinatorial engine of the package.  Graphs are small by design (exact
-computation is capped at ``MAX_VERTICES`` vertices); adjacency is kept as
-per-vertex bitmasks (Python ints), which makes the branch-and-bound loop a
-handful of integer ops per node.
+computation is capped at ``MAX_VERTICES`` vertices); the clique search keeps
+per-vertex bitmasks (non-negative Python ints) of neighbors and of
+non-neighbors, so the branch-and-bound loop is a handful of integer ops per
+node and each coloring step is one AND.
 
 Edge semantics follow the package convention: an edge means confusable.
 """
@@ -43,15 +44,20 @@ class Graph:
     Edges are stored as a frozenset of (a, b) pairs with a < b.  The
     constructor takes any iterable of integer pairs, in either orientation,
     and validates and normalizes it in one pass; :meth:`from_edges` is the
-    same constructor.  Endpoints are stored as Python ints, whatever integer
-    type they came in.
+    same constructor.  The vertex count and the endpoints are stored as
+    Python ints, whatever integer type they came in.
     """
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        n = self.vertex_count
+        try:
+            n = operator.index(self.vertex_count)
+        except TypeError:
+            raise DimensionMismatchError(
+                f"vertex count {self.vertex_count!r} is not an integer"
+            ) from None
         if n < 1:
             raise DimensionMismatchError("a graph needs at least one vertex")
         edges = set()
@@ -69,6 +75,7 @@ class Graph:
             if a < 0 or b >= n:
                 raise DimensionMismatchError(f"edge ({a}, {b}) invalid for {n} vertices")
             edges.add((a, b))
+        object.__setattr__(self, "vertex_count", n)
         object.__setattr__(self, "edges", frozenset(edges))
 
     @staticmethod
@@ -143,6 +150,10 @@ def strong_power(g: Graph, n: int, max_vertices: int = MAX_VERTICES) -> Graph:
     (c_0, ..., c_{n-1}) is ``sum c_t * V^(n-1-t)``, so sorted vertex order
     is lexicographic word order.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DimensionMismatchError(f"strong power needs an integer n, not {n!r}") from None
     if n < 1:
         raise DimensionMismatchError("strong power needs n >= 1")
     if g.vertex_count**n > max_vertices:
@@ -168,16 +179,22 @@ def strong_power(g: Graph, n: int, max_vertices: int = MAX_VERTICES) -> Graph:
 # coloring's "first available vertex" is the lowest set bit, and the classes
 # whose color cannot beat the incumbent are colored without listing a vertex.
 # One engine, _clique, answers both the alpha query and the decision queries
-# of the witness rebuild.
+# of the witness rebuild.  Its masks are built once per graph searched and
+# are never negative: adj[v] holds v's neighbors in the complement, and
+# nadj[v] = full ^ adj[v] ^ (1 << v) the other vertices but v, so the
+# coloring drops v from the open class and keeps the class independent in
+# one AND, and CPython never ANDs a negative int (which it does through a
+# two's-complement copy).
 
 
 def _color_order(cand: int, nadj: tuple[int, ...], kmin: int):
     """Greedy coloring of the candidate set; returns (vertices, colors).
 
-    ``nadj[v]`` is ``~adj[v]``.  Color classes are built in bit order;
-    vertices come back grouped by class, colors[i] = class index of
-    vertices[i] (1-based), and only those with color >= ``kmin`` are listed.
-    A k-colored candidate set holds no clique larger than k.
+    ``nadj[v]`` is the non-negative mask of v's non-neighbors, v itself
+    excluded.  Color classes are built in bit order; vertices come back
+    grouped by class, colors[i] = class index of vertices[i] (1-based), and
+    only those with color >= ``kmin`` are listed.  A k-colored candidate set
+    holds no clique larger than k.
     """
     color = 0
     while cand and color < kmin - 1:  # classes below kmin: nothing listed
@@ -186,7 +203,7 @@ def _color_order(cand: int, nadj: tuple[int, ...], kmin: int):
         while avail:
             low = avail & -avail  # first available vertex in label order
             cand ^= low
-            avail = (avail ^ low) & nadj[low.bit_length() - 1]
+            avail &= nadj[low.bit_length() - 1]
     vertices: list[int] = []
     colors: list[int] = []
     while cand:
@@ -198,40 +215,43 @@ def _color_order(cand: int, nadj: tuple[int, ...], kmin: int):
             vertices.append(v)
             colors.append(color)
             cand ^= low
-            avail = (avail ^ low) & nadj[v]
+            avail &= nadj[v]
     return vertices, colors
 
 
-def _clique(adj: tuple[int, ...], cand: int, floor: int, first: bool) -> list[int]:
+def _clique(
+    adj: tuple[int, ...], nadj: tuple[int, ...], cand: int, floor: int, first: bool
+) -> list[int]:
     """Largest clique inside ``cand`` with more than ``floor`` vertices.
 
-    Returns ``[]`` when there is none.  With ``first`` the search stops at
-    the first clique of ``floor + 1`` vertices, which answers the decision
-    query "is there a clique of that size?".
+    ``nadj`` holds the masks :func:`_color_order` takes.  Returns ``[]``
+    when there is none.  With ``first`` the search stops at the first clique
+    of ``floor + 1`` vertices, which answers the decision query "is there a
+    clique of that size?".
     """
-    nadj = tuple(~a for a in adj)
     best: list[int] = []
     top = floor  # size of the incumbent
 
     def expand(r: list[int], cand: int) -> bool:
         nonlocal best, top
-        vertices, colors = _color_order(cand, nadj, top - len(r) + 1)
+        depth = len(r)
+        vertices, colors = _color_order(cand, nadj, top - depth + 1)
         for i in range(len(vertices) - 1, -1, -1):
-            if len(r) + colors[i] <= top:
+            if depth + colors[i] <= top:
                 return False  # color bound: no strictly larger clique here
             v = vertices[i]
             r.append(v)
             nxt = cand & adj[v]
             # A non-leaf clique always grows, so only leaves can set the
             # incumbent, unless the caller wants the first of floor + 1.
-            if len(r) > top and (first or not nxt):
-                best, top = r.copy(), len(r)
+            if depth + 1 > top and (first or not nxt):
+                best, top = r.copy(), depth + 1
                 if first:
                     return True
             elif nxt and expand(r, nxt):
                 return True
             r.pop()
-            cand &= ~(1 << v)
+            cand ^= 1 << v  # v is in cand: it was listed from it
         return False
 
     expand([], cand)
@@ -314,8 +334,9 @@ def _maximum_independent_set(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
     pos[order] = np.arange(n)
     pos = pos.tolist()  # label -> bit position
     adj = tuple(_pack(comp[np.ix_(order, order)]))
+    nadj = tuple(full ^ a ^ (1 << v) for v, a in enumerate(adj))
     known = 0  # a maximum clique through every vertex chosen so far
-    for b in _clique(adj, full, 0, False):
+    for b in _clique(adj, nadj, full, 0, False):
         known |= 1 << b
     alpha = known.bit_count()
 
@@ -331,7 +352,7 @@ def _maximum_independent_set(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
         # complement-neighbors of v is all that choosing v costs.
         rest = cand & adj[pos[v]]
         if not (known & bit or need == 1):
-            more = _clique(adj, rest, need - 2, True)
+            more = _clique(adj, nadj, rest, need - 2, True)
             if not more:
                 cand &= ~bit
                 continue

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from zecap import (
 )
 from zecap import graphs
 from zecap.errors import DimensionMismatchError, SizeLimitError
+from zecap.formats import dumps_canonical, graph_to_json
 
 from invariants import check_alpha_supermultiplicative
 from oracles import (
@@ -71,6 +73,17 @@ def test_graph_stores_integer_endpoints_as_python_ints():
     assert independence_number(Graph(4, frozenset({(np.int64(0), np.int64(3))}))) == (3, (0, 1, 2))
     with pytest.raises(DimensionMismatchError, match=r"\(0\.0, 3\.0\)"):
         Graph(4, frozenset({(0.0, 3.0)}))
+    # The vertex count goes through the same operator.index as the endpoints.
+    g = Graph(np.int64(3), [(0, 1)])
+    assert type(g.vertex_count) is int and g.vertex_count == 3
+    doc = json.loads(dumps_canonical(graph_to_json(g)))
+    assert doc == {"vertex_count": 3, "adjacency": [[1], [0], []]}
+    with pytest.raises(DimensionMismatchError, match="vertex count 2.5 is not an integer"):
+        Graph(2.5, [(0, 1)])
+    with pytest.raises(DimensionMismatchError, match="vertex count '3' is not an integer"):
+        Graph("3", [(0, 1)])
+    with pytest.raises(DimensionMismatchError, match=r"edge \(0, 1\) invalid for 1 vertices"):
+        Graph(True, [(0, 1)])
 
 
 def test_standard_families():
@@ -137,6 +150,14 @@ def test_strong_power_respects_size_cap():
     assert exc.value.size == 125
     with pytest.raises(DimensionMismatchError):
         strong_power(cycle_graph(5), 0)
+
+
+def test_strong_power_refuses_a_non_integer_exponent():
+    c5 = cycle_graph(5)
+    for n in (2.0, 1.5, "2", None):
+        with pytest.raises(DimensionMismatchError, match="needs an integer n"):
+            strong_power(c5, n)
+    assert strong_power(c5, np.int64(2)).edges == strong_product(c5, c5).edges
 
 
 def test_size_limit_message_formats_past_the_decimal_conversion_limit():
@@ -278,6 +299,70 @@ def test_clique_search_node_count_is_pinned(monkeypatch):
     alphas = [independence_number(g, max_vertices=81)[0] for g in corpus]
     assert alphas[:6] == [13] * 3 + [18] * 3  # Hales 1973
     assert len(nodes) == 15_677
+
+
+def _clique_masks(n: int, edges):
+    """The masks _clique takes: adjacency, and non-adjacency without v itself."""
+    adj = [0] * n
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    full = (1 << n) - 1
+    return tuple(adj), tuple(full ^ a ^ (1 << v) for v, a in enumerate(adj))
+
+
+def _check_clique_engine(n: int, edges, cand: int, omega: int):
+    """Both modes of _clique at every floor, given the clique number ``omega`` of ``cand``."""
+    adj, nadj = _clique_masks(n, edges)
+    for floor in range(omega + 1):
+        for first in (False, True):
+            got = graphs._clique(adj, nadj, cand, floor, first)
+            if floor == omega:
+                assert got == []
+                continue
+            assert len(got) == (floor + 1 if first else omega)
+            assert all(cand >> v & 1 for v in got)
+            assert all(adj[a] >> b & 1 for a, b in itertools.combinations(got, 2))
+
+
+def test_clique_engine_matches_the_oracle_on_random_graphs_and_candidate_sets():
+    rng = np.random.default_rng(27)
+    for _ in range(60):
+        n = int(rng.integers(1, 21))
+        edges = random_graph(n, rng.uniform(0.1, 0.9), rng)
+        edge_set = set(edges)
+        for _ in range(3):
+            members = [v for v in range(n) if rng.random() < 0.7]
+            cand = sum(1 << v for v in members)
+            # A clique inside cand is an independent set of the complement on cand.
+            pos = {v: i for i, v in enumerate(members)}
+            gaps = [
+                (pos[a], pos[b])
+                for a, b in itertools.combinations(members, 2)
+                if (a, b) not in edge_set
+            ]
+            omega = pruned_alpha(len(members), gaps)[0]
+            _check_clique_engine(n, edges, cand, omega)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 31, 60, 61, 64, 128])
+def test_clique_engine_at_the_word_boundaries(n):
+    # Edgeless, complete, and one edge at the highest vertex: the top bit of
+    # every mask is set, cleared or alone, up to alpha_exact's cap of 128.
+    full = (1 << n) - 1
+    complete = list(itertools.combinations(range(n), 2))
+    _check_clique_engine(n, [], full, 1)
+    _check_clique_engine(n, complete, full, n)
+    _check_clique_engine(n, complete, 1 << (n - 1), 1)
+    assert independence_number(edgeless_graph(n), n) == (n, tuple(range(n)))
+    assert independence_number(complete_graph(n), n) == (1, (0,))
+    if n > 1:
+        for edge in [(0, n - 1), (n - 2, n - 1)]:
+            _check_clique_engine(n, [edge], full, 2)
+            _check_clique_engine(n, [edge], 1 << (n - 1), 1)
+            _check_clique_engine(n, [edge], full ^ (1 << edge[0]), 1)
+            g = Graph(n, [edge])
+            assert independence_number(g, n) == (n - 1, tuple(range(n - 1)))
 
 
 # ---------------------------------------------------------------------------
