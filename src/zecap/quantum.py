@@ -356,16 +356,6 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
     return np.clip(p, 0.0, 1.0)
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` for square matrices, by one broadcast product.
-
-    Entry ((i, k), (j, l)) is the single product a[i, j] * b[k, l], so the
-    result equals ``np.kron`` bit for bit without its generic reshaping.
-    """
-    m, q = a.shape[0], b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * q, m * q)
-
-
 # ---------------------------------------------------------------------------
 # Constructors and the Haar unitary
 # ---------------------------------------------------------------------------

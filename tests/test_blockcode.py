@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -21,13 +22,20 @@ from zecap import (
     verify_zero_error,
 )
 from zecap import blockcode, quantum
-from zecap.blockcode import _enumerate_supports, _kron, _tensor_path_agrees, _word_probabilities
+from zecap.blockcode import (
+    _enumerate_supports,
+    _stacked_joints,
+    _tensor_path_agrees,
+    _word_probabilities,
+)
 from zecap.confusability import StateSet
 from zecap.errors import (
     AmbiguousSupportsError,
     DimensionMismatchError,
+    EmptySupportError,
     SizeLimitError,
 )
+from zecap.formats import code_document, dumps_canonical
 from zecap.quantum import (
     apply_channel,
     outcome_probabilities,
@@ -378,12 +386,25 @@ def test_certificate_overlap_matches_the_pairwise_reference():
     assert confusable >= 20
 
 
-def test_broadcast_joint_state_equals_np_kron_exactly():
-    rng = np.random.default_rng(5)
-    for m, q in [(1, 4), (3, 5), (9, 3), (25, 5), (14, 14)]:
-        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        b = rng.standard_normal((q, q)) + 1j * rng.standard_normal((q, q))
-        assert np.array_equal(_kron(a, b), np.kron(a, b))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_joints_equal_np_kron_exactly(n):
+    # Each joint, read as a d^n x d^n matrix, is the np.kron chain of its
+    # codeword's states bit for bit, and its storage is pair-major: (i_t, j_t)
+    # side by side, so the transposed view is C-contiguous.
+    rng = np.random.default_rng(5 + n)
+    d = 3
+    outs = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
+    codewords = rng.integers(0, 4, size=(6, n))
+    pair_major = (0, *itertools.chain(*((1 + t, 1 + n + t) for t in range(n))))
+    for stack in (outs, outs.real.copy()):
+        joints = _stacked_joints(stack, codewords)
+        assert joints.shape == (6,) + (d,) * (2 * n) and joints.dtype == stack.dtype
+        assert joints.transpose(pair_major).flags.c_contiguous
+        for joint, cw in zip(joints, codewords):
+            want = stack[cw[0]]
+            for c in cw[1:]:
+                want = np.kron(want, stack[c])
+            assert np.array_equal(joint.reshape(d**n, d**n), want)
 
 
 def test_code_constructor_validates_shape_only():
@@ -402,6 +423,57 @@ def test_code_constructor_validates_shape_only():
         QuantumBlockCode(
             block_length=1, codewords=((7,),), source=states, povm=povm
         )
+
+
+def test_code_stores_integer_indices_as_python_ints():
+    channel, states, povm, graph = pentagon_ensemble()
+    code = QuantumBlockCode(
+        block_length=np.int64(2),
+        codewords=tuple(tuple(np.array(cw)) for cw in PENTAGON_CODEWORDS),
+        source=states,
+        povm=povm,
+    )
+    assert type(code.block_length) is int
+    assert all(type(c) is int for cw in code.codewords for c in cw)
+    assert code.codewords == PENTAGON_CODEWORDS
+    assert verify_zero_error(code, channel, eps=1e-9).passed
+    doc = json.loads(
+        dumps_canonical(code_document(code, build_decoder(code, channel, eps=1e-9), None))
+    )
+    assert doc["codewords"] == [list(cw) for cw in PENTAGON_CODEWORDS]
+    # Given order is message order; it is not re-sorted.
+    swapped = QuantumBlockCode(1, ((2,), (0,)), states, povm)
+    assert swapped.codewords == ((2,), (0,))
+
+
+@pytest.mark.parametrize(
+    "block_length,codewords,match",
+    [
+        (1, ((1.5,),), r"codeword \(1\.5,\) is not a sequence of integer state indices"),
+        (1, ((0,), ((1,),)), r"codeword \(\(1,\),\) is not a sequence"),
+        (1, (0, 1), "codeword 0 is not a sequence"),
+        (1, (("1",),), "not a sequence of integer state indices"),
+        (1.0, ((0,),), "block length 1.0 is not an integer"),
+        (1, ((0,), (np.int64(0),)), r"duplicate codeword \(0,\)"),
+    ],
+)
+def test_code_refuses_non_integer_indices(block_length, codewords, match):
+    channel, states, povm, graph = pentagon_ensemble()
+    with pytest.raises(DimensionMismatchError, match=match):
+        QuantumBlockCode(
+            block_length=block_length, codewords=codewords, source=states, povm=povm
+        )
+
+
+@pytest.mark.parametrize("check", [build_decoder, verify_zero_error])
+def test_an_empty_support_names_its_state(check):
+    # Every pentagon state splits its mass evenly over two outcomes, so no
+    # probability exceeds 0.9 and state 0 is the first to fail.
+    channel, states, povm, graph = pentagon_ensemble()
+    code = build_code(graph, states, povm, n=1)
+    with pytest.raises(EmptySupportError, match="for state 0 \\(eps = 9.0e-01\\)") as exc:
+        check(code, channel, eps=0.9)
+    assert exc.value.state_index == 0 and exc.value.eps == 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +622,84 @@ def test_word_probabilities_match_the_trace_of_every_product_element(d, outcomes
         want = np.trace(joint @ e).real
         assert abs(got[w] - want) <= 16 * np.finfo(float).eps
     assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def product_element_probabilities(joint, elements, n):
+    # Reference in complex arithmetic: tr(joint (E_w0 x ... x E_wn-1)) for
+    # every word, each product element built with np.kron.
+    joint = joint.astype(np.complex128)
+    p = np.empty((len(elements),) * n)
+    for w in itertools.product(range(len(elements)), repeat=n):
+        e = elements[w[0]].astype(np.complex128)
+        for t in range(1, n):
+            e = np.kron(e, elements[w[t]])
+        p[w] = np.trace(joint @ e).real
+    return p
+
+
+def block_diagonal_povm(seed: int):
+    # A 3-outcome POVM on the first two basis directions and a 2-outcome one
+    # on the last two: half of each element's entries are exact zeros.
+    top = random_general_povm(2, 3, seed=seed).elements
+    bottom = random_general_povm(2, 2, seed=seed + 1).elements
+    elements = np.zeros((5, 4, 4), dtype=np.complex128)
+    elements[:3, :2, :2] = top
+    elements[3:, 2:, 2:] = bottom
+    return validate_povm(list(elements))
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize(
+    "d,n,povm",
+    [
+        (2, 3, lambda: random_general_povm(2, 3, seed=4)),
+        (3, 2, lambda: random_general_povm(3, 5, seed=5)),
+        (3, 2, lambda: computational_povm(3)),
+        (2, 3, lambda: computational_povm(2)),
+        (4, 2, lambda: block_diagonal_povm(6)),
+    ],
+    ids=["dense-2-3", "dense-3-2", "basis-3-2", "basis-2-3", "block-4-2"],
+)
+def test_stacked_joints_match_one_joint_calls_and_the_product_elements(d, n, povm, real):
+    # A stack of generic mixed states on d^n, each entangled, through one
+    # call: every slice equals its one-joint call and the product-element
+    # reference, dense POVMs and POVMs with exact zeros alike.
+    rng = np.random.default_rng(10 * d + n)
+    elements = povm().elements
+    joints = np.array([random_density_matrix(d**n, rng).matrix for _ in range(5)])
+    if real:
+        elements, joints = elements.real.copy(), joints.real.copy()
+    got = _word_probabilities(joints, elements, n)
+    assert got.shape == (5,) + (len(elements),) * n
+    assert got.dtype == np.float64
+    for joint, p in zip(joints, got):
+        one = _word_probabilities(joint, elements, n)
+        assert np.allclose(p, one, rtol=0.0, atol=16 * np.finfo(float).eps)
+        want = product_element_probabilities(joint, elements, n)
+        assert np.allclose(p, want, rtol=0.0, atol=16 * np.finfo(float).eps)
+        assert p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("change", ["lost", "gained", "swapped"])
+def test_tensor_path_catches_a_changed_word_at_the_end_of_a_later_chunk(change):
+    # Identity channel on d = 4, block length 3: 64 codewords of one word
+    # each, 4^6 joint entries apiece, so the code spans several chunks.
+    channel, states, povm = identity_ensemble(4)
+    code = all_words_code(states, povm, 3)
+    chunk = blockcode._CHUNK_ENTRIES // 4**6
+    assert 1 <= chunk and 2 * chunk < code.message_count
+    word_sets = _enumerate_supports(code, channel, eps=1e-9)[0]
+    assert _tensor_path_agrees(code, channel, 1e-9, word_sets)
+    for i in (2 * chunk - 1, code.message_count - 1):
+        (word,) = word_sets[i]
+        other = tuple(3 - x for x in word)
+        new = {
+            "lost": frozenset(),
+            "gained": frozenset({word, other}),
+            "swapped": frozenset({other}),
+        }[change]
+        changed = word_sets[:i] + (new,) + word_sets[i + 1 :]
+        assert not _tensor_path_agrees(code, channel, 1e-9, changed), i
 
 
 # ---------------------------------------------------------------------------
