@@ -103,7 +103,7 @@ def support_set(probs: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """
     _check_eps(eps)
     p = np.asarray(probs, dtype=np.float64)
-    idx = frozenset(int(j) for j in np.flatnonzero(p > eps))
+    idx = frozenset(np.flatnonzero(p > eps).tolist())
     if not idx:
         raise EmptySupportError(eps=eps)
     return idx

@@ -17,16 +17,21 @@ matrix-vector product with the element stack.
 Matrices are plain ``numpy.ndarray`` of complex128.  A channel whose Kraus
 operators and input are exactly real (imaginary parts identically zero, as in
 every classical embedding) is applied in float64, where a complex product
-would spend three of its four real multiplications on zeros; the output is
-complex128 all the same.  A stack's realness is decided once, on first use.
-Wrapper dataclasses (:class:`DensityMatrix`, :class:`QuantumChannel`,
-:class:`Povm`) certify that their contents passed validation; their arrays
-are frozen (non-writeable).
+would spend three of its four real multiplications on zeros.  That float64
+output is measured as it is: the POVM traces stay one complex product, into
+which numpy promotes it exactly, and when the POVM is exactly real too every
+trace's imaginary part is a sum of products with an exact zero, so it is not
+checked.  A stack's realness is decided once, on first use; a state's on
+every call.  Wrapper dataclasses (:class:`DensityMatrix`,
+:class:`QuantumChannel`, :class:`Povm`) certify that their contents passed
+validation; each checks that its array's shape matches its ``dim``, and their
+arrays are frozen (non-writeable).
 All indices are 0-based.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -70,6 +75,25 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_shape(obj, field: str, stack: bool) -> None:
+    """Store ``obj.dim`` as an int and check ``obj.<field>``'s shape against it.
+
+    The array must be (d, d), or (count >= 1, d, d) when ``stack`` is set,
+    for d = ``dim`` >= 1; anything else is a ``DimensionMismatchError``.
+    """
+    try:
+        d = operator.index(obj.dim)
+    except TypeError:
+        raise DimensionMismatchError(f"dim {obj.dim!r} is not an integer") from None
+    if d < 1:
+        raise DimensionMismatchError(f"dim must be >= 1, got {d}")
+    object.__setattr__(obj, "dim", d)
+    shape = getattr(obj, field).shape
+    if len(shape) != 2 + stack or shape[-2:] != (d, d) or 0 in shape:
+        want = "(count >= 1, d, d)" if stack else "(d, d)"
+        raise DimensionMismatchError(f"{field} of shape {shape} is not {want} for dim {d}")
+
+
 def _require_square(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -111,6 +135,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _freeze(self.matrix))
+        _check_shape(self, "matrix", stack=False)
 
     def __eq__(self, other):
         if not isinstance(other, DensityMatrix):
@@ -133,6 +158,7 @@ class QuantumChannel:
 
     def __post_init__(self):
         object.__setattr__(self, "kraus", _freeze(self.kraus))
+        _check_shape(self, "kraus", stack=True)
 
     @cached_property
     def _real_kraus(self) -> np.ndarray | None:
@@ -155,6 +181,7 @@ class Povm:
 
     def __post_init__(self):
         object.__setattr__(self, "elements", _freeze(self.elements))
+        _check_shape(self, "elements", stack=True)
 
     @cached_property
     def _real_elements(self) -> np.ndarray | None:
@@ -277,20 +304,22 @@ def _apply_kraus(channel: QuantumChannel, m: np.ndarray) -> np.ndarray:
     The axis-0 sum adds the K terms in order, as a loop would.  When the
     channel's Kraus stack (its realness decided once) and ``m`` (tested on
     each call) are both exactly real, the product runs in float64 as
-    ``sum_k K_k m K_k^T``; the result is complex128 either way.
+    ``sum_k K_k m K_k^T`` and the result is that float64 sum; otherwise it is
+    complex128.
     """
     ks, real_ks = channel.kraus, channel._real_kraus
     real_m = None if real_ks is None else _exact_real(m)
     if real_m is None:
         return (ks @ m @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
-    return (real_ks @ real_m @ real_ks.transpose(0, 2, 1)).sum(axis=0).astype(np.complex128)
+    return (real_ks @ real_m @ real_ks.transpose(0, 2, 1)).sum(axis=0)
 
 
 def apply_channel(channel: QuantumChannel, state: DensityMatrix) -> DensityMatrix:
     """Push ``state`` through ``channel``: ``sum_m K_m rho K_m^dagger``.
 
     The output is re-validated (it must satisfy the density-matrix contract
-    for valid inputs; failure indicates numerical breakdown upstream).
+    for valid inputs; failure indicates numerical breakdown upstream), which
+    also makes a float64 channel output complex128, exactly.
 
     Raises
     ------
@@ -309,9 +338,15 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
 
     Computes ``p(j) = tr(E(rho) E_j)`` for each POVM element ``E_j``: the
     channel output comes from one batched product over the stacked Kraus
-    operators, and all N traces from one product of the flattened (N, d*d)
-    element stack with the flattened transpose of that output, O(N d^2)
-    work in a single call.
+    operators, and all N traces from one complex product of the flattened
+    (N, d*d) element stack with the flattened transpose of that output,
+    O(N d^2) work in a single call.  A float64 channel output (exactly real
+    channel and state) enters that product promoted to complex128, exactly.
+
+    Every trace's imaginary part is checked, except when the channel output
+    is float64 and the POVM is exactly real: each imaginary part is then a
+    sum of products with an exact zero, so it is zero (or NaN, which no
+    check refuses), and the check could not fire.
 
     Parameters
     ----------
@@ -328,8 +363,8 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
     Raises
     ------
     InvalidProbabilitiesError
-        If any trace has imaginary part or out-of-range real part beyond
-        1e-9, or the vector does not sum to 1 within it.
+        If any checked trace has imaginary part, or any real part is out of
+        range, beyond 1e-9, or the vector does not sum to 1 within it.
         Cannot happen for validated inputs; it guards the internal math.
     DimensionMismatchError
         On any dimension disagreement.
@@ -339,20 +374,30 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
             f"dimensions disagree: channel {channel.dim}, state {state.dim}, POVM {povm.dim}"
         )
     sigma = _apply_kraus(channel, state.matrix)
-    # tr(sigma E_j) = sum_{a,b} E_j[a, b] sigma^T[a, b].
+    # tr(sigma E_j) = sum_{a,b} E_j[a, b] sigma^T[a, b].  The product stays
+    # complex even for a float64 sigma: a float64 product rounds differently.
     raw = povm.elements.reshape(len(povm), -1) @ sigma.T.ravel()
-    if float(np.max(np.abs(raw.imag))) > _TOL:
+    # A float64 sigma is promoted with imaginary parts of exact zeros, and a
+    # real POVM's are exact zeros too, so every term of an imaginary part has
+    # an exact zero factor: the sum is zero, or NaN where the other factor is
+    # not finite, and NaN > _TOL is false.  The check could not fire.
+    if sigma.dtype != np.float64 or povm._real_elements is None:
+        imag = float(np.max(np.abs(raw.imag)))
+        if imag > _TOL:
+            raise InvalidProbabilitiesError(f"outcome trace has imaginary part up to {imag:.3e}")
+    p = raw.real.copy()
+    lo, hi = float(p.min()), float(p.max())
+    if lo < -_TOL or hi > 1.0 + _TOL:
         raise InvalidProbabilitiesError(
-            f"outcome trace has imaginary part up to {np.max(np.abs(raw.imag)):.3e}"
-        )
-    p = raw.real.astype(np.float64)
-    if float(p.min()) < -_TOL or float(p.max()) > 1.0 + _TOL:
-        raise InvalidProbabilitiesError(
-            f"outcome probability outside [0,1]: min {p.min():.3e}, max {p.max():.3e}"
+            f"outcome probability outside [0,1]: min {lo:.3e}, max {hi:.3e}"
         )
     s = float(p.sum())
     if abs(s - 1.0) > _TOL:
         raise InvalidProbabilitiesError(f"probabilities sum to {s!r}, expected 1")
+    # Clipping an array already inside [0, 1] returns it bit for bit, -0.0
+    # included; a NaN fails both comparisons and is clipped as before.
+    if lo >= 0.0 and hi <= 1.0:
+        return p
     return np.clip(p, 0.0, 1.0)
 
 

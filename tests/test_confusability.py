@@ -46,6 +46,12 @@ def test_support_set_picks_entries_above_eps():
     assert support_set(np.array([1e-12, 1.0 - 1e-12])) == frozenset({1})
 
 
+def test_support_set_is_a_frozenset_of_python_ints():
+    idx = support_set(np.array([0.25, 0.0, 0.5, 0.25]))
+    assert type(idx) is frozenset and idx == {0, 2, 3}
+    assert all(type(j) is int for j in idx)
+
+
 def test_support_set_cutoff_is_strict():
     eps = 1e-9
     assert support_set(np.array([eps, 1.0 - eps]), eps) == frozenset({1})

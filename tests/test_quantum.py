@@ -7,6 +7,8 @@ import pytest
 
 from zecap import (
     DensityMatrix,
+    Povm,
+    QuantumChannel,
     apply_channel,
     basis_state,
     haar_unitary,
@@ -18,6 +20,7 @@ from zecap import (
 )
 from zecap.errors import (
     DimensionMismatchError,
+    InvalidProbabilitiesError,
     NotHermitianError,
     NotPsdError,
     NotTracePreservingError,
@@ -89,6 +92,31 @@ def test_validated_arrays_are_frozen():
         assert stack.flags.c_contiguous
         with pytest.raises(ValueError):
             stack[0, 0, 0] = 9.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DensityMatrix(dim=3, matrix=np.eye(2) / 2),
+        lambda: QuantumChannel(dim=3, kraus=np.eye(2)[None]),
+        lambda: Povm(dim=3, elements=np.eye(2)[None]),
+        lambda: DensityMatrix(dim=2, matrix=np.eye(2)[None]),
+        lambda: QuantumChannel(dim=2, kraus=np.zeros((0, 2, 2))),
+        lambda: DensityMatrix(dim=2.0, matrix=np.eye(2) / 2),
+    ],
+    ids=["state-dim", "channel-dim", "povm-dim", "state-3d", "empty-stack", "float-dim"],
+)
+def test_wrappers_refuse_a_dim_their_array_contradicts(build):
+    # Construction does not validate the contents, but a shape that
+    # contradicts dim would otherwise surface later as numpy's bare matmul
+    # ValueError.
+    with pytest.raises(DimensionMismatchError):
+        build()
+
+
+def test_wrappers_store_an_integer_dim_as_a_python_int():
+    rho = DensityMatrix(dim=np.int64(2), matrix=np.eye(2) / 2)
+    assert type(rho.dim) is int and rho.dim == 2
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +305,80 @@ def test_stacked_kernels_match_the_loop_oracles(monkeypatch):
             assert np.max(np.abs(p - want.real)) <= tol, case
             assert took_real and set(took_real) == {is_real}, case
     assert overcomplete >= 40
+
+
+def _reference_outcome_probabilities(channel, state, povm):
+    # The distribution spelled out as a complex128 channel output (the
+    # float64 product cast to complex when channel and state are exactly
+    # real), one complex product with the element stack, every check, and
+    # np.clip.
+    ks, m = channel.kraus, state.matrix
+    if not ks.imag.any() and not m.imag.any():
+        real_ks = ks.real.copy()
+        sigma = (real_ks @ m.real.copy() @ real_ks.transpose(0, 2, 1)).sum(axis=0)
+        sigma = sigma.astype(np.complex128)
+    else:
+        sigma = (ks @ m @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
+    raw = povm.elements.reshape(len(povm), -1) @ sigma.T.ravel()
+    if float(np.max(np.abs(raw.imag))) > 1e-9:
+        raise InvalidProbabilitiesError("imaginary")
+    p = raw.real.astype(np.float64)
+    if float(p.min()) < -1e-9 or float(p.max()) > 1.0 + 1e-9 or abs(float(p.sum()) - 1.0) > 1e-9:
+        raise InvalidProbabilitiesError("range or sum")
+    return np.clip(p, 0.0, 1.0)
+
+
+def _real_channel(channel):
+    # A QR of the stacked Kraus operators' real part is a real isometry.
+    q, _ = np.linalg.qr(np.concatenate([k.real for k in channel.kraus]))
+    return validate_channel(np.split(q, len(channel.kraus)))
+
+
+@pytest.mark.parametrize(
+    "real_channel, real_state, real_povm",
+    [(True, True, True), (False, False, False), (True, True, False), (True, False, True)],
+    ids=["all-real", "all-complex", "real-kraus-complex-povm", "complex-state-real-channel"],
+)
+def test_outcome_probabilities_equal_the_reference_bit_for_bit(real_channel, real_state, real_povm):
+    rng = np.random.default_rng(2901)
+    for case in range(60):
+        dim = int(rng.integers(1, 6))
+        channel = random_channel(dim, int(rng.integers(1, 5)), rng)
+        state = random_density_matrix(dim, rng)
+        povm = random_general_povm(dim, int(rng.integers(1, dim * dim + 2)), seed=2901 + case)
+        if real_channel:
+            channel = _real_channel(channel)
+        if real_state:
+            state = validate_state(state.matrix.real)
+        if real_povm:
+            povm = validate_povm([e.real for e in povm.elements])
+        if case % 3 == 0:
+            # Diagonal states and POVMs, as in a classical embedding: most
+            # products are exact zeros.
+            state = validate_state(np.diag(np.diag(state.matrix).real))
+            povm = validate_povm([np.diag(np.diag(e)).real for e in povm.elements])
+        got = outcome_probabilities(channel, state, povm)
+        want = _reference_outcome_probabilities(channel, state, povm)
+        assert got.dtype == want.dtype and got.shape == want.shape, case
+        assert got.tobytes() == want.tobytes(), case
+
+
+def test_the_imaginary_part_check_still_fires_on_a_complex_output():
+    # Unvalidated, non-Hermitian: each diagonal entry, so each trace with a
+    # computational POVM element, has imaginary part 0.1.  A real channel and
+    # a real POVM do not skip the check while the state is complex.
+    bad = DensityMatrix(dim=2, matrix=np.diag([0.5 + 0.1j, 0.5 - 0.1j]))
+    povm = computational_povm(2)
+    for channel in (validate_channel([np.eye(2)]), validate_channel([1j * np.eye(2)])):
+        with pytest.raises(InvalidProbabilitiesError, match="imaginary part up to 1.000e-01"):
+            outcome_probabilities(channel, bad, povm)
+    # A real (but non-symmetric) state through a real channel, measured with
+    # a complex POVM: the float64 output does not skip the check either.
+    y_plus = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+    complex_povm = validate_povm([y_plus, np.eye(2) - y_plus])
+    skew = DensityMatrix(dim=2, matrix=np.array([[0.5, 0.3], [0.1, 0.5]]))
+    with pytest.raises(InvalidProbabilitiesError, match="imaginary part"):
+        outcome_probabilities(validate_channel([np.eye(2)]), skew, complex_povm)
 
 
 # ---------------------------------------------------------------------------
