@@ -4,9 +4,11 @@ The solver returns a bracket [lower, upper] around theta with a proven
 width, not just a point estimate: the lower end comes from a feasible
 rounding of the primal iterate, the upper end from a dual certificate.
 Odd cycles have a closed form, which makes them a good external check.
-The iteration count is the number of eigendecompositions. Convergence is
-tested every 25 steps, and also once as soon as the fixed-point residual
-falls below the tolerance, so the easy anchors below stop after a handful.
+The iteration count is the number of projections onto the PSD cone, some
+of which reuse the last eigenbasis instead of a fresh eigendecomposition.
+Convergence is tested every 25 steps, and also once as soon as the
+fixed-point residual falls below a tenth of the tolerance, so the easy
+anchors below stop after a handful.
 """
 
 import math

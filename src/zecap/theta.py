@@ -60,14 +60,18 @@ balancing with an adaptive multiplier; Wohlberg, arXiv:1704.06209, 2017).
 Strong products of odd cycles reach such ratios, 10^8 to 10^13, once z
 has stopped moving while x has not; doubling rho once per check took about
 100 steps to close that gap, which one step of the capped factor closes.  In
-between, the first time the fixed-point residual falls below ``tol`` the
-solver also checks the plain step from the current point, computed aside:
-one more projection that leaves the sequence of steps as it is.  A
+between, the first time the fixed-point residual falls below ``tol / 10``
+the solver also checks the plain step from the current point, computed
+aside: one more projection that leaves the sequence of steps as it is.  A
 solve therefore stops no later than at the step it would stop at without
 these extra checks, its count raised by one per extra check, unless those
-extra projections use up the budget first.  Only a
-25-step check whose residual is at or above ``tol`` re-arms the trigger, so
-a graph whose bracket lags its residual pays for one extra check.
+extra projections use up the budget first.  The trigger waits for a tenth
+of ``tol`` because the bracket lags the residual: on K(8,3), K(9,3),
+C5 x C7 and C7 x C7 it is still open at the residual's first step below
+``tol`` and closes about two steps later.  Only a 25-step check whose
+residual is at or above ``tol`` re-arms the trigger, so a graph whose
+bracket lags its residual further pays for at most one extra check per
+re-arming.
 
 The convergence test is not the raw residuals alone: each check also builds
 a *certified* bracket [lower, upper] containing theta.  The PSD iterate is
@@ -101,6 +105,17 @@ __all__ = ["MAX_SDP_VERTICES", "ThetaResult", "lovasz_theta"]
 MAX_SDP_VERTICES = 100
 
 _CHECK_EVERY = 25  # residual/gap checks and rho adaptation cadence
+# The check aside fires the first time the fixed-point residual falls below
+# tol / _TRIGGER_DIVISOR.  At the residual's first step below tol the bracket
+# of K(8,3), K(9,3), C5xC7 and C7xC7 is still open; it closes about two steps
+# later, below tol / 10.  Totals over the benchmark's ten symmetric graphs
+# (relabelling 0) and the 31 random graphs of the tests' factor-2 corpus, by
+# divisor: 1 gave (325, 10,804), 2 (309, 10,796), 3 (299, 10,794), 5 (299,
+# 10,790), 10 (275, 10,772), 30 (276, 10,740), 100 (279, 10,759).  Under 10
+# no solve rose, neither a random one nor a symmetric one under relabellings
+# 0-11 (3,894 to 3,294 iterations in all).  Re-arming at tol / 10 as well
+# lowered the random total but raised one graph, so a check re-arms at tol.
+_TRIGGER_DIVISOR = 10.0
 _MAX_ITERATIONS = 50_000  # budget of PSD projections per solve
 _MEMORY = 10  # Anderson history length; costs 2 * _MEMORY * V^2 doubles
 _MAX_COEFFICIENT_SUM = 100.0  # extrapolations with larger sum |gamma| are refused
@@ -116,10 +131,11 @@ _EPS = float(np.finfo(float).eps)
 _BALANCE_BAND = 1e3
 # Cap on the factor past the band.  The ratio at those stalls is so large
 # that the factor is the cap.  Iterations of C7xC7 / C5xC9 / C7xC9 / C9xC9
-# with caps 16, 32, 64 and 128: 35/64/51/47-49, 38/62/44/46, 51/65/38/36,
-# 51/76/38/40 (42/74/74/102-126 under the factor-2 rule).  64 minimises the
-# V^3-weighted sum, which is what the eigendecompositions cost; 48 splits
-# C7xC7 between 38 and 51 by labelling; with no cap C7xC9 takes 248.
+# over labellings 0-11 with caps 16, 32, 48, 64 and 128: 35/63-64/47/47-49,
+# 38/62/39-44/46, 37-38/63/38/39, 37/65/38-39/36, 51/65/38/40 (41-42/73-74/
+# 73-84/100-107 under the factor-2 rule).  64 minimises the V^3-weighted
+# sum, which is what the eigendecompositions cost; with a cap of 10^6 C7xC7
+# takes 262-611.
 _MAX_RESCALE = 64.0
 # A held eigenbasis Q is reused for S when |offdiag Q^T S Q|_F is at most
 # this many n * eps * |S|_F, eigh's own rounding order.  P_psd is
@@ -281,9 +297,9 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
     and their ratio is within 10^3 (the measured range on random graphs),
     and by the square root of the ratio, capped at 64, past it (Boyd et al.
     2011, sec. 3.4.1; Wohlberg 2017, arXiv:1704.06209).  The first time
-    the fixed-point residual falls below ``tol`` (again after a check that
-    found it at or above ``tol``), the plain step from that point is also
-    checked, computed aside so the steps are unchanged.  A projection
+    the fixed-point residual falls below ``tol / 10`` (again after a check
+    that found it at or above ``tol``), the plain step from that point is
+    also checked, computed aside so the steps are unchanged.  A projection
     reuses the eigenbasis of the last eigendecomposition while the
     off-diagonal part of the new matrix in that basis is within 10^3 times
     eigh's rounding order; on symmetric graphs one to three bases serve
@@ -399,11 +415,17 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
                 slot = (slot + 1) % _MEMORY
             f_prev, t_prev, r_prev = f, t, r
 
-            if armed and r < tol and (steps + 1) % _CHECK_EVERY and it + 2 < max_iterations:
-                # The residual has just fallen below tol, and the bracket often
-                # closes with it: check the plain step from here, aside, so the
-                # steps go on as if it had not been taken.  (When the next step
-                # is a check anyway, this one is left to it.)
+            if (
+                armed
+                and r < tol / _TRIGGER_DIVISOR
+                and (steps + 1) % _CHECK_EVERY
+                and it + 2 < max_iterations
+            ):
+                # The residual has just fallen below tol / _TRIGGER_DIVISOR, and
+                # the bracket has often closed by then: check the plain step
+                # from here, aside, so the steps go on as if it had not been
+                # taken.  (When the next step is a check anyway, this one is
+                # left to it.)
                 armed = False
                 t_plain = t.reshape(n, n)
                 z_plain = project(t_plain)
