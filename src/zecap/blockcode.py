@@ -10,20 +10,19 @@ word belongs to exactly one codeword.
 
 ``verify_zero_error`` re-derives the supports through a second, independent
 path and checks it against the Cartesian one, certifying the
-product-measurement model rather than assuming it: each codeword's
-post-channel states are tensored into one joint state (the full operator,
-the products np.kron makes, built by broadcasting over a chunk of codewords
-at a time and stored with each position's row and column index side by
-side), which is contracted with the stacked POVM one position at a time to
-give the probability of every output word.  No product-POVM element is
-built, and each position is contracted only over the s entries (j, i) of a
-d x d element where some POVM element is nonzero: s = d^2 for a dense POVM
-and s = d for a diagonal one, as for every classical embedding.  For N
-outcomes on a d-dimensional channel the cost per codeword is d^(2n)
-products to build its joint and about N s^n multiply-adds to contract it
-when N <= s.  They are real multiply-adds when the channel outputs and the
-POVM are exactly real, as for every classical embedding, and complex ones,
-four real multiplications each, when any entry is complex.
+product-measurement model rather than assuming it: each codeword's joint
+state (np.kron's products of its recomputed post-channel states, never
+assumed to factorise) is contracted with the stacked POVM one position at a
+time to give the probability of every output word.  No product-POVM
+element is built, and the joint is built only where the contraction reads
+it: per position, the s pairs (i, j) where some POVM element's entry (j, i)
+is nonzero, s = d^2 for a dense POVM and s = d for a diagonal one, as for
+every classical embedding.  For N outcomes on a d-dimensional channel the
+cost per codeword is s^n products to build those entries (of the joint's
+d^(2n)), a chunk of codewords at a time, and about N s^n multiply-adds to
+contract them when N <= s.  They are real multiply-adds when the channel
+outputs and the POVM are exactly real, as for every classical embedding,
+and complex ones, four real multiplications each, when any entry is complex.
 """
 
 from __future__ import annotations
@@ -46,8 +45,10 @@ from .graphs import MAX_VERTICES, Graph, independence_number, strong_power
 from .quantum import (
     Povm,
     QuantumChannel,
+    _apply_kraus,
     _exact_real,
-    apply_channel,
+    _require_hermitian_psd,
+    _require_unit_trace,
     outcome_probabilities,
 )
 
@@ -67,11 +68,13 @@ ENUMERATION_CAP = 10**6
 # Joint-space dimension cap for the Kronecker verification path.
 TENSOR_DIM_CAP = 4096
 
-# Entries of the stacked joint states one Kronecker-path contraction holds
-# (2^16: 512 KiB real, 1 MiB complex); a joint larger than this runs alone.
-# On one Xeon core (min of 60 calls, median of three runs), 2^15 made the
-# pentagon n = 3 code of 10 codewords take 0.69 ms against 0.62, and 2^17 a
-# dense (Haar-basis) d = 2, n = 5 code of 32 codewords 1.22 ms against 0.80.
+# Joint entries the Kronecker path builds per contraction, s^n a codeword
+# (2^16: 512 KiB real, 1 MiB complex); a larger codeword runs alone.  On one
+# Xeon core (min of 20-60 calls, two or three runs), 2^12 to 2^18 all took
+# the same time on the benchmark's four classical codes and a dense
+# (Haar-basis) d = 2, n = 5 code of 32 codewords (0.62-0.79 ms), while dense
+# d = 4, n = 3 and d = 2, n = 6 codes of 64 took 1.4-1.6 and 2.5-2.7 ms from
+# 2^15 up, against 1.7 and 3.0 at 2^14 and 2.8 and 4.9 at 2^12.
 _CHUNK_ENTRIES = 2**16
 
 _Word = tuple[int, ...]
@@ -333,14 +336,13 @@ def verify_zero_error(
     * product path: Cartesian products of per-position support sets;
     * Kronecker path (when the joint dimension d^n fits ``TENSOR_DIM_CAP``
       and the N^n words fit ``ENUMERATION_CAP``):
-      the codeword's post-channel states are tensored into one joint state
-      (the full d^n x d^n operator, built by broadcasting over a chunk of
-      codewords at a time), whose probabilities
+      each state's output is recomputed from the channel and validated,
+      and the codeword's joint state (never assumed to factorise) is built
+      at the s^n of its d^(2n) entries where some product element is
+      nonzero, a chunk of codewords at a time.  The probabilities
       tr(joint (E_w0 x ... x E_wn-1)) for all N^n words come from
-      contracting it with the stacked POVM one position at a time, over the
-      entries where some element is nonzero (no product element built), and
-      are thresholded at the same ``eps``.
-      The contraction never assumes the joint state factorises.
+      contracting those entries with the stacked POVM one position at a
+      time (no product element built), thresholded at the same ``eps``.
 
     ``passed`` means the supports are pairwise disjoint and the two paths
     agreed exactly.  Probabilities within roundoff of ``eps`` can make the
@@ -354,6 +356,9 @@ def verify_zero_error(
     EmptySupportError
         If some state's outcome distribution has no entry above ``eps``; the
         error names the state.
+    NotHermitianError, NotPsdError, TraceNotOneError
+        If a channel output the Kronecker path recomputes is not a density
+        matrix within 1e-9 (numerical breakdown upstream).
     """
     word_sets, tables, owners = _enumerate_supports(code, channel, eps)
 
@@ -403,19 +408,32 @@ def _tensor_path_agrees(
     eps: float,
     word_sets: tuple[frozenset[tuple[int, ...]], ...],
 ) -> bool:
-    """Recompute supports on the joint space and compare set-for-set."""
-    n = code.block_length
-    outs = np.array([apply_channel(channel, s).matrix for s in code.source.states])
+    """Recompute supports on the joint space and compare set-for-set.
+
+    The channel outputs are recomputed per state and validated as one stack.
+    """
+    n, d = code.block_length, channel.dim
+    outs = np.array([_apply_kraus(channel, s.matrix) for s in code.source.states])
+    _require_hermitian_psd(outs)
+    _require_unit_trace(outs)
     elements, real_outs = code.povm.elements, _exact_real(outs)
     # Exactly real outputs and POVM are contracted in float64, a quarter of
     # the real multiplications; any complex entry keeps both complex.
     if real_outs is not None and code.povm._real_elements is not None:
         outs, elements = real_outs, code.povm._real_elements
+    # f[w, i d + j] = E_w[j, i], the factor of a position's joint entry
+    # (i, j).  Only the s pairs where some element is nonzero are gathered,
+    # from the POVM and the outputs alike, and C-ordered again: BLAS can
+    # round a product with a Fortran-ordered operand differently.
+    f = elements.transpose(0, 2, 1).reshape(len(elements), d * d)
+    support = np.flatnonzero(f.any(axis=0))
+    f = np.ascontiguousarray(f[:, support])
+    table = np.ascontiguousarray(outs.reshape(len(outs), d * d)[:, support])
     codewords = np.array(code.codewords, dtype=np.intp)
-    chunk = max(1, _CHUNK_ENTRIES // channel.dim ** (2 * n))
+    chunk = max(1, _CHUNK_ENTRIES // len(support) ** n)
     for start in range(0, len(codewords), chunk):
         cws = codewords[start : start + chunk]
-        found = np.argwhere(_word_probabilities(_stacked_joints(outs, cws), elements, n) > eps)
+        found = np.argwhere(_word_probabilities(_support_joints(table, cws), f, n) > eps)
         # Rows (codeword in chunk, word) come sorted, so each codeword's
         # words are one run of rows.
         bounds = np.searchsorted(found[:, 0], np.arange(len(cws) + 1)).tolist()
@@ -426,62 +444,39 @@ def _tensor_path_agrees(
     return True
 
 
-def _stacked_joints(outs: np.ndarray, codewords: np.ndarray) -> np.ndarray:
-    """Joint states of K codewords of length n, shape (K, d, ..., d).
+def _support_joints(table: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+    """Joint-state entries of K codewords of length n at the support pairs, shape (K, s^n).
 
-    Axes are (k, i_0, ..., i_{n-1}, j_0, ..., j_{n-1}), the joint's row index
-    and then its column index, one axis per position, and entry
-    [k, i_0, ..., j_{n-1}] is outs[c_0][i_0, j_0] * ... * outs[c_{n-1}][i_{n-1}, j_{n-1}]
-    for codeword k = (c_0, ..., c_{n-1}), multiplied left to right: the
-    products, and the order, of ``np.kron``.  The stack is one broadcast per
-    position, stored with each position's (i_t, j_t) side by side and
-    returned as a transposed view, so ``_word_probabilities`` reads the pairs
-    in place.
+    ``table[c, k]`` is state c's output at support pair k = (i, j).  Entry
+    [k_0 s^(n-1) + ... + k_{n-1}] of codeword (c_0, ..., c_{n-1}) is
+    table[c_0, k_0] * ... * table[c_{n-1}, k_{n-1}], multiplied left to
+    right: the product, and the order, of ``np.kron``'s entry at row
+    (i_{k_0}, ..., i_{k_{n-1}}) and column (j_{k_0}, ..., j_{k_{n-1}}), one
+    broadcast per position.
     """
-    k, n = codewords.shape
-    d = outs.shape[1]
-    joints = outs[codewords[:, 0]]
-    for t in range(1, n):
-        joints = joints[..., None, None] * outs[codewords[:, t]].reshape(
-            (k,) + (1,) * (2 * t) + (d, d)
-        )
-    return joints.transpose(0, *range(1, 2 * n, 2), *range(2, 2 * n + 1, 2))
+    joints = table[codewords[:, 0]]
+    for c in codewords.T[1:]:
+        joints = (joints[:, :, None] * table[c][:, None, :]).reshape(len(c), -1)
+    return joints
 
 
-def _word_probabilities(joint: np.ndarray, elements: np.ndarray, n: int) -> np.ndarray:
+def _word_probabilities(joints: np.ndarray, f: np.ndarray, n: int) -> np.ndarray:
     """``p[..., w_0, ..., w_{n-1}] = tr(joint (E_w0 x ... x E_wn-1))`` for every word.
 
-    ``joint`` is one d^n x d^n operator, or a stack of K of them, shape
-    (K, d^n, d^n) or, indices split by position, (K, d, ..., d) as
-    ``_stacked_joints`` gives; none is assumed to factorise.  ``elements`` is
-    the stacked (N, d, d) POVM, both complex or both real.  Each position's
-    row and column axes form a pair (i_t, j_t), contracted with E_w[j_t, i_t]
-    one position at a time, so no product element is built, and only over
-    the s pairs where some element is nonzero: skipping exact zeros changes
-    no sum.  Step t costs N^(t+1) s^(n-t) multiply-adds per joint, so the
-    first step's N s^n dominates when N <= s, against N^n Kronecker chains
-    and traces of size d^(2n); s = d^2 for a dense POVM and s = d for a
-    diagonal one.  The s support pairs are gathered first; a dense POVM
-    reads all pairs where they lie, with no copy when each position's pair
-    is stored side by side, as in ``_stacked_joints``.
+    ``joints`` holds, for each of its leading indices, one joint state's
+    entries at the s support pairs of each position, shape (..., s^n) with
+    the pair index of position 0 most significant; none is assumed to
+    factorise.  ``f`` is the (N, s) table of the N POVM elements' factors
+    at those pairs, of the same dtype, real or complex.  Each position is
+    contracted one at a time, so no product element is built, and skipping
+    the pairs where every element is zero changes no sum.  Step t costs
+    N^(t+1) s^(n-t) multiply-adds per joint, so the first step's N s^n
+    dominates when N <= s, against N^n Kronecker chains and traces of size
+    d^(2n); s = d^2 for a dense POVM and s = d for a diagonal one.
     """
-    d, count = elements.shape[1], len(elements)
-    lead = joint.shape[:1] if joint.ndim > 2 else ()
-    # Axes (..., i_0, j_0, ..., i_{n-1}, j_{n-1}).
-    pairs = joint.reshape(lead + (d,) * (2 * n)).transpose(
-        *range(len(lead)), *(len(lead) + a for t in range(n) for a in (t, n + t))
-    )
-    # f[w, i d + j] = E_w[j, i], the factor of pair (i_t, j_t) = (i, j).
-    f = elements.transpose(0, 2, 1).reshape(count, d * d)
-    support = np.flatnonzero(f.any(axis=0))
-    s = len(support)
-    if s < d * d:
-        i, j = np.divmod(support, d)
-        p = pairs[(Ellipsis, *itertools.chain(*zip(np.ix_(*(i,) * n), np.ix_(*(j,) * n))))]
-        f = f[:, support]
-    else:
-        p = pairs.reshape(lead + (d * d,) * n)
+    count, s = f.shape
+    p = joints
     # Step t contracts the leading pair axis and puts w_t after w_0..w_{t-1}.
     for t in range(n):
         p = f @ p.reshape(-1, s, s ** (n - 1 - t))
-    return p.reshape(lead + (count,) * n).real
+    return p.reshape(joints.shape[:-1] + (count,) * n).real

@@ -116,14 +116,30 @@ def _require_squares(mats, name: str) -> list[np.ndarray]:
 
 
 def _require_hermitian_psd(m: np.ndarray) -> None:
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
+    """Refuse a matrix, or a (..., d, d) stack of them, not Hermitian PSD within ``_TOL``.
+
+    A stack is checked in one call per check, and the error reports its
+    worst matrix: the largest deviation, or the smallest eigenvalue.
+    """
+    m_dagger = m.conj().swapaxes(-1, -2)
+    herm_dev = float(np.abs(m - m_dagger).max())
     if herm_dev > _TOL:
         raise NotHermitianError(herm_dev, _TOL)
     # The eigenvalue check runs on (M + M^dagger)/2 so roundoff in the
     # anti-Hermitian part cannot poison eigh.
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    if eigs[0] < -_TOL:
-        raise NotPsdError(float(eigs[0]), _TOL)
+    low = float(np.linalg.eigvalsh((m + m_dagger) / 2.0)[..., 0].min())
+    if low < -_TOL:
+        raise NotPsdError(low, _TOL)
+
+
+def _require_unit_trace(m: np.ndarray) -> None:
+    """Refuse a matrix, or a (..., d, d) stack of them, with a trace off 1 beyond ``_TOL``.
+
+    The error reports the first such trace in the stack's C order.
+    """
+    for tr in np.trace(m, axis1=-2, axis2=-1).reshape(-1).tolist():
+        if abs(tr - 1.0) > _TOL:
+            raise TraceNotOneError(tr.real, _TOL)
 
 
 @dataclass(frozen=True)
@@ -228,9 +244,7 @@ def validate_state(matrix: np.ndarray) -> DensityMatrix:
     """
     m = _require_square(matrix, "state")
     _require_hermitian_psd(m)
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > _TOL:
-        raise TraceNotOneError(tr.real, _TOL)
+    _require_unit_trace(m)
     return DensityMatrix(dim=m.shape[0], matrix=m)
 
 
@@ -274,8 +288,7 @@ def validate_povm(elements: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Povm
         raise DimensionMismatchError("a POVM needs at least one element")
     ops = _require_squares(elements, "POVM element")
     d = ops[0].shape[0]
-    for e in ops:
-        _require_hermitian_psd(e)
+    _require_hermitian_psd(np.array(ops))
     dev = float(np.linalg.norm(sum(ops) - np.eye(d)))
     if dev > _TOL:
         raise PovmIncompleteError(dev, _TOL)

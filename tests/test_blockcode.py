@@ -24,7 +24,7 @@ from zecap import (
 from zecap import blockcode, quantum
 from zecap.blockcode import (
     _enumerate_supports,
-    _stacked_joints,
+    _support_joints,
     _tensor_path_agrees,
     _word_probabilities,
 )
@@ -33,11 +33,16 @@ from zecap.errors import (
     AmbiguousSupportsError,
     DimensionMismatchError,
     EmptySupportError,
+    NotHermitianError,
+    NotPsdError,
     SizeLimitError,
+    TraceNotOneError,
 )
 from zecap.formats import code_document, dumps_canonical
 from zecap.quantum import (
+    _projective_povm,
     apply_channel,
+    haar_unitary,
     outcome_probabilities,
     pure_state,
     validate_povm,
@@ -312,6 +317,37 @@ def test_certificate_skips_tensor_path_over_the_cap(monkeypatch):
     assert rep.passed
 
 
+@pytest.mark.parametrize(
+    "error,spoil,value",
+    [
+        # An asymmetric off-diagonal entry, a -1e-6 eigenvalue at unit
+        # trace, and a trace of 1 + 1e-6, each past the 1e-9 tolerance.
+        (NotHermitianError, lambda m: m + 1e-6 * np.eye(3, k=1), ("deviation", 1e-6)),
+        (NotPsdError, lambda m: m + np.diag([-1e-6, 0.0, 1e-6]), ("min_eigenvalue", -1e-6)),
+        (TraceNotOneError, lambda m: m * (1.0 + 1e-6), ("actual", 1.0 + 1e-6)),
+    ],
+    ids=["hermitian", "psd", "trace"],
+)
+def test_the_kronecker_path_validates_every_recomputed_output(error, spoil, value, monkeypatch):
+    # Only the Kronecker path's recomputation is spoiled, for the middle one
+    # of three basis states, so the product path sees good outputs and the
+    # stacked check must find the one bad matrix among good ones.
+    channel, states, povm = identity_ensemble(3)
+    code = all_words_code(states, povm, 2)
+    assert verify_zero_error(code, channel, eps=1e-9).paths_agree is True
+    apply_kraus = quantum._apply_kraus
+
+    def spoiled(ch, m):
+        out = apply_kraus(ch, m)
+        return spoil(out) if m is states.states[1].matrix else out
+
+    monkeypatch.setattr(blockcode, "_apply_kraus", spoiled)
+    with pytest.raises(error) as exc:
+        verify_zero_error(code, channel, eps=1e-9)
+    field, want = value
+    assert getattr(exc.value, field) == pytest.approx(want, rel=1e-6)
+
+
 def pairwise_overlap(code, channel, eps):
     # Brute-force reference: every codeword pair, the min of the two
     # production probabilities summed over its shared words; the first pair
@@ -386,25 +422,36 @@ def test_certificate_overlap_matches_the_pairwise_reference():
     assert confusable >= 20
 
 
+def entries_at_support(matrix, support, d, n):
+    # Reference gather: the entries of a d^n x d^n matrix at every product of
+    # n support pairs, position 0 most significant.  Pair k = i d + j is
+    # entry (i, j) of a d x d block.
+    out = []
+    for ks in itertools.product(support.tolist(), repeat=n):
+        rows, cols = zip(*(divmod(k, d) for k in ks))
+        row, col = (np.ravel_multi_index(index, (d,) * n) for index in (rows, cols))
+        out.append(matrix[row, col])
+    return np.array(out)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_stacked_joints_equal_np_kron_exactly(n):
-    # Each joint, read as a d^n x d^n matrix, is the np.kron chain of its
-    # codeword's states bit for bit, and its storage is pair-major: (i_t, j_t)
-    # side by side, so the transposed view is C-contiguous.
+def test_support_joints_equal_np_kron_at_the_support_pairs_exactly(n):
+    # Each codeword's entries are np.kron's chain of its states, bit for bit,
+    # at every row and column the support pairs index: for all pairs, the
+    # diagonal, and an irregular subset alike.
     rng = np.random.default_rng(5 + n)
     d = 3
     outs = rng.standard_normal((4, d, d)) + 1j * rng.standard_normal((4, d, d))
     codewords = rng.integers(0, 4, size=(6, n))
-    pair_major = (0, *itertools.chain(*((1 + t, 1 + n + t) for t in range(n))))
-    for stack in (outs, outs.real.copy()):
-        joints = _stacked_joints(stack, codewords)
-        assert joints.shape == (6,) + (d,) * (2 * n) and joints.dtype == stack.dtype
-        assert joints.transpose(pair_major).flags.c_contiguous
+    supports = [np.arange(d * d), np.arange(0, d * d, d + 1), np.array([1, 2, 4, 6, 8])]
+    for stack, support in itertools.product((outs, outs.real.copy()), supports):
+        joints = _support_joints(stack.reshape(4, d * d)[:, support], codewords)
+        assert joints.shape == (6, len(support) ** n) and joints.dtype == stack.dtype
         for joint, cw in zip(joints, codewords):
             want = stack[cw[0]]
             for c in cw[1:]:
                 want = np.kron(want, stack[c])
-            assert np.array_equal(joint.reshape(d**n, d**n), want)
+            assert np.array_equal(joint, entries_at_support(want, support, d, n))
 
 
 def test_code_constructor_validates_shape_only():
@@ -524,9 +571,9 @@ def conjugated_by_diag_1_i(channel, states, povm):
 def test_real_and_complex_arithmetic_give_the_same_certificate(n, monkeypatch):
     dtypes = []
 
-    def recorded(joint, elements, n):
-        dtypes.append((joint.dtype, elements.dtype))
-        return _word_probabilities(joint, elements, n)
+    def recorded(joints, f, n):
+        dtypes.append((joints.dtype, f.dtype))
+        return _word_probabilities(joints, f, n)
 
     monkeypatch.setattr(blockcode, "_word_probabilities", recorded)
     results = []
@@ -611,7 +658,8 @@ def test_word_probabilities_match_the_trace_of_every_product_element(d, outcomes
     joint = random_density_matrix(d**n, rng).matrix
     if real:
         elements, joint = elements.real.copy(), joint.real.copy()
-    got = _word_probabilities(joint, elements, n)
+    f, support = povm_factors(elements)
+    got = _word_probabilities(entries_at_support(joint, support, d, n), f, n)
     assert got.shape == (outcomes,) * n
     assert got.dtype == np.float64
     joint = joint.astype(np.complex128)
@@ -622,6 +670,15 @@ def test_word_probabilities_match_the_trace_of_every_product_element(d, outcomes
         want = np.trace(joint @ e).real
         assert abs(got[w] - want) <= 16 * np.finfo(float).eps
     assert got.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def povm_factors(elements):
+    # f[w, i d + j] = E_w[j, i] at the pairs where some element is nonzero,
+    # and those pairs.
+    count, d = elements.shape[:2]
+    f = elements.transpose(0, 2, 1).reshape(count, d * d)
+    support = np.flatnonzero(f.any(axis=0))
+    return f[:, support], support
 
 
 def product_element_probabilities(joint, elements, n):
@@ -669,11 +726,13 @@ def test_stacked_joints_match_one_joint_calls_and_the_product_elements(d, n, pov
     joints = np.array([random_density_matrix(d**n, rng).matrix for _ in range(5)])
     if real:
         elements, joints = elements.real.copy(), joints.real.copy()
-    got = _word_probabilities(joints, elements, n)
+    f, support = povm_factors(elements)
+    gathered = np.array([entries_at_support(joint, support, d, n) for joint in joints])
+    got = _word_probabilities(gathered, f, n)
     assert got.shape == (5,) + (len(elements),) * n
     assert got.dtype == np.float64
-    for joint, p in zip(joints, got):
-        one = _word_probabilities(joint, elements, n)
+    for joint, entries, p in zip(joints, gathered, got):
+        one = _word_probabilities(entries, f, n)
         assert np.allclose(p, one, rtol=0.0, atol=16 * np.finfo(float).eps)
         want = product_element_probabilities(joint, elements, n)
         assert np.allclose(p, want, rtol=0.0, atol=16 * np.finfo(float).eps)
@@ -682,11 +741,15 @@ def test_stacked_joints_match_one_joint_calls_and_the_product_elements(d, n, pov
 
 @pytest.mark.parametrize("change", ["lost", "gained", "swapped"])
 def test_tensor_path_catches_a_changed_word_at_the_end_of_a_later_chunk(change):
-    # Identity channel on d = 4, block length 3: 64 codewords of one word
-    # each, 4^6 joint entries apiece, so the code spans several chunks.
-    channel, states, povm = identity_ensemble(4)
+    # Identity channel on d = 4, block length 3, with a Haar-random basis
+    # measured in itself: 64 codewords of one word each.  The POVM is dense,
+    # so each codeword builds its entries at all 16^3 support pairs and the
+    # code spans several chunks.
+    u = haar_unitary(4, np.random.default_rng(31))
+    states = StateSet(dim=4, states=tuple(pure_state(u[:, k]) for k in range(4)))
+    channel, povm = identity_channel(4), _projective_povm(u)
     code = all_words_code(states, povm, 3)
-    chunk = blockcode._CHUNK_ENTRIES // 4**6
+    chunk = blockcode._CHUNK_ENTRIES // 16**3
     assert 1 <= chunk and 2 * chunk < code.message_count
     word_sets = _enumerate_supports(code, channel, eps=1e-9)[0]
     assert _tensor_path_agrees(code, channel, 1e-9, word_sets)

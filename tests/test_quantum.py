@@ -210,6 +210,31 @@ def test_validate_povm_rejects_incomplete_and_negative():
         validate_povm([np.eye(2, dtype=complex), np.eye(3, dtype=complex)])
 
 
+def test_validate_povm_checks_its_element_stack_in_one_call(monkeypatch):
+    # One Hermitian-and-PSD check runs on the whole (N, d, d) stack, and a
+    # bad element anywhere in it keeps its error type and its deviation.
+    require = quantum._require_hermitian_psd
+    shapes = []
+
+    def recorded(m):
+        shapes.append(m.shape)
+        return require(m)
+
+    monkeypatch.setattr(quantum, "_require_hermitian_psd", recorded)
+    basis = [np.diag(row) for row in np.eye(3)]
+    validate_povm(basis)
+    assert shapes == [(3, 3, 3)]
+    for k in range(3):
+        skewed = basis[:k] + [basis[k] + 0.1 * np.eye(3, k=1)] + basis[k + 1 :]
+        with pytest.raises(NotHermitianError) as exc:
+            validate_povm(skewed)
+        assert exc.value.deviation == pytest.approx(0.1)
+        negative = basis[:k] + [basis[k] - 0.1 * np.eye(3)] + basis[k + 1 :]
+        with pytest.raises(NotPsdError) as exc:
+            validate_povm(negative)
+        assert exc.value.min_eigenvalue == pytest.approx(-0.1)
+
+
 # ---------------------------------------------------------------------------
 # apply_channel / outcome_probabilities
 # ---------------------------------------------------------------------------
