@@ -6,7 +6,9 @@ combinatorial engine of the package.  Graphs are small by design (exact
 computation is capped at ``MAX_VERTICES`` vertices); the clique search keeps
 per-vertex bitmasks (non-negative Python ints) of neighbors and of
 non-neighbors, so the branch-and-bound loop is a handful of integer ops per
-node and each coloring step is one AND.
+node, and each coloring step takes the highest set bit, clears it and ANDs
+in one mask.  The search runs on an explicit stack, so a clique of any size
+is found without recursion.
 
 Edge semantics follow the package convention: an edge means confusable.
 """
@@ -173,48 +175,50 @@ def strong_power(g: Graph, n: int, max_vertices: int = MAX_VERTICES) -> Graph:
 # et al. 2011): a partial clique R can only reach |R| + (number of colors of
 # its candidates), so a branch is cut as soon as that falls to the incumbent.
 # The complement is relabelled once in the degeneracy order of MCS (Tomita
-# et al. 2010): a vertex of least remaining degree is peeled into the highest
-# free bit, so it is branched first and colored last.  On a vertex-transitive
+# et al. 2010): a vertex of least remaining degree is peeled into the lowest
+# free bit, so it is colored last and branched first.  On a vertex-transitive
 # graph every degree ties, and only the peel tells the vertices apart.  The
-# coloring's "first available vertex" is the lowest set bit, and the classes
+# coloring's "first available vertex" is the highest set bit, and the classes
 # whose color cannot beat the incumbent are colored without listing a vertex.
 # One engine, _clique, answers both the alpha query and the decision queries
 # of the witness rebuild.  Its masks are built once per graph searched and
 # are never negative: adj[v] holds v's neighbors in the complement, and
 # nadj[v] = full ^ adj[v] ^ (1 << v) the other vertices but v, so the
 # coloring drops v from the open class and keeps the class independent in
-# one AND, and CPython never ANDs a negative int (which it does through a
-# two's-complement copy).
+# one AND.  A coloring step finds v as bit_length() - 1, which reads only the
+# int's top digit, and clears it with bit[v] = 1 << v from a tuple _clique
+# makes once per search, so no step makes a negative int: the lowest set bit,
+# avail & -avail, would, and CPython ANDs one through a two's-complement copy.
 
 
-def _color_order(cand: int, nadj: tuple[int, ...], kmin: int):
+def _color_order(cand: int, nadj: tuple[int, ...], bit: tuple[int, ...], kmin: int):
     """Greedy coloring of the candidate set; returns (vertices, colors).
 
     ``nadj[v]`` is the non-negative mask of v's non-neighbors, v itself
-    excluded.  Color classes are built in bit order; vertices come back
-    grouped by class, colors[i] = class index of vertices[i] (1-based), and
-    only those with color >= ``kmin`` are listed.  A k-colored candidate set
-    holds no clique larger than k.
+    excluded, and ``bit[v]`` is ``1 << v``.  Color classes are built from
+    the highest set bit down; vertices come back grouped by class, colors[i]
+    = class index of vertices[i] (1-based), and only those with color >=
+    ``kmin`` are listed.  A k-colored candidate set holds no clique larger
+    than k.
     """
     color = 0
     while cand and color < kmin - 1:  # classes below kmin: nothing listed
         color += 1
         avail = cand
         while avail:
-            low = avail & -avail  # first available vertex in label order
-            cand ^= low
-            avail &= nadj[low.bit_length() - 1]
+            v = avail.bit_length() - 1  # first available vertex: the highest bit
+            cand ^= bit[v]
+            avail &= nadj[v]
     vertices: list[int] = []
     colors: list[int] = []
     while cand:
         color += 1
         avail = cand
         while avail:
-            low = avail & -avail
-            v = low.bit_length() - 1
+            v = avail.bit_length() - 1
             vertices.append(v)
             colors.append(color)
-            cand ^= low
+            cand ^= bit[v]
             avail &= nadj[v]
     return vertices, colors
 
@@ -227,35 +231,45 @@ def _clique(
     ``nadj`` holds the masks :func:`_color_order` takes.  Returns ``[]``
     when there is none.  With ``first`` the search stops at the first clique
     of ``floor + 1`` vertices, which answers the decision query "is there a
-    clique of that size?".
+    clique of that size?".  The search is depth first on an explicit stack
+    of (cand, vertices, colors, i) frames, one per vertex of the partial
+    clique ``r``, so its depth is bounded by memory, not by the recursion
+    limit.  ``bit[v] = 1 << v`` is made here, once per search, for
+    :func:`_color_order`.
     """
+    bit = tuple(1 << v for v in range(len(adj)))
     best: list[int] = []
     top = floor  # size of the incumbent
-
-    def expand(r: list[int], cand: int) -> bool:
-        nonlocal best, top
+    r: list[int] = []
+    stack = []
+    vertices, colors = _color_order(cand, nadj, bit, top + 1)
+    i = len(vertices)
+    while True:
+        i -= 1
         depth = len(r)
-        vertices, colors = _color_order(cand, nadj, top - depth + 1)
-        for i in range(len(vertices) - 1, -1, -1):
-            if depth + colors[i] <= top:
-                return False  # color bound: no strictly larger clique here
-            v = vertices[i]
+        if i < 0 or depth + colors[i] <= top:
+            # Frame done (the color bound: no strictly larger clique here).
+            if not stack:
+                return best
+            cand, vertices, colors, i = stack.pop()
+            cand ^= bit[r.pop()]  # the vertex was in cand: it was listed from it
+            continue
+        v = vertices[i]
+        nxt = cand & adj[v]
+        # A non-leaf clique always grows, so only leaves can set the
+        # incumbent, unless the caller wants the first of floor + 1.
+        if depth + 1 > top and (first or not nxt):
+            best, top = r + [v], depth + 1
+            if first:
+                return best
+        elif nxt:
+            stack.append((cand, vertices, colors, i))
             r.append(v)
-            nxt = cand & adj[v]
-            # A non-leaf clique always grows, so only leaves can set the
-            # incumbent, unless the caller wants the first of floor + 1.
-            if depth + 1 > top and (first or not nxt):
-                best, top = r.copy(), depth + 1
-                if first:
-                    return True
-            elif nxt and expand(r, nxt):
-                return True
-            r.pop()
-            cand ^= 1 << v  # v is in cand: it was listed from it
-        return False
-
-    expand([], cand)
-    return best
+            cand = nxt
+            vertices, colors = _color_order(cand, nadj, bit, top - depth)
+            i = len(vertices)
+            continue
+        cand ^= bit[v]
 
 
 def independence_number(
@@ -285,9 +299,11 @@ def independence_number(
     -----
     Branch and bound on the complement (maximum clique) with a greedy-coloring
     upper bound, on complement vertices relabelled in degeneracy order (least
-    remaining degree peeled into the highest bit, so branched first); the
-    coloring steps through them by lowest set bit and lists only the classes
-    that can beat the incumbent.  Once alpha is known, the witness is rebuilt
+    remaining degree peeled into the lowest bit, so colored last and branched
+    first); the coloring steps through them by highest set bit and lists only
+    the classes that can beat the incumbent, and the search keeps its
+    partial clique on an explicit stack, so alpha is not bounded by the
+    recursion limit.  Once alpha is known, the witness is rebuilt
     greedily in the caller's labels: keep vertex v iff the remainder still
     admits an independent set completing to alpha.  The rebuild carries one
     such completion, starting from the set the alpha search found, so a
@@ -321,11 +337,11 @@ def _maximum_independent_set(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
     comp = ~adj
     np.fill_diagonal(comp, False)
     # Degeneracy order: peel a vertex of least remaining degree (argmin takes
-    # the lowest label on ties) into the highest free position; a peeled
+    # the lowest label on ties) into the lowest free position; a peeled
     # vertex's degree is pushed past every live one.
     deg = comp.sum(axis=1)
     order = np.empty(n, dtype=np.intp)  # bit position -> label
-    for rank in range(n - 1, -1, -1):
+    for rank in range(n):
         v = deg.argmin()
         order[rank] = v
         deg -= comp[v]
@@ -354,7 +370,7 @@ def _maximum_independent_set(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
         if not (known & bit or need == 1):
             more = _clique(adj, nadj, rest, need - 2, True)
             if not more:
-                cand &= ~bit
+                cand ^= bit  # bit is in cand: checked above
                 continue
             known = chosen | bit
             for b in more:
@@ -385,8 +401,11 @@ def _maximum_independent_set(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
 # neighbour lists and one sort, and the check one permuted copy of the matrix.
 
 # Below this many vertices the whole search costs no more than the proof and
-# the remainder search (C5xC7 and Paley(41) lose, C5xC9 wins), so the proof
-# is not tried.
+# the remainder search, so the proof is not tried.  Route against whole
+# search, one core, median over five labellings: C5xC7 (35) 1.0 against
+# 0.4 ms, Paley(41) 0.9 against 0.4 ms, C5xC9 (45) a tie at 1.4 ms, C7xC7
+# (49) 1.3 against 1.8 ms.  The tie goes to the route, whose time spreads
+# less over labellings.
 _TRANSITIVE_FLOOR = 45
 # Refinements one automorphism search may spend before the proof gives up.
 _PROOF_NODES = 64

@@ -345,6 +345,54 @@ def test_clique_engine_matches_the_oracle_on_random_graphs_and_candidate_sets():
             _check_clique_engine(n, edges, cand, omega)
 
 
+def _greedy_by_highest_label(cand: int, adj, kmin: int):
+    """Reference coloring on vertex sets: each class takes the highest remaining
+    vertex, drops its neighbours, and repeats; (vertex, color) for color >= kmin."""
+    left = {v for v in range(cand.bit_length()) if cand >> v & 1}
+    out = []
+    color = 0
+    while left:
+        color += 1
+        avail = set(left)
+        while avail:
+            v = max(avail)
+            left.remove(v)
+            avail = {u for u in avail if u != v and not adj[v] >> u & 1}
+            if color >= kmin:
+                out.append((v, color))
+    return out
+
+
+def test_color_order_matches_a_highest_label_greedy_on_random_masks():
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        n = int(rng.integers(1, 131))
+        adj, nadj = _clique_masks(n, random_graph(n, rng.uniform(0.05, 0.95), rng))
+        bit = tuple(1 << v for v in range(n))
+        cand = sum(1 << v for v in range(n) if rng.random() < 0.8)
+        whole = list(zip(*graphs._color_order(cand, nadj, bit, 1)))
+        assert sorted(v for v, _ in whole) == [v for v in range(n) if cand >> v & 1]
+        top = whole[-1][1] if whole else 0
+        for kmin in sorted({1, 2, 3, 5, top, top + 1}):
+            vertices, colors = graphs._color_order(cand, nadj, bit, kmin)
+            listed = list(zip(vertices, colors))
+            assert listed == _greedy_by_highest_label(cand, adj, kmin)
+            # The unlisted vertices are those of the classes below kmin.
+            assert listed == [(v, c) for v, c in whole if c >= kmin]
+            assert colors == sorted(colors) and all(c >= kmin for c in colors)
+            for c in set(colors):
+                members = [v for v, k in listed if k == c]
+                assert not any(adj[a] >> b & 1 for a, b in itertools.combinations(members, 2))
+
+
+def test_alpha_is_not_bounded_by_the_recursion_limit():
+    # One search frame per clique vertex, on an explicit stack: an alpha far
+    # past the interpreter's recursion limit (1,000 by default) is reached.
+    n = 1500
+    assert independence_number(Graph(n, [(0, 1)]), n) == (n - 1, (0,) + tuple(range(2, n)))
+    assert independence_number(edgeless_graph(1200), 1200) == (1200, tuple(range(1200)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 30, 31, 60, 61, 64, 128])
 def test_clique_engine_at_the_word_boundaries(n):
     # Edgeless, complete, and one edge at the highest vertex: the top bit of
