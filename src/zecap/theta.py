@@ -49,26 +49,37 @@ keep the plain step as the fallback:
 
 Every 25 steps the step is plain and a check runs on it, and residual
 balancing moves the step size rho, which starts at 1, there.  When the primal
-and dual residuals are within a factor of 10^3 of each other, the rule is the
-usual one (Boyd et al., Found. Trends Mach. Learn. 2011, sec. 3.4.1): double
-rho when the primal residual is over ten times the dual one, halve it in the
-mirrored case.  The band is measured: over every check of 60 random graphs
-G(V, p) with V from 12 to 30, the ratio stayed within 10^1.34, so those
-solves take the same steps as under the factor-2 rule alone.  Past the
-band, rho moves by the square root of the ratio, capped at 64 (residual
-balancing with an adaptive multiplier; Wohlberg, arXiv:1704.06209, 2017).
-Strong products of odd cycles reach such ratios, 10^8 to 10^13, once z
-has stopped moving while x has not; doubling rho once per check took about
-100 steps to close that gap, which one step of the capped factor closes.  In
-between, the first time the fixed-point residual falls below ``tol / 10``
-the solver also checks the plain step from the current point, computed
-aside: one more projection that leaves the sequence of steps as it is.  A
-solve therefore stops no later than at the step it would stop at without
-these extra checks, its count raised by one per extra check, unless those
-extra projections use up the budget first.  The trigger waits for a tenth
-of ``tol`` because the bracket lags the residual: on K(8,3), K(9,3),
-C5 x C7 and C7 x C7 it is still open at the residual's first step below
-``tol`` and closes about two steps later.  Only a 25-step check whose
+and dual residuals are within a factor of 10^3 of each other, the rule is
+the usual one (Boyd et al., Found. Trends Mach. Learn. 2011, sec. 3.4.1):
+double rho when the primal residual is over ten times the dual one, halve it
+in the mirrored case.  Past the band, rho moves by the square root of the
+ratio, capped at 64 (residual balancing with an adaptive multiplier;
+Wohlberg, arXiv:1704.06209, 2017).  Strong products of odd cycles reach such
+ratios, 10^9 to 10^13, once z has stopped moving while x has not, and they
+get there at step 14 or 15, between checks.  So each step between checks
+probes for that stall: it compares the fixed-point residual |x - z| with the
+dual residual rho |z - z_prev|, and when the first is past the band above
+the second, it rescales at once, as a check would, and counts the next check
+25 steps from there.  A zero dual residual is no stall: z repeats exactly on
+the Kneser graphs at step 7, and reading that as an infinite ratio raised
+K(8,3) from 16 iterations to 33-55.  Left to the checks, the rescale came at
+step 25, and at step 50 on C5 x C9, whose ratio falls back into the band the
+step after the stall starts; over labellings 0-11 the probe cuts C7 x C7
+from 37 iterations to 27-28, C5 x C9 from 65 to 30-31, C7 x C9 from 38-39 to
+30-31 and C9 x C9 from 36 to 28-29.  The band is measured: over every step of
+60 random graphs G(V, p) with V from 12 to 30, the probe's ratio stayed
+below 10^2.76 and every check's within 10^1.34 either way, so those solves
+take the same steps as under the factor-2 rule alone.
+
+Between checks, the first time the fixed-point residual falls below
+``tol / 10`` the solver also checks the plain step from the current point,
+computed aside: one more projection that leaves the sequence of steps as
+it is.  A solve therefore stops no later than at the step it would stop at
+without these extra checks, its count raised by one per extra check,
+unless those extra projections use up the budget first.  The trigger waits
+for a tenth of ``tol`` because the bracket lags the residual: on K(8,3),
+K(9,3), C5 x C7 and C7 x C7 it is still open at the residual's first step
+below ``tol`` and closes about two steps later.  Only a 25-step check whose
 residual is at or above ``tol`` re-arms the trigger, so a graph whose
 bracket lags its residual further pays for at most one extra check per
 re-arming.
@@ -121,21 +132,29 @@ _MEMORY = 10  # Anderson history length; costs 2 * _MEMORY * V^2 doubles
 _MAX_COEFFICIENT_SUM = 100.0  # extrapolations with larger sum |gamma| are refused
 _REGULARIZATION = 1e-10  # relative weight on the diagonal of the history's Gram matrix
 _EPS = float(np.finfo(float).eps)
-# Residual ratios within this factor either way get the factor-2 rule.  Over
-# every check of 60 random graphs G(V, p) (V in {12, 16, 20, 24, 30},
-# p in {.3, .5, .7}, seeds 0-3) the ratio stayed within 10^1.34 either way,
-# so those solves take the steps they took under the factor-2 rule alone.
-# Cycle products stall far outside it, at 10^8.4 (C5 x C9) to 10^13.4
-# (C7 x C7): z has stopped moving while x has not, and doubling rho once
-# per check took about 100 steps to close that gap.
+# Residual ratios within this factor either way get the factor-2 rule at a
+# check, and a fixed-point residual more than this factor above the dual
+# residual is a stall at any step between checks.  Over every step of 60 random
+# graphs G(V, p) (V in {12, 16, 20, 24, 30}, p in {.3, .5, .7}, seeds 0-3)
+# the check's ratio stayed within 10^1.34 either way and the stall probe's
+# below 10^2.76 (G(30, .3) seed 0, at step 23, right after z repeated
+# exactly at steps 19-22; below 10^1.52 on the other 59), so those solves
+# take the steps they took under the factor-2 rule alone.  z also repeats
+# exactly on G(24, .3) seed 0 and G(30, .3) seed 2, and on the Kneser graphs
+# at step 7: a zero dual residual is no stall.  Cycle products stall far
+# outside it, at 10^9 to 10^13: z has stopped moving while x has not, and
+# doubling rho once per check took about 100 steps to close that gap.
 _BALANCE_BAND = 1e3
 # Cap on the factor past the band.  The ratio at those stalls is so large
 # that the factor is the cap.  Iterations of C7xC7 / C5xC9 / C7xC9 / C9xC9
-# over labellings 0-11 with caps 16, 32, 48, 64 and 128: 35/63-64/47/47-49,
-# 38/62/39-44/46, 37-38/63/38/39, 37/65/38-39/36, 51/65/38/40 (41-42/73-74/
-# 73-84/100-107 under the factor-2 rule).  64 minimises the V^3-weighted
-# sum, which is what the eigendecompositions cost; with a cap of 10^6 C7xC7
-# takes 262-611.
+# over labellings 0-11, rescaled at the step the stall starts, with caps 16,
+# 32, 48, 64, 96 and 128: 41-42/32-33/35-36/29-30, 24-25/34-35/34-35/41-42,
+# 26-27/27-28/33-34/48-49, 27-28/30-31/30-31/28-29, 27-28/33-34/32-33/31-32,
+# 26-27/33-34/32-33/27-28 (37/65/38-39/36 when the rescale waited for the
+# check).  64 minimises the V^3-weighted sum over the benchmark's ten theta
+# graphs, which is what the eigendecompositions cost (5.84e8 against 5.85e8
+# at 128 and 6.3e8 to 7.2e8 at the others); with a cap of 10^6 they take
+# 53-214.
 _MAX_RESCALE = 64.0
 # A held eigenbasis Q is reused for S when |offdiag Q^T S Q|_F is at most
 # this many n * eps * |S|_F, eigh's own rounding order.  P_psd is
@@ -206,7 +225,11 @@ class _PsdProjector:
 
 
 def _rho_scale(r_primal: float, r_dual: float) -> float:
-    """The factor a check multiplies rho by, from ADMM's two residuals.
+    """The factor residual balancing multiplies rho by, from two residuals.
+
+    A check passes ADMM's primal and dual residuals.  A stall between checks
+    passes the fixed-point residual |x - z| in place of the primal one, and
+    only when it is past the band above a positive dual residual.
 
     Within ``_BALANCE_BAND`` either way: 2 when the primal residual is over
     ten times the dual one, 1/2 in the mirrored case, else 1.  Past it: the
@@ -296,7 +319,14 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
     limit: by a factor of 2 when one residual is over ten times the other
     and their ratio is within 10^3 (the measured range on random graphs),
     and by the square root of the ratio, capped at 64, past it (Boyd et al.
-    2011, sec. 3.4.1; Wohlberg 2017, arXiv:1704.06209).  The first time
+    2011, sec. 3.4.1; Wohlberg 2017, arXiv:1704.06209).  Each step between
+    checks probes for a stall: when its fixed-point residual is over 10^3
+    times its dual residual rho |z - z_prev|, and that is not zero, rho
+    moves by the capped factor at once, and the next check comes 25 steps
+    later.  Strong products of odd cycles stall at step 14 or 15, and the
+    probe cuts C5 x C9 from 65 iterations to 30-31 and C7 x C7 from 37 to
+    27-28; on random graphs the ratio stays below 10^2.76, so they take the
+    same steps as without the probe.  The first time
     the fixed-point residual falls below ``tol / 10`` (again after a check
     that found it at or above ``tol``), the plain step from that point is
     also checked, computed aside so the steps are unchanged.  A projection
@@ -348,6 +378,7 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
     u_prev = np.zeros((n, n))
     x_prev = affine(z_prev, u_prev)
     y = x_prev
+    dz = np.empty((n, n))  # z - z_prev, for the stall probe
 
     # Anderson history, a ring of the last _MEMORY differences between
     # consecutive accepted points: rows of d_f hold those of f = T(y) - y,
@@ -382,24 +413,37 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
                 depth = slot = 0
                 continue
 
-            if steps % _CHECK_EVERY == 0 or it == max_iterations:
+            check = steps % _CHECK_EVERY == 0 or it == max_iterations
+            if check:
                 # The step into this point was plain, so these are the ADMM
                 # primal and dual residuals.
                 done, r_primal, r_dual = measure(z, u, x_prev, z_prev)
                 if done:
                     break
+                scale = _rho_scale(r_primal, r_dual)
+            else:
+                # Stall probe: a fixed-point residual past the band above the
+                # dual residual means z has stopped moving while x has not, so
+                # rebalance now and count the next check from here.  An exact
+                # repeat of z (r_dual = 0) is no stall.
+                np.subtract(z, z_prev, out=dz)
+                r_dual = rho * _norm(dz)
+                scale = 1.0
+                if r > _BALANCE_BAND * r_dual > 0.0:
+                    scale = _rho_scale(r, r_dual)
+                    steps = 0
+            if scale != 1.0:
                 # Residual balancing.  A new rho is a new map T, so the history
                 # no longer describes it.
-                scale = _rho_scale(r_primal, r_dual)
-                if scale != 1.0:
-                    rho *= scale
-                    u /= scale
-                    j_rho = j / rho
-                    x = affine(z, u)
-                    f = (x - z).ravel()
-                    r = _norm(f)
-                    depth = slot = 0
-                    f_prev = None
+                rho *= scale
+                u /= scale
+                j_rho = j / rho
+                x = affine(z, u)
+                f = (x - z).ravel()
+                r = _norm(f)
+                depth = slot = 0
+                f_prev = None
+            if check:
                 armed = r >= tol
             z_prev, x_prev, u_prev = z, x, u
 
