@@ -303,13 +303,15 @@ def independence_number(
     first); the coloring steps through them by highest set bit and lists only
     the classes that can beat the incumbent, and the search keeps its
     partial clique on an explicit stack, so alpha is not bounded by the
-    recursion limit.  Once alpha is known, the witness is rebuilt
-    greedily in the caller's labels: keep vertex v iff the remainder still
-    admits an independent set completing to alpha.  The rebuild carries one
-    such completion, starting from the set the alpha search found, so a
-    vertex inside it is kept without a query; every other query is answered
-    by the same clique search stopped at its first hit, and a hit becomes
-    the new completion.
+    recursion limit.  The search only looks for sets larger than the
+    greedy independent set in label order.  Once alpha is known, the
+    witness is rebuilt greedily in the caller's labels: keep vertex v iff
+    the remainder still admits an independent set completing to alpha.  The
+    rebuild carries one such completion, starting from the set the alpha
+    search found (the greedy set when it found none larger, which is then
+    the witness itself), so a vertex inside it is kept without a query;
+    every other query is answered by the same clique search stopped at its
+    first hit, and a hit becomes the new completion.
 
     A graph of at least ``_TRANSITIVE_FLOOR`` vertices that is proven
     vertex-transitive (automorphisms map 0 to every vertex, each checked on
@@ -351,9 +353,19 @@ def _maximum_independent_set(adj: np.ndarray) -> tuple[int, tuple[int, ...]]:
     pos = pos.tolist()  # label -> bit position
     adj = tuple(_pack(comp[np.ix_(order, order)]))
     nadj = tuple(full ^ a ^ (1 << v) for v, a in enumerate(adj))
+    # The search's floor is the greedy independent set in label order.  When
+    # nothing beats it, it is maximum, and then the lexicographically
+    # smallest maximum set: the rebuild keeps each of its vertices unasked.
+    greedy = 0
+    free = full
+    for p in pos:  # bit positions in label order
+        if free >> p & 1:
+            greedy |= 1 << p
+            free &= adj[p]
     known = 0  # a maximum clique through every vertex chosen so far
-    for b in _clique(adj, nadj, full, 0, False):
+    for b in _clique(adj, nadj, full, greedy.bit_count(), False):
         known |= 1 << b
+    known = known or greedy
     alpha = known.bit_count()
 
     witness: list[int] = []

@@ -19,18 +19,22 @@ projection), with a scaled dual update in between.  Written on y = x + u
 with fixed-point residual T(y) - y = x - z.  The costly part of T is
 P_psd.  A fresh V x V eigendecomposition is most of the solver's time, so
 the projection keeps the eigenbasis Q of the last one and reuses it while
-it still diagonalises the argument S: when |offdiag Q^T S Q|_F is within
+it still diagonalises the argument S.  One product SQ gives Lambda =
+diag(Q^T S Q) and the residual R = SQ - Q Lambda; when |R|_F is within
 10^3 * n * eps * |S|_F, eigh's own rounding order, P_psd(S) is taken as Q
-max(diag Q^T S Q, 0) Q^T, which is off by at most that norm because P_psd
-is nonexpansive.  On a symmetric graph every iterate stays in the
-commutative algebra spanned by the data (Gatermann & Parrilo, J. Pure
-Appl. Algebra 2004; de Klerk, Pasechnik & Schrijver, Math. Program. 2007),
-so an eigenbasis of one iterate diagonalises the later ones: odd-cycle
-products, Kneser and Paley graphs take one to three eigendecompositions per
-solve.  On other
-graphs the test fails by about twelve orders of magnitude; after a failed
-try the next waits until the projection count has doubled, and the
-projection is the eigendecomposition it would be without the try.
+max(Lambda, 0) Q^T, which is off by at most |R|_F because P_psd is
+nonexpansive.  Either way only the columns with a positive eigenvalue are
+multiplied.  On a symmetric graph every iterate stays in the commutative
+algebra spanned by the data (Gatermann & Parrilo, J. Pure Appl. Algebra
+2004; de Klerk, Pasechnik & Schrijver, Math. Program. 2007), so an
+eigenbasis of one iterate diagonalises the later ones: odd-cycle products,
+Kneser and Paley graphs take one or two eigendecompositions per solve.  On
+other graphs the test fails (by a factor of 33 or more on 60 random
+graphs), and the projection is the eigendecomposition it would be without
+the try.  The basis that eigendecomposition makes is tried at the next
+projection: on C5 x C9, C7 x C9 and C9 x C9, whose first basis fails once,
+it serves the rest of the solve.  Each further failure in a row doubles the
+wait, so a random graph pays for about log2(iterations) tries.
 
 Plain ADMM iterates y <- T(y).  This solver extrapolates instead (type-II
 Anderson acceleration; Zhang, O'Donoghue & Boyd, SIAM J. Optim. 2020; Fu,
@@ -90,15 +94,26 @@ rounded to an exactly feasible primal point (edges zeroed, diagonal inflated
 until PSD, trace renormalized), whose objective is a true lower bound; the
 scaled dual variable supplies an edge-supported dual candidate Z, and
 lambda_max(J + Z) is a true upper bound for ANY such Z by weak duality.
-Both eigenvalues are widened by their rounding allowance, n * eps * |A|_F,
-so the bracket holds theta in floating point too.  Both bounds hold for any
-iterate, extrapolated or projected through a reused basis, since both
-eigenvalues are computed afresh.  Iteration stops only when primal
-residual, dual residual, and bracket width are all below ``tol``; a solve
-whose budget runs out returns the tightest bracket seen, marked
-``converged=False``.  So does a solve whose eigendecomposition fails to
-converge (LAPACK can, even on a well-scaled matrix), with the bracket of
-its last accepted point folded in.
+After a projection that reused the held basis Q, both eigenvalues come
+from Q and the one product AQ: by Bauer-Fike (Numer. Math. 2, 1960) every
+eigenvalue of A lies within sqrt(1 + delta) / (1 - delta) * |AQ - Q
+Lambda|_2 of some Lambda_i = q_i^T A q_i, where delta = |Q^T Q - I|_2 is
+measured once per eigendecomposition, every rounding is bounded as in
+Higham (Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.5),
+and both ends are rounded outward.  That proves both ends in floating
+point, whatever Q is.  When the radius exceeds 10^3 * n * eps * |A|_F, and
+after every fresh eigendecomposition, the eigenvalue comes from eigvalsh
+instead, widened by its rounding allowance n * eps * |A|_F (by Weyl, with
+LAPACK's unstated factor taken as one).  So on symmetric graphs no check
+runs eigvalsh, and random graphs, whose projections do not reuse a basis
+(none of the 60 above does), get the brackets they got before, bit for
+bit.  Both bounds hold for any iterate, extrapolated or projected through
+a reused basis, since both eigenvalues are bounded afresh.  Iteration
+stops only when primal residual, dual residual, and bracket width are all
+below ``tol``; a solve whose budget runs out returns the tightest bracket
+seen, marked ``converged=False``.  So does a solve whose
+eigendecomposition fails to converge (LAPACK can, even on a well-scaled
+matrix), with the bracket of its last accepted point folded in.
 """
 
 from __future__ import annotations
@@ -156,13 +171,15 @@ _BALANCE_BAND = 1e3
 # at 128 and 6.3e8 to 7.2e8 at the others); with a cap of 10^6 they take
 # 53-214.
 _MAX_RESCALE = 64.0
-# A held eigenbasis Q is reused for S when |offdiag Q^T S Q|_F is at most
-# this many n * eps * |S|_F, eigh's own rounding order.  P_psd is
-# nonexpansive, so the reused projection is then off by at most that much.
-# Over the cycle products, Kneser and Paley graphs of the benchmark, 12
-# labellings each, accepted tries measured at most 3.7 of these units and
-# rejected ones at least 1.4e12; on 60 random graphs G(V, p), V from 12 to
-# 30, every try was rejected.
+# A held eigenbasis Q is reused for S when |SQ - Q Lambda|_F, Lambda =
+# diag(Q^T S Q), is at most this many n * eps * |S|_F, eigh's own rounding
+# order.  P_psd is nonexpansive, so the reused projection is then off by at
+# most that much.  Over the cycle products, Kneser and Paley graphs of the
+# benchmark, 12 labellings each, accepted tries measured at most 1.8 of these
+# units and rejected ones at least 1.4e12; on 60 random graphs G(V, p), V
+# from 12 to 30, every try was rejected, at 3.3e4 units or more.  The same
+# bound decides whether the held basis gives a bracket matrix's eigenvalues:
+# its Bauer-Fike radius measured 2.8 to 12.1 units on those graphs' checks.
 _REUSE_TOLERANCE = 1e3
 
 
@@ -193,17 +210,27 @@ class _PsdProjector:
     """P_psd for one solve, reusing the last eigenbasis while it diagonalises.
 
     Each call projects S = (m + m^T)/2.  When a basis Q from an earlier
-    ``eigh`` is held and a try is due, D = Q^T S Q is formed; if its
-    off-diagonal part is within ``_REUSE_TOLERANCE * n * eps * |S|_F``, the
-    projection is Q max(diag D, 0) Q^T.  Otherwise ``eigh`` runs as it
-    would with no basis held, and its vectors are kept.  After a rejected
-    try, none is made again until the projection count has doubled.
+    ``eigh`` is held and a try is due, the one product SQ gives Lambda =
+    diag(Q^T S Q) and the residual R = SQ - Q Lambda; if |R|_F is within
+    ``_REUSE_TOLERANCE * n * eps * |S|_F``, the projection is Q max(Lambda,
+    0) Q^T.  Otherwise ``eigh`` runs as it would with no basis held, and its
+    vectors are kept.  The first try after a rejected one comes at the next
+    projection, with the basis that ``eigh`` has just made; each further
+    rejection in a row doubles the wait.  Both paths multiply only the
+    columns whose eigenvalue is positive.
+
+    After a reused projection the held basis also bounds the spectrum of
+    any symmetric matrix it fits (:meth:`spectrum`), which is how the
+    bracket gets its eigenvalues.
     """
 
     def __init__(self) -> None:
         self.vecs: np.ndarray | None = None  # eigenvectors of the last eigh
+        self.delta: float | None = None  # bound on |Q^T Q - I|_2, once measured
         self.count = 0  # projections made
         self.next_try = 0  # the count from which a reuse may be tried
+        self.wait = 1  # projections from a rejected try to the next try
+        self.reused = False  # whether the last projection reused the basis
 
     def __call__(self, m: np.ndarray) -> np.ndarray:
         s = m + m.T
@@ -211,17 +238,97 @@ class _PsdProjector:
         self.count += 1
         if self.vecs is not None and self.count >= self.next_try:
             q = self.vecs
-            d = q.T @ s @ q
-            vals = d.diagonal().copy()
-            d.reshape(-1)[:: len(s) + 1] = 0.0
-            if _norm(d) <= _REUSE_TOLERANCE * len(s) * _EPS * _norm(s):
-                np.maximum(vals, 0.0, out=vals)
-                return (q * vals) @ q.T
-            self.next_try = 2 * self.count
+            vals, r = _residual(s, q)
+            if _norm(r) <= _REUSE_TOLERANCE * len(s) * _EPS * _norm(s):
+                self.wait, self.reused = 1, True
+                keep = vals > 0.0
+                w = q[:, keep]
+                return (w * vals[keep]) @ w.T
+            self.next_try = self.count + self.wait
+            self.wait *= 2
+        self.reused = False
         vals, vecs = np.linalg.eigh(s)
-        self.vecs = vecs
-        np.maximum(vals, 0.0, out=vals)
-        return (vecs * vals) @ vecs.T
+        self.vecs, self.delta = vecs, None
+        k = int(np.searchsorted(vals, 0.0, side="right"))  # eigh sorts vals ascending
+        w = vecs[:, k:]
+        return (w * vals[k:]) @ w.T
+
+    def spectrum(self, a: np.ndarray, norm_a: float) -> tuple[float, float] | None:
+        """Certified [lo, hi] holding every eigenvalue of the symmetric ``a``,
+        whose Frobenius norm is ``norm_a``, from the held basis; None unless
+        the last projection reused that basis and its radius for ``a`` is
+        within ``_REUSE_TOLERANCE * n * eps * norm_a``.
+
+        The first condition keeps random graphs on eigvalsh: a basis fresh
+        from ``eigh`` fitted a bracket matrix of 4 of the 60 random graphs
+        of the tests' corpus near convergence, at 2.4 to 787 units, and
+        moved their brackets by up to 1e-10.
+        """
+        if not self.reused:
+            return None
+        if self.delta is None:
+            self.delta = _orthogonality(self.vecs)
+        lo, hi, radius = _enclosure(a, self.vecs, self.delta)
+        if radius <= _REUSE_TOLERANCE * len(a) * _EPS * norm_a:
+            return lo, hi
+        return None
+
+
+def _residual(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lambda = diag(Q^T a Q) and R = aQ - Q Lambda, from the one product aQ."""
+    r = a @ q
+    lam = np.einsum("ij,ij->j", q, r)
+    r -= q * lam
+    return lam, r
+
+
+def _gamma(k: int) -> float:
+    # Higham's gamma_k = k u / (1 - k u), u = eps / 2: a k-term dot product's
+    # error is at most gamma_k times the dot product of the absolute values.
+    ku = k * _EPS / 2.0
+    return ku / (1.0 - ku)
+
+
+def _orthogonality(q: np.ndarray) -> float:
+    """An upper bound on delta = |Q^T Q - I|_2 for the float matrix ``q``.
+
+    The 2-norm of the symmetric G - I is at most its largest absolute row
+    sum, and |fl(Q^T Q) - Q^T Q| <= gamma_n |Q^T| |Q| entrywise (Higham,
+    sec. 3.5), whose 2-norm is at most |Q|_F^2.  Every other rounding is of a
+    sum of nonnegative terms and is covered by one factor.
+    """
+    n = len(q)
+    g = q.T @ q
+    g.reshape(-1)[:: n + 1] -= 1.0
+    q_f = _norm(q)
+    rows = float(np.abs(g).sum(axis=1).max())
+    return (rows + _gamma(n) * q_f * q_f) * (1.0 + _gamma(n * n + 8))
+
+
+def _enclosure(a: np.ndarray, q: np.ndarray, delta: float) -> tuple[float, float, float]:
+    """(lo, hi, radius): every eigenvalue of the symmetric float matrix ``a``
+    lies within ``radius`` of some Lambda_i = q_i^T a q_i, so in [lo, hi].
+
+    Bauer-Fike (Numer. Math. 2, 1960) with eigenvector matrix Q: a = Q Lambda
+    Q^-1 + E Q^-1 with E = aQ - Q Lambda, so each eigenvalue of a lies within
+    kappa(Q) |E Q^-1|_2 <= sqrt(1 + delta) / (1 - delta) |E|_2 of some
+    Lambda_i, where delta >= |Q^T Q - I|_2.  Lambda needs no accuracy, only
+    E's bound: the computed R = fl(fl(aQ) - fl(Q Lambda)) differs from E by
+    at most gamma_n |a| |Q| + u |Q| |Lambda| + gamma_1 |R| entrywise (Higham,
+    sec. 3.5).  The norms round once more, and both ends are rounded
+    outward.  With delta >= 1 the radius is infinite.
+    """
+    if not delta < 1.0:
+        return -math.inf, math.inf, math.inf
+    n = len(a)
+    lam, r = _residual(a, q)
+    q_f = _norm(q)
+    lam_abs = float(np.abs(lam).max())
+    residual = (1.0 + _gamma(1)) * _norm(r) + q_f * (_gamma(n) * _norm(a) + _EPS / 2.0 * lam_abs)
+    radius = residual * math.sqrt(1.0 + delta) / (1.0 - delta) * (1.0 + _gamma(n * n + 16))
+    lo = math.nextafter(float(lam.min()) - radius, -math.inf)
+    hi = math.nextafter(float(lam.max()) + radius, math.inf)
+    return lo, hi, radius
 
 
 def _rho_scale(r_primal: float, r_dual: float) -> float:
@@ -244,17 +351,22 @@ def _rho_scale(r_primal: float, r_dual: float) -> float:
 
 
 def _certified_bracket(
-    z: np.ndarray, u: np.ndarray, rho: float, edges: np.ndarray, n: int
+    z: np.ndarray, u: np.ndarray, rho: float, edges: np.ndarray, n: int, project: _PsdProjector
 ) -> tuple[float, float]:
-    # eigvalsh is backward stable, so by Weyl each eigenvalue it returns may
-    # be off by about n * eps * |m|_F.  Both ends concede that; without it the
-    # upper end for an edgeless graph falls just below theta = n.
+    # Each extreme eigenvalue comes from the projection's held basis when it
+    # fits the matrix (``_PsdProjector.spectrum``, proved by Bauer-Fike);
+    # otherwise from eigvalsh, which is backward stable, so by Weyl each
+    # eigenvalue it returns may be off by about n * eps * |m|_F.  Both ends
+    # concede that; without it the upper end for an edgeless graph falls
+    # just below theta = n.
     # Lower bound: round the PSD iterate to an exactly feasible point.
     # ``edges`` holds the flat indices of both orientations of every edge.
     b = z + z.T
     b *= 0.5
     b.reshape(-1)[edges] = 0.0
-    lam_min = float(np.linalg.eigvalsh(b)[0]) - n * _EPS * _norm(b)
+    norm_b = _norm(b)
+    ends = project.spectrum(b, norm_b)
+    lam_min = ends[0] if ends else float(np.linalg.eigvalsh(b)[0]) - n * _EPS * norm_b
     if lam_min < 0.0:
         b.reshape(-1)[:: n + 1] -= lam_min
     tr = float(b.trace())
@@ -270,7 +382,9 @@ def _certified_bracket(
     a.reshape(-1)[edges] = rho * u.reshape(-1)[edges]
     a = a + a.T
     a *= 0.5
-    upper = float(np.linalg.eigvalsh(a)[-1]) + n * _EPS * _norm(a)
+    norm_a = _norm(a)
+    ends = project.spectrum(a, norm_a)
+    upper = ends[1] if ends else float(np.linalg.eigvalsh(a)[-1]) + n * _EPS * norm_a
     return lower, upper
 
 
@@ -330,11 +444,16 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
     the fixed-point residual falls below ``tol / 10`` (again after a check
     that found it at or above ``tol``), the plain step from that point is
     also checked, computed aside so the steps are unchanged.  A projection
-    reuses the eigenbasis of the last eigendecomposition while the
-    off-diagonal part of the new matrix in that basis is within 10^3 times
-    eigh's rounding order; on symmetric graphs one to three bases serve
-    the whole solve, while on others a failed try is repeated only once
-    the projection count has doubled (see the module docstring).
+    reuses the eigenbasis Q of the last eigendecomposition while |SQ - Q
+    Lambda|_F, from the one product SQ, is within 10^3 times eigh's
+    rounding order; on symmetric graphs one or two bases serve the whole
+    solve.  After a failed try the new basis is tried at the next
+    projection, and each further failure in a row doubles the wait (see the
+    module docstring).  After a reused projection the bracket bounds both
+    eigenvalues from Q by Bauer-Fike, with every rounding bounded, and
+    falls back to eigvalsh when that radius is over the same 10^3 units, so
+    symmetric graphs run no eigvalsh and random graphs keep the brackets
+    eigvalsh gives.
     ``iterations`` counts PSD projections, fresh or reused, rejected
     extrapolations and those extra checks included.
     """
@@ -365,7 +484,7 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
         nonlocal lower, upper
         r_primal = _norm(x_prev - z)
         r_dual = rho * _norm(z - z_prev)
-        lo, up = _certified_bracket(z, u, rho, edges, n)
+        lo, up = _certified_bracket(z, u, rho, edges, n, project)
         done = r_primal < tol and r_dual < tol and up - lo < tol
         lower, upper = (lo, up) if done else (max(lower, lo), min(upper, up))
         return done, r_primal, r_dual
@@ -497,7 +616,7 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
         # iterate.  Stop unconverged, with the tightest bracket seen
         # tightened by that of the last accepted point (the start, if none
         # was accepted).
-        lo, up = _certified_bracket(z_prev, u_prev, rho, edges, n)
+        lo, up = _certified_bracket(z_prev, u_prev, rho, edges, n, project)
         lower, upper = max(lower, lo), min(upper, up)
 
     return ThetaResult((lower + upper) / 2.0, lower, upper, upper - lower, it, done)

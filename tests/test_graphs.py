@@ -298,7 +298,17 @@ def test_clique_search_node_count_is_pinned(monkeypatch):
         corpus.append(Graph.from_edges(60, random_graph(60, 0.15, np.random.default_rng(seed))))
     alphas = [independence_number(g, max_vertices=81)[0] for g in corpus]
     assert alphas[:6] == [13] * 3 + [18] * 3  # Hales 1973
-    assert len(nodes) == 15_677
+    assert len(nodes) == 15_636
+
+
+def test_a_greedy_set_of_maximum_size_settles_the_search_at_one_coloring(monkeypatch):
+    # The label-order greedy set (every vertex but 1) is the search's floor,
+    # so the one coloring finds no larger set, and as the lexicographically
+    # smallest maximum set it is the witness with no rebuild query.
+    nodes = _count_calls(monkeypatch, "_color_order")
+    alpha, witness = independence_number(Graph(1500, [(0, 1)]), 1500)
+    assert alpha == 1499 and witness == (0, *range(2, 1500))
+    assert len(nodes) == 1
 
 
 def _clique_masks(n: int, edges):

@@ -212,7 +212,7 @@ def test_theta_is_multiplicative_on_c5_times_c7():
 
 def test_c7_squared_converges_well_inside_the_plain_admm_iteration_count(monkeypatch):
     # Plain ADMM needs 325 iterations on C7 x C7; the accelerated step needs
-    # 27, rescaling rho at the step its residuals stall.
+    # 28, rescaling rho at the step its residuals stall.
     monkeypatch.setattr(theta, "_MAX_ITERATIONS", 50)
     res = lovasz_theta(strong_product(cycle_graph(7), cycle_graph(7)))
     assert res.converged and res.iterations <= 50
@@ -346,19 +346,19 @@ def test_past_the_band_rho_moves_by_the_capped_root_of_the_ratio(ratio, factor):
     assert theta._rho_scale(1.0, ratio) == pytest.approx(1.0 / factor, rel=1e-15)
 
 
-def count_eigh(monkeypatch, fail_on: int | None = None) -> list[int]:
-    """Count np.linalg.eigh calls in the returned one-item list; raise
+def count_calls(monkeypatch, name: str = "eigh", fail_on: int | None = None) -> list[int]:
+    """Count np.linalg.<name> calls in the returned one-item list; raise
     LinAlgError on call number ``fail_on``, as LAPACK can on a rare matrix."""
-    eigh = np.linalg.eigh
+    inner = getattr(np.linalg, name)
     calls = [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         if calls[0] == fail_on:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigh(*args, **kwargs)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -395,9 +395,9 @@ def test_the_order_edges_are_given_in_does_not_change_the_solve(g):
 SYMMETRIC_ITERATIONS = [
     pytest.param(strong_product(cycle_graph(5), cycle_graph(5)), 21, 21, id="C5xC5"),
     pytest.param(strong_product(cycle_graph(5), cycle_graph(7)), 35, 35, id="C5xC7"),
-    pytest.param(strong_product(cycle_graph(7), cycle_graph(7)), 27, 28, id="C7xC7"),
+    pytest.param(strong_product(cycle_graph(7), cycle_graph(7)), 28, 28, id="C7xC7"),
     pytest.param(strong_product(cycle_graph(5), cycle_graph(9)), 30, 31, id="C5xC9"),
-    pytest.param(strong_product(cycle_graph(7), cycle_graph(9)), 30, 31, id="C7xC9"),
+    pytest.param(strong_product(cycle_graph(7), cycle_graph(9)), 31, 31, id="C7xC9"),
     pytest.param(strong_product(cycle_graph(9), cycle_graph(9), max_vertices=81), 29, 29, id="C9xC9"),
     pytest.param(kneser(8, 3), 16, 16, id="K(8,3)"),
     pytest.param(kneser(9, 3), 16, 16, id="K(9,3)"),
@@ -511,7 +511,7 @@ def test_random_graphs_take_a_fresh_eigendecomposition_per_projection(
     # Their iterates share no eigenbasis, so every try at reusing one fails
     # and each projection is the eigh it was before reuse existed.
     g = Graph.from_edges(vertex_count, random_graph(vertex_count, p, np.random.default_rng(seed)))
-    calls = count_eigh(monkeypatch)
+    calls = count_calls(monkeypatch)
     res = lovasz_theta(g)
     assert res.converged and calls[0] == res.iterations == iterations
 
@@ -528,12 +528,13 @@ def test_random_graphs_take_a_fresh_eigendecomposition_per_projection(
 def test_symmetric_graphs_keep_one_eigenbasis_for_the_whole_solve(monkeypatch, g, want):
     # The iterates of a vertex-transitive graph stay in a commutative algebra,
     # so an eigenbasis of one diagonalises the next (Gatermann & Parrilo 2004;
-    # de Klerk, Pasechnik & Schrijver 2007).  C9 x C9 needs two bases more:
-    # its first iterates have eigenvalues that coincide where later ones split.
+    # de Klerk, Pasechnik & Schrijver 2007).  C9 x C9 needs one basis more:
+    # its first iterates have eigenvalues that coincide where later ones
+    # split, and the basis made after the first failed try serves the rest.
     g = relabelled(g, 3)
-    calls = count_eigh(monkeypatch)
+    calls = count_calls(monkeypatch)
     res = lovasz_theta(g)
-    assert res.converged and calls[0] <= 3 < res.iterations
+    assert res.converged and calls[0] <= 2 < res.iterations
     assert_in_bracket(res.lower, res.upper, want)
 
 
@@ -546,7 +547,7 @@ def test_a_matrix_commuting_with_the_last_one_reuses_its_eigenbasis(monkeypatch)
     a = symmetric_matrix(20, 0)
     s = a @ a - 2.0 * a - 0.5 * np.eye(20)  # a polynomial in a: same eigenvectors
     fresh = theta._PsdProjector()(s)
-    calls = count_eigh(monkeypatch)
+    calls = count_calls(monkeypatch)
     project = theta._PsdProjector()
     project(a)
     reused = project(s)
@@ -558,29 +559,134 @@ def test_a_matrix_commuting_with_the_last_one_reuses_its_eigenbasis(monkeypatch)
 def test_a_matrix_not_commuting_with_the_last_one_is_projected_afresh(monkeypatch):
     a, b = symmetric_matrix(20, 0), symmetric_matrix(20, 1)
     fresh = theta._PsdProjector()(b)
-    calls = count_eigh(monkeypatch)
+    calls = count_calls(monkeypatch)
     project = theta._PsdProjector()
     project(a)
     assert np.array_equal(project(b), fresh)
     assert calls[0] == 2
 
 
-def test_after_a_failed_reuse_the_next_try_waits_until_the_count_doubles(monkeypatch):
+def test_the_basis_made_after_a_failed_try_is_tried_at_once_and_failures_in_a_row_back_off(monkeypatch):
     a, b = symmetric_matrix(20, 0), symmetric_matrix(20, 1)
-    calls = count_eigh(monkeypatch)
+    calls = count_calls(monkeypatch)
     project = theta._PsdProjector()
     project(a)
-    project(b)  # projection 2: the try fails, so none before projection 4
-    project(b @ b)  # would commute, but is not tried
-    assert calls[0] == 3
-    project(b @ b + b)  # tried against the basis of b @ b, and kept
-    assert calls[0] == 3
+    project(b)  # projection 2: the try fails, and eigh makes the basis of b
+    project(b @ b - b)  # projection 3: tried at once against it, and kept
+    assert calls[0] == 2
+    project(a)  # 4: fails, so the basis of a is tried at 5
+    project(b)  # 5: fails again, so the next try waits two projections
+    project(b @ b)  # 6: not tried, though it would fit
+    assert calls[0] == 5
+    project(b @ b + b)  # 7: tried against the basis of b @ b, and kept
+    assert calls[0] == 5
+    project(a)  # 8: a success reset the wait, so a failure retries at once
+    project(a @ a)  # 9: tried against the basis of a, and kept
+    assert calls[0] == 6
+
+
+def holding(q: np.ndarray) -> theta._PsdProjector:
+    """A projector whose last projection reused the basis ``q``."""
+    project = theta._PsdProjector()
+    project.vecs, project.reused = q, True
+    return project
+
+
+@pytest.mark.parametrize("basis", ["eigh", "polynomial", "perturbed"])
+@pytest.mark.parametrize("n", [5, 12, 30, 60])
+def test_the_basis_bound_holds_eigvalsh_s_ends_and_their_allowance(n, basis):
+    # Q from eigh of A, of a polynomial in A (the same eigenvectors, but
+    # eigenvalues that may nearly coincide), or of A and then moved by about
+    # 1e-10.  Whatever Q is, [lo, hi] must contain every eigenvalue, so it
+    # contains eigvalsh's ends widened by their rounding allowance.
+    for seed in range(4):
+        a = symmetric_matrix(n, seed)
+        if basis == "polynomial":
+            q = np.linalg.eigh(a @ a - 2.0 * a - 0.5 * np.eye(n))[1]
+        else:
+            q = np.linalg.eigh(a)[1]
+        if basis == "perturbed":
+            q = q + 1e-10 * np.random.default_rng(seed).standard_normal((n, n))
+        lo, hi, radius = theta._enclosure(a, q, theta._orthogonality(q))
+        w = np.linalg.eigvalsh(a)
+        allowance = n * np.finfo(float).eps * np.linalg.norm(a)
+        assert lo <= w[0] - allowance and w[-1] + allowance <= hi
+        if basis == "eigh":  # a basis of A itself fits A
+            assert radius <= theta._REUSE_TOLERANCE * allowance
+            assert holding(q).spectrum(a, np.linalg.norm(a)) == (lo, hi)
+
+
+def test_a_skewed_basis_is_paid_for_by_its_condition_number():
+    # A = diag(0, 1) and Q = [e1, (c, s)] with c = 0.8: Lambda = (0, s^2) and
+    # |AQ - Q Lambda|_2 = sc, so Lambda_2 + sc = 0.84 misses lambda_max = 1.
+    # Q^T Q - I has norm c, and the factor sqrt(1 + c) / (1 - c) covers it.
+    c = 0.8
+    a = np.diag([0.0, 1.0])
+    q = np.array([[1.0, c], [0.0, math.sqrt(1.0 - c * c)]])
+    delta = theta._orthogonality(q)
+    assert c <= delta <= c * (1.0 + 1e-12)
+    lo, hi, _ = theta._enclosure(a, q, delta)
+    assert lo <= 0.0 and 1.0 <= hi
+    # A singular basis bounds nothing.
+    assert theta._enclosure(a, np.array([[1.0, 1.0], [0.0, 0.0]]), 1.0) == (-math.inf, math.inf, math.inf)
+
+
+@pytest.mark.parametrize("misfit", [None, "unrelated", "one column scaled"])
+def test_a_basis_that_does_not_fit_leaves_the_bracket_to_eigvalsh(monkeypatch, misfit):
+    # On an edgeless graph the bracket's matrices are z and J, and z = I/n +
+    # J/n^2 commutes with J, so an eigenbasis of J fits both.  A basis of an
+    # unrelated matrix does not, nor does one whose column for the eigenvalue
+    # n of J is scaled by 1 + 1e-6; then the bracket is eigvalsh's, bit for
+    # bit.  theta is n here.
+    n = 12
+    z = np.eye(n) / n + np.ones((n, n)) / n**2
+    u, edges = np.zeros((n, n)), np.array([], dtype=np.intp)
+    q = np.linalg.eigh(np.ones((n, n)))[1]
+    if misfit == "unrelated":
+        q = np.linalg.eigh(symmetric_matrix(n, 0))[1]
+    elif misfit == "one column scaled":
+        q[:, -1] *= 1.0 + 1e-6
+    plain = theta._certified_bracket(z, u, 1.0, edges, n, theta._PsdProjector())
+    calls = count_calls(monkeypatch, "eigvalsh")
+    lower, upper = theta._certified_bracket(z, u, 1.0, edges, n, holding(q))
+    if misfit is None:
+        assert calls[0] == 0
+        assert lower == pytest.approx(plain[0], rel=1e-13) and upper == pytest.approx(plain[1], rel=1e-13)
+        assert lower <= n <= upper
+    else:
+        assert calls[0] == 2 and (lower, upper) == plain
+
+
+@pytest.mark.parametrize("g, iterations, ceiling", SYMMETRIC_ITERATIONS)
+def test_symmetric_graphs_take_every_bracket_from_the_held_basis(monkeypatch, g, iterations, ceiling):
+    # Both bracket matrices stay in the algebra the held basis diagonalises.
+    calls = count_calls(monkeypatch, "eigvalsh")
+    for seed in range(12):
+        assert lovasz_theta(relabelled(g, seed)).converged
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("vertex_count, p, seed, iterations", FACTOR_TWO_ITERATIONS)
+def test_random_graphs_take_both_bracket_ends_from_eigvalsh(monkeypatch, vertex_count, p, seed, iterations):
+    # No projection of theirs reuses a basis, so no bracket asks one.
+    g = Graph.from_edges(vertex_count, random_graph(vertex_count, p, np.random.default_rng(seed)))
+    bracket = theta._certified_bracket
+    brackets = [0]
+
+    def counted(*args):
+        brackets[0] += 1
+        return bracket(*args)
+
+    monkeypatch.setattr(theta, "_certified_bracket", counted)
+    calls = count_calls(monkeypatch, "eigvalsh")
+    assert lovasz_theta(g).converged
+    assert calls[0] == 2 * brackets[0] > 0
 
 
 def test_an_eigh_failure_on_the_first_projection_still_gives_a_bracket(monkeypatch):
     # The bracket comes from the starting point, B = I/V and U = 0.
     g = strong_product(cycle_graph(7), cycle_graph(7))
-    count_eigh(monkeypatch, fail_on=1)
+    count_calls(monkeypatch, fail_on=1)
     res = lovasz_theta(g)
     assert res.converged is False and res.iterations == 0
     assert math.isfinite(res.lower) and math.isfinite(res.upper)
@@ -591,7 +697,7 @@ def test_an_eigh_failure_on_the_first_projection_still_gives_a_bracket(monkeypat
 def test_an_eigh_failure_past_the_first_check_keeps_the_bracket(monkeypatch):
     g = Graph.from_edges(12, random_graph(12, 0.5, np.random.default_rng(0)))
     solved = lovasz_theta(g)
-    count_eigh(monkeypatch, fail_on=40)
+    count_calls(monkeypatch, fail_on=40)
     res = lovasz_theta(g)
     assert res.converged is False and res.iterations == 39
     assert math.isfinite(res.lower) and math.isfinite(res.upper)
@@ -602,7 +708,7 @@ def test_analyze_writes_its_report_when_eigh_fails(monkeypatch, tmp_path):
     monkeypatch.delenv("ZECAP_SEED", raising=False)
     spec = write_spec(tmp_path / "pentagon.json", "pentagon")
     out = tmp_path / "report.json"
-    count_eigh(monkeypatch, fail_on=1)
+    count_calls(monkeypatch, fail_on=1)
     assert cli.main(["analyze", spec, "--out", str(out)]) == 0
     bounds = json.loads(out.read_text())["bounds"]
     assert bounds["theta"]["converged"] is False
