@@ -271,18 +271,11 @@ def build_code(
         )
     power = strong_power(graph, n, max_vertices)
     _, witness = independence_number(power, max_vertices)
-    m = graph.vertex_count
-    codewords = []
-    for vertex in witness:
-        digits = []
-        v = vertex
-        for _ in range(n):
-            digits.append(v % m)
-            v //= m
-        codewords.append(tuple(reversed(digits)))
+    # A power vertex is its word's base-M digit string, the order np.kron lays out.
+    digits = np.unravel_index(witness, (graph.vertex_count,) * n)
     return QuantumBlockCode(
         block_length=n,
-        codewords=tuple(sorted(codewords)),
+        codewords=tuple(sorted(zip(*(d.tolist() for d in digits)))),
         source=states,
         povm=povm,
     )

@@ -9,7 +9,8 @@ graph is not complete.
 
 Convention used throughout the package: graph vertices are state indices and
 an EDGE means CONFUSABLE.  Zero-error codes therefore live on independent
-sets, never on cliques.  The confusability graph is a :class:`Graph` carrying
+sets, never on cliques.  The confusability graph is a :class:`Graph` whose
+matrix is S S^T, S the state-by-outcome support incidence, and which carries
 its supports, so strong powers, independence numbers and theta take it as is.
 
 "Positive probability" is numerical: ``p > eps`` with ``eps`` recorded on
@@ -21,7 +22,6 @@ with suspicion.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +109,7 @@ def support_set(probs: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConfusabilityGraph(Graph):
     """Confusability graph of M states under one channel and POVM.
 
@@ -155,25 +155,26 @@ def confusability_graph(
         raise DimensionMismatchError(
             f"dimensions disagree: channel {channel.dim}, states {states.dim}, POVM {povm.dim}"
         )
-    supports: list[frozenset[int]] = []
-    fragile = 0
-    for k, s in enumerate(states.states):
-        p = outcome_probabilities(channel, s, povm)
-        fragile += int(np.count_nonzero((p >= eps / 10.0) & (p <= 10.0 * eps)))
-        try:
-            supports.append(support_set(p, eps))
-        except EmptySupportError:
-            raise EmptySupportError(state_index=k, eps=eps) from None
-    m = len(supports)
-    pairs = itertools.combinations(range(m), 2)
-    edges = frozenset((a, b) for a, b in pairs if supports[a] & supports[b])
+    _check_eps(eps)
+    p = np.array([outcome_probabilities(channel, s, povm) for s in states.states])
+    meet = _supports_meet(p, eps)
+    empty = np.flatnonzero(~meet.diagonal())  # a support meets itself unless it is empty
+    if empty.size:
+        raise EmptySupportError(state_index=int(empty[0]), eps=eps)
+    np.fill_diagonal(meet, False)
     return ConfusabilityGraph(
-        vertex_count=m,
-        edges=edges,
-        supports=tuple(supports),
+        vertex_count=len(p),
+        adjacency=meet,
+        supports=tuple(frozenset(np.flatnonzero(row).tolist()) for row in p > eps),
         eps=eps,
-        fragile_count=fragile,
+        fragile_count=int(np.count_nonzero((p >= eps / 10.0) & (p <= 10.0 * eps))),
     )
+
+
+def _supports_meet(p: np.ndarray, eps: float) -> np.ndarray:
+    """S S^T, S = ``p > eps`` of an (M, N) table: true where two rows' supports meet."""
+    s = p > eps
+    return s @ s.T
 
 
 def has_positive_zero_error_capacity(g: Graph) -> bool:
@@ -193,4 +194,4 @@ def non_adjacent_pair_count(g: Graph) -> int:
     admits.
     """
     m = g.vertex_count
-    return m * (m - 1) // 2 - len(g.edges)
+    return m * (m - 1) // 2 - int(np.count_nonzero(g.adjacency)) // 2

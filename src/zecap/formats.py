@@ -32,8 +32,8 @@ from .channels import (
     pentagon_matrix,
 )
 from .confusability import ConfusabilityGraph, StateSet, non_adjacent_pair_count
-from .errors import DimensionMismatchError, ValidationError
-from .graphs import Graph
+from .errors import DimensionMismatchError, SizeLimitError, ValidationError
+from .graphs import Graph, _graph
 from .quantum import (
     Povm,
     QuantumChannel,
@@ -42,6 +42,7 @@ from .quantum import (
     validate_state,
 )
 from .search import SearchResult
+from .theta import MAX_SDP_VERTICES
 
 __all__ = [
     "ParsedChannelSpec",
@@ -295,11 +296,8 @@ def parse_channel_spec(doc, allow_overcomplete: bool = False) -> ParsedChannelSp
 
 def graph_to_json(g: Graph) -> dict:
     """Adjacency-list document: {"vertex_count": V, "adjacency": [[...], ...]}."""
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-    for a, b in sorted(g.edges):
-        adj[a].append(b)
-        adj[b].append(a)
-    return {"vertex_count": g.vertex_count, "adjacency": [sorted(n) for n in adj]}
+    rows = [np.flatnonzero(r).tolist() for r in g.adjacency]
+    return {"vertex_count": g.vertex_count, "adjacency": rows}
 
 
 def graph_from_json(doc) -> Graph:
@@ -310,20 +308,22 @@ def graph_from_json(doc) -> Graph:
     # bool is an int subclass, but JSON true/false is not an integer.
     if isinstance(v, bool) or not isinstance(v, int) or v < 1:
         raise ValidationError('"vertex_count" must be a positive integer')
+    if v > MAX_SDP_VERTICES:  # theta reads graph files; refused before the V x V matrix
+        raise SizeLimitError(v, MAX_SDP_VERTICES)
     if not isinstance(adj, list) or len(adj) != v:
         raise ValidationError('"adjacency" must list neighbors for every vertex')
-    edges = set()
+    m = np.zeros((v, v), dtype=bool)
     for a, nbrs in enumerate(adj):
         if not isinstance(nbrs, list):
             raise ValidationError(f"adjacency[{a}] is not a list")
         for b in nbrs:
             if isinstance(b, bool) or not isinstance(b, int) or not 0 <= b < v or b == a:
                 raise ValidationError(f"adjacency[{a}] has invalid neighbor {b!r}")
-            edges.add((min(a, b), max(a, b)))
-    for a, b in edges:
-        if a not in adj[b] or b not in adj[a]:
-            raise ValidationError(f"edge ({a}, {b}) is not listed symmetrically")
-    return Graph(vertex_count=v, edges=frozenset(edges))
+        m[a, nbrs] = True
+    one_way = np.argwhere(np.triu(m != m.T)).tolist()
+    if one_way:
+        raise ValidationError("edge ({}, {}) is not listed symmetrically".format(*one_way[0]))
+    return _graph(m)
 
 
 def graph_to_dot(g: Graph) -> str:

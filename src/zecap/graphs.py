@@ -10,15 +10,15 @@ node, and each coloring step takes the highest set bit, clears it and ANDs
 in one mask.  The search runs on an explicit stack, so a clique of any size
 is found without recursion.
 
-Edge semantics follow the package convention: an edge means confusable.
+A graph is one boolean adjacency matrix, and a strong product one Kronecker
+product of A + I.  Edges follow the package convention: an edge means confusable.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,68 +39,87 @@ __all__ = [
 MAX_VERTICES = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """Immutable undirected simple graph on vertices 0..vertex_count-1.
 
-    Edges are stored as a frozenset of (a, b) pairs with a < b.  The
-    constructor takes any iterable of integer pairs, in either orientation,
-    and validates and normalizes it in one pass; :meth:`from_edges` is the
-    same constructor.  The vertex count and the endpoints are stored as
-    Python ints, whatever integer type they came in.
+    Stored as one read-only boolean (V, V) ``adjacency`` matrix, symmetric
+    with a false diagonal.  The constructor takes any iterable of integer
+    pairs, in either orientation, and validates them in one pass;
+    :meth:`from_edges` is the same constructor.  ``edges``, the frozenset of
+    (a, b) with a < b as Python ints, is derived from the matrix when read.
     """
 
     vertex_count: int
-    edges: frozenset[tuple[int, int]]
+    adjacency: np.ndarray = field(compare=False)
 
-    def __post_init__(self):
+    def __init__(self, vertex_count: int, edges):
         try:
-            n = operator.index(self.vertex_count)
+            n = operator.index(vertex_count)
         except TypeError:
             raise DimensionMismatchError(
-                f"vertex count {self.vertex_count!r} is not an integer"
+                f"vertex count {vertex_count!r} is not an integer"
             ) from None
         if n < 1:
             raise DimensionMismatchError("a graph needs at least one vertex")
-        edges = set()
-        for a, b in self.edges:
+        m = np.zeros((n, n), dtype=bool)
+        for a, b in edges:
             try:
                 a, b = operator.index(a), operator.index(b)
             except TypeError:
                 raise DimensionMismatchError(
                     f"edge ({a!r}, {b!r}) has a non-integer endpoint"
                 ) from None
-            if a > b:
-                a, b = b, a
-            elif a == b:
+            if a == b:
                 raise DimensionMismatchError(f"self-loop at vertex {a}")
-            if a < 0 or b >= n:
-                raise DimensionMismatchError(f"edge ({a}, {b}) invalid for {n} vertices")
-            edges.add((a, b))
-        object.__setattr__(self, "vertex_count", n)
-        object.__setattr__(self, "edges", frozenset(edges))
+            if not (0 <= a < n and 0 <= b < n):
+                raise DimensionMismatchError(f"edge {min(a, b), max(a, b)} invalid for {n} vertices")
+            m[a, b] = True
+        _graph(m | m.T, self)
+
+    def __post_init__(self):
+        # A subclass's generated constructor, a copy and an unpickled graph
+        # hand over a matrix: check it, and keep a read-only copy of it.
+        m, n = self.adjacency, self.vertex_count
+        ok = isinstance(m, np.ndarray) and m.dtype == bool and m.shape == (n, n) and n >= 1
+        if not ok or m.diagonal().any() or (m != m.T).any():
+            raise DimensionMismatchError(f"not a symmetric loopless boolean {n!r} x {n!r} adjacency")
+        _graph(m.copy(), self)
+
+    def __setstate__(self, state: dict):
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        # The compared fields, a subclass's too, and the matrix by its bytes.
+        compared = (getattr(self, f.name) for f in fields(self) if f.compare)
+        return (*compared, self.adjacency.tobytes())
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(map(tuple, np.argwhere(np.triu(self.adjacency)).tolist()))
 
     @staticmethod
     def from_edges(vertex_count: int, pairs) -> "Graph":
         return Graph(vertex_count, pairs)
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-    def _adjacency(self) -> np.ndarray:
-        n = self.vertex_count
-        ends = np.fromiter(
-            itertools.chain.from_iterable(self.edges), dtype=np.intp, count=2 * len(self.edges)
-        )
-        a = np.zeros((n, n), dtype=bool)
-        a[ends[0::2], ends[1::2]] = True
-        return a | a.T
+        return 0 <= min(a, b) and max(a, b) < self.vertex_count and bool(self.adjacency[a, b])
 
 
-def _upper_pairs(m: np.ndarray):
-    """The (a, b), a < b, where the square matrix ``m`` is nonzero."""
-    rows, cols = np.nonzero(np.triu(m, 1))
-    return zip(rows.tolist(), cols.tolist())
+def _graph(m: np.ndarray, g: Graph | None = None) -> Graph:
+    """``g``, or a new graph, holding ``m`` read-only and unchecked as its adjacency."""
+    g = object.__new__(Graph) if g is None else g
+    m.flags.writeable = False
+    object.__setattr__(g, "adjacency", m)
+    object.__setattr__(g, "vertex_count", len(m))
+    return g
 
 
 def _pack(rows: np.ndarray) -> list[int]:
@@ -138,11 +157,11 @@ def strong_product(g: Graph, h: Graph, max_vertices: int = MAX_VERTICES) -> Grap
     n = g.vertex_count * h.vertex_count
     if n > max_vertices:
         raise SizeLimitError(n, max_vertices)
-    # (A_g + I) kron (A_h + I) is nonzero exactly where the two coordinates
-    # are each equal-or-adjacent; the diagonal falls outside the upper triangle.
-    ag = g._adjacency() | np.eye(g.vertex_count, dtype=bool)
-    ah = h._adjacency() | np.eye(h.vertex_count, dtype=bool)
-    return Graph(n, _upper_pairs(np.kron(ag, ah)))
+    # (A_g + I) kron (A_h + I) is true exactly where the two coordinates are
+    # each equal or adjacent; clearing its diagonal leaves the product's A.
+    m = np.kron(*(f.adjacency | np.eye(f.vertex_count, dtype=bool) for f in (g, h)))
+    np.fill_diagonal(m, False)
+    return _graph(m)
 
 
 def strong_power(g: Graph, n: int, max_vertices: int = MAX_VERTICES) -> Graph:
@@ -324,7 +343,7 @@ def independence_number(
     n = g.vertex_count
     if n > max_vertices:
         raise SizeLimitError(n, max_vertices)
-    adj = g._adjacency()
+    adj = g.adjacency
     if n < _TRANSITIVE_FLOOR or not _vertex_transitive(adj):
         return _maximum_independent_set(adj)
     rest = np.flatnonzero(~adj[0])[1:]  # G - N[0]; vertex 0 is the first non-neighbour

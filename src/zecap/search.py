@@ -50,6 +50,7 @@ from .confusability import (
     ConfusabilityGraph,
     StateSet,
     _check_eps,
+    _supports_meet,
     confusability_graph,
     non_adjacent_pair_count,
 )
@@ -191,10 +192,9 @@ def _prob_table(
 
 def _pair_count(p: np.ndarray, eps: float) -> int:
     """Pairs of rows of ``p`` with disjoint supports, or -1 if some support is empty."""
-    s = p > eps
-    if not s.any(axis=1).all():  # confusability_graph refuses this table
+    shared = _supports_meet(p, eps)  # pairwise: do the supports meet
+    if not shared.diagonal().all():  # confusability_graph refuses this table
         return -1
-    shared = s @ s.T  # pairwise shared-outcome counts
     m = p.shape[0]
     iu = np.triu_indices(m, 1)
     return int(np.count_nonzero(shared[iu] == 0))

@@ -464,7 +464,7 @@ def lovasz_theta(g: Graph, tol: float = 1e-6) -> ThetaResult:
         raise ValueError(f"tol must be positive, got {tol!r}")
     max_iterations = _MAX_ITERATIONS
 
-    edges = np.flatnonzero(g._adjacency())  # flat indices of v[a, b] and v[b, a]
+    edges = np.flatnonzero(g.adjacency)  # flat indices of v[a, b] and v[b, a]
 
     def affine(z: np.ndarray, u: np.ndarray) -> np.ndarray:
         # x = P_affine(z - u + J/rho), the projection onto the affine set:

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 
 import pytest
 
@@ -411,6 +412,22 @@ def test_theta_subcommand_rejects_asymmetric_adjacency(tmp_path):
     path.write_text(json.dumps({"vertex_count": 2, "adjacency": [[1], []]}))
     proc = run_cli(["theta", str(path)])
     assert proc.returncode == 1
+    assert "edge (0, 1) is not listed symmetrically" in proc.stderr
+
+
+def test_theta_refuses_an_oversized_graph_file_before_building_its_matrix(tmp_path, capsys):
+    # The 20,000 x 20,000 adjacency matrix would take 400 MB.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"vertex_count": 20_000, "adjacency": [[]] * 20_000}))
+    tracemalloc.start()
+    try:
+        code = cli.main(["theta", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert "20000 vertices exceeds the limit of 100" in capsys.readouterr().err
+    assert peak < 50 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from zecap import (
+    ConfusabilityGraph,
     Graph,
     StateSet,
     basis_state,
@@ -134,6 +138,30 @@ def test_pentagon_embedding_gives_the_five_cycle():
     # The confusability graph is a Graph: the bounds take it as is.
     assert isinstance(g, Graph)
     assert capacity_bounds(g, 2) == capacity_bounds(Graph(g.vertex_count, g.edges), 2)
+    # It equals a rebuild of itself, and never the plain Graph of its edges.
+    again = confusability_graph(channel, states, povm)
+    assert g == again and hash(g) == hash(again)
+    assert g != Graph(g.vertex_count, g.edges) and Graph(g.vertex_count, g.edges) != g
+    assert g != confusability_graph(channel, states, povm, eps=1e-8)
+    # Copies keep the subclass, its fields and the read-only matrix.
+    back = pickle.loads(pickle.dumps(g))
+    assert type(back) is ConfusabilityGraph and back == g and back.supports == g.supports
+    assert not copy.deepcopy(g).adjacency.flags.writeable
+
+
+def test_a_confusability_graph_checks_the_matrix_it_is_given():
+    path = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
+    fields = {"supports": (frozenset({0}), frozenset({0, 1}), frozenset({1})), "eps": 1e-9}
+    g = ConfusabilityGraph(vertex_count=3, adjacency=path, **fields)
+    assert g.edges == frozenset({(0, 1), (1, 2)})
+    # The graph keeps its own read-only copy; the caller's array stays theirs.
+    path[0, 2] = path[2, 0] = True
+    assert not g.has_edge(0, 2) and not g.adjacency.flags.writeable
+    one_way = np.triu(path)
+    looped = path | np.eye(3, dtype=bool)
+    for bad, n in [(one_way, 3), (looped, 3), (path.astype(int), 3), (path, 4), (path[:2], 3), (path[:0, :0], 0)]:
+        with pytest.raises(DimensionMismatchError, match="not a symmetric loopless boolean"):
+            ConfusabilityGraph(vertex_count=n, adjacency=bad, **fields)
 
 
 def test_edge_membership_follows_eps():

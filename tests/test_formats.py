@@ -20,7 +20,7 @@ from zecap import (
     verify_zero_error,
 )
 from zecap.confusability import StateSet
-from zecap.errors import ValidationError
+from zecap.errors import SizeLimitError, ValidationError
 from zecap.formats import (
     channel_spec_document,
     code_document,
@@ -149,6 +149,10 @@ def test_graph_json_validation():
         graph_from_json({"vertex_count": 0, "adjacency": []})
     with pytest.raises(ValidationError):
         graph_from_json("not a graph")
+    # The one parser of graph files refuses what theta cannot take before it
+    # builds a V x V matrix, whatever the lists hold.
+    with pytest.raises(SizeLimitError, match="20000 vertices exceeds the limit of 100"):
+        graph_from_json({"vertex_count": 20_000, "adjacency": None})
 
 
 def test_dot_export_lists_every_edge_once():

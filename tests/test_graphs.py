@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
+import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,8 +93,25 @@ def test_standard_families():
     assert len(complete_graph(4).edges) == 6
     assert edgeless_graph(5).edges == frozenset()
     c5 = cycle_graph(5)
-    assert c5._adjacency().sum(axis=1).tolist() == [2] * 5
+    assert c5.adjacency.sum(axis=1).tolist() == [2] * 5
     assert c5.has_edge(4, 0)
+
+
+def test_a_graph_is_its_read_only_adjacency_matrix():
+    g = cycle_graph(5)
+    assert g.adjacency.dtype == bool and g.adjacency.shape == (5, 5)
+    with pytest.raises(ValueError, match="read-only"):
+        g.adjacency[0, 1] = False
+    # Equality and hash go by the vertex count and the matrix.
+    assert g != edgeless_graph(5) and edgeless_graph(4) != edgeless_graph(5)
+    assert complete_graph(1) == edgeless_graph(1) and hash(complete_graph(1)) == hash(edgeless_graph(1))
+    # A bare matrix index would wrap -1 round to vertex 4, a neighbour of 0.
+    assert not any(g.has_edge(a, b) for a, b in [(0, -1), (-1, 0), (0, 5), (5, 4), (-1, -2)])
+    # A copy or an unpickled graph is as read-only as the original, so its hash holds.
+    for back in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert back == g and hash(back) == hash(g) and back.edges == g.edges
+        with pytest.raises(ValueError, match="read-only"):
+            back.adjacency[0, 1] = False
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +142,10 @@ def test_strong_product_matches_definition_on_random_pairs():
         got = strong_product(g, h)
         _, want = strong_product_edges(vg, g.edges, vh, h.edges)
         assert got.edges == want
+        # The power is a chain of products, the definition's chain too.
+        _, square = strong_product_edges(vg, g.edges, vg, g.edges)
+        _, cube = strong_product_edges(vg * vg, square, vg, g.edges)
+        assert strong_power(g, 3, vg**3).edges == cube
 
 
 def test_single_vertex_is_the_product_identity():
@@ -133,7 +157,7 @@ def test_single_vertex_is_the_product_identity():
 def test_pentagon_squared_is_eight_regular():
     sq = strong_product(cycle_graph(5), cycle_graph(5))
     assert sq.vertex_count == 25
-    assert sq._adjacency().sum(axis=1).tolist() == [8] * 25
+    assert sq.adjacency.sum(axis=1).tolist() == [8] * 25
 
 
 def test_strong_power_basics():
@@ -142,6 +166,19 @@ def test_strong_power_basics():
     cube = strong_power(complete_graph(2), 3)
     assert cube.vertex_count == 8 and len(cube.edges) == 28
     assert strong_power(edgeless_graph(2), 3).edges == frozenset()
+
+
+def test_the_fifth_power_of_the_pentagon_is_built_as_a_matrix():
+    # The 3,125 x 3,125 matrix takes 9.5 MiB: no room for a second copy or for edge tuples.
+    tracemalloc.start()
+    try:
+        g = strong_power(cycle_graph(5), 5, 3125)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert g.vertex_count == 3125
+    assert (g.adjacency.sum(axis=1) == 242).all()  # 3^5 - 1: each digit equal or adjacent
 
 
 def test_strong_power_respects_size_cap():
@@ -434,7 +471,7 @@ def _relabelled(g: Graph, seed: int) -> Graph:
 
 
 def _transitive(g: Graph) -> bool:
-    return graphs._vertex_transitive(g._adjacency())
+    return graphs._vertex_transitive(g.adjacency)
 
 
 def _kneser(n: int, k: int) -> Graph:
@@ -623,7 +660,7 @@ def test_the_symmetry_proof_never_imports_numpy_random():
         "g = strong_product(cycle_graph(7), cycle_graph(9), max_vertices=63)\n"
         "g = Graph.from_edges(63, [((5 * a + 3) % 63, (5 * b + 3) % 63) for a, b in g.edges])\n"
         "alpha = independence_number(g, max_vertices=63)[0]\n"
-        "print(graphs._vertex_transitive(g._adjacency()), alpha, 'numpy.random' in sys.modules)\n"
+        "print(graphs._vertex_transitive(g.adjacency), alpha, 'numpy.random' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

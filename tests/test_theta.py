@@ -384,7 +384,7 @@ def test_a_solve_leaves_no_state_behind():
 )
 def test_the_order_edges_are_given_in_does_not_change_the_solve(g):
     flipped = Graph.from_edges(g.vertex_count, ((b, a) for a, b in reversed(sorted(g.edges))))
-    assert flipped == g
+    assert flipped == g and hash(flipped) == hash(g)
     assert lovasz_theta(flipped) == lovasz_theta(g)
 
 
