@@ -2,8 +2,8 @@
 
 Computes what a channel can transmit with literally zero probability of
 error: confusability graphs of state/measurement ensembles, independence
-numbers of their strong powers, Lovász theta upper bounds, hill-climbing
-searches for good state/POVM pairs, and explicit zero-error block codes with
+numbers of their strong powers, Lovász theta upper bounds, a search over
+deterministic state/POVM alignments, and explicit zero-error block codes with
 decoders.
 """
 
@@ -67,7 +67,6 @@ from .quantum import (
     QuantumChannel,
     apply_channel,
     basis_state,
-    haar_unitary,
     outcome_probabilities,
     pure_state,
     validate_channel,

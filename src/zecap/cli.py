@@ -4,7 +4,7 @@ Subcommands::
 
     zecap validate <spec.json>
     zecap analyze  <spec.json> [--eps 1e-9] [--n-max 2] [--out report.json] [--dot graph.dot]
-    zecap search   <spec.json> [--M <int>] [--restarts 32] [--iters 2000] [--seed 7]
+    zecap search   <spec.json> [--M <int>] [--seed 7]
                                [--general-povm] [--allow-overcomplete]
     zecap code     <spec.json> --n <int> [--out code.json]
     zecap theta    <graph.json> [--tol 1e-6]
@@ -44,12 +44,6 @@ from .formats import (
 from .search import SearchConfig, optimize_pair
 from .theta import lovasz_theta
 
-# Search budget analyze runs when a spec has no ensemble of its own; the
-# search subcommand keeps SearchConfig's defaults.
-_ANALYZE_RESTARTS = 8
-_ANALYZE_ITERS = 400
-
-
 def _env_seed() -> int:
     raw = os.environ.get("ZECAP_SEED")
     if raw is None:
@@ -87,13 +81,7 @@ def _ensure_ensemble(spec: ParsedChannelSpec, seed: int, eps: float):
         provenance = "classical-embedding" if spec.source == "classical_matrix" else "given"
         graph = confusability_graph(spec.channel, spec.states, spec.povm, eps=eps)
         return spec.states, spec.povm, graph, provenance, None
-    cfg = SearchConfig(
-        num_states=spec.channel.dim,
-        restarts=_ANALYZE_RESTARTS,
-        iterations=_ANALYZE_ITERS,
-        seed=seed,
-        eps_support=eps,
-    )
+    cfg = SearchConfig(num_states=spec.channel.dim, seed=seed, eps_support=eps)
     res = optimize_pair(spec.channel, cfg)
     return res.best_states, res.best_povm, res.graph, "searched", search_result_document(res)
 
@@ -156,8 +144,6 @@ def _cmd_search(args) -> int:
     m = args.M if args.M is not None else spec.channel.dim
     cfg = SearchConfig(
         num_states=m,
-        restarts=args.restarts,
-        iterations=args.iters,
         seed=args.seed if args.seed is not None else _env_seed(),
         general_povm=args.general_povm,
         allow_overcomplete=args.allow_overcomplete,
@@ -225,8 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a (states, POVM) pair for the channel")
     p.add_argument("spec")
     p.add_argument("--M", type=int, default=None, help="states to place (default: dim)")
-    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
-    p.add_argument("--iters", type=int, default=SearchConfig.iterations)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--general-povm", action="store_true")
     p.add_argument("--allow-overcomplete", action="store_true")
@@ -258,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         raise
     except (ZecapError, ValueError) as exc:
         # The library rejects out-of-range arguments (--n-max 0, --eps 0,
-        # --restarts 0, ...) with ValueError; report them like bad specs.
+        # --M 1, ...) with ValueError; report them like bad specs.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

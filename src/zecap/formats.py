@@ -380,21 +380,14 @@ def code_document(
 
 
 def search_result_document(res: SearchResult) -> dict:
-    """JSON view of a search outcome (full per-restart traces omitted)."""
+    """JSON view of a search outcome."""
     return {
         "pair_count": res.pair_count,
         "alpha_1": res.alpha_1,
-        "best_restart": res.best_restart,
-        "restarts": res.config.restarts,
-        "iterations": res.config.iterations,
         "seed": res.config.seed,
         "objective": "pair_count",
         "general_povm": res.config.general_povm,
-        "final_objective_per_restart": [
-            (trace[-1] if trace else None) for trace in res.history
-        ],
         "objective_bound": res.objective_bound,
-        "proposals": res.proposals,
         "states": _states_json(res.best_states),
         "povm": complex_matrix_to_json(res.best_povm.elements),
         "graph": graph_to_json(res.graph),

@@ -25,14 +25,14 @@ checked.  A stack's realness is decided once, on first use; a state's on
 every call.  Wrapper dataclasses (:class:`DensityMatrix`,
 :class:`QuantumChannel`, :class:`Povm`) certify that their contents passed
 validation; each checks that its array's shape matches its ``dim``, and their
-arrays are frozen (non-writeable).
+arrays are frozen (non-writeable), in copies and unpickled objects too.
 All indices are 0-based.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +58,6 @@ __all__ = [
     "outcome_probabilities",
     "pure_state",
     "basis_state",
-    "haar_unitary",
 ]
 
 
@@ -73,6 +72,18 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128, order="C")
     out.setflags(write=False)
     return out
+
+
+def _restore(obj, state: dict) -> None:
+    """``__setstate__`` of the wrappers: a copy or an unpickled object is validated again.
+
+    Only the fields are taken from ``state``, and ``__post_init__`` freezes a
+    copy of the array, so a realness cache is recomputed, not copied, and no
+    copy holds a writeable array.
+    """
+    for f in fields(obj):
+        object.__setattr__(obj, f.name, state[f.name])
+    obj.__post_init__()
 
 
 def _check_shape(obj, field: str, stack: bool) -> None:
@@ -153,6 +164,8 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", _freeze(self.matrix))
         _check_shape(self, "matrix", stack=False)
 
+    __setstate__ = _restore
+
     def __eq__(self, other):
         if not isinstance(other, DensityMatrix):
             return NotImplemented
@@ -176,6 +189,8 @@ class QuantumChannel:
         object.__setattr__(self, "kraus", _freeze(self.kraus))
         _check_shape(self, "kraus", stack=True)
 
+    __setstate__ = _restore
+
     @cached_property
     def _real_kraus(self) -> np.ndarray | None:
         return _exact_real(self.kraus)
@@ -198,6 +213,8 @@ class Povm:
     def __post_init__(self):
         object.__setattr__(self, "elements", _freeze(self.elements))
         _check_shape(self, "elements", stack=True)
+
+    __setstate__ = _restore
 
     @cached_property
     def _real_elements(self) -> np.ndarray | None:
@@ -415,7 +432,7 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
 
 
 # ---------------------------------------------------------------------------
-# Constructors and the Haar unitary
+# Constructors
 # ---------------------------------------------------------------------------
 
 
@@ -436,20 +453,3 @@ def basis_state(dim: int, k: int) -> DensityMatrix:
     m = np.zeros((dim, dim), dtype=np.complex128)
     m[k, k] = 1.0
     return DensityMatrix(dim=dim, matrix=m)
-
-
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a Haar-distributed unitary.
-
-    QR of a complex Ginibre matrix with the R-diagonal phases divided out,
-    which corrects the QR gauge so the distribution is exactly Haar.
-    """
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    return _haar_q(z)
-
-
-def _haar_q(z: np.ndarray) -> np.ndarray:
-    """Haar-distributed Q of a complex Ginibre ``z``: QR with the R-diagonal phases divided out."""
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

@@ -1,4 +1,4 @@
-"""Hill-climbing search for state/POVM pairs with many distinguishable pairs.
+"""Search for state/POVM pairs with many distinguishable pairs.
 
 The one-shot structure of a channel depends on which states are sent and
 which POVM reads them out.  An *optimum* pair maximizes the number of
@@ -8,40 +8,37 @@ bridge from "a channel" to "its confusability graph".
 
 The objective is integer-valued and flat almost everywhere: for an identity
 or classical channel the good configurations are exact alignments of states
-with measurement directions, a measure-zero target blind local moves cannot
-hit.  Each restart therefore climbs from the best of four starts, scored in
-this order - the computational-basis-aligned pair, the S-start, a
-Haar-aligned pair (random basis used for both states and POVM), and a fully
-random pair - and the result can only improve on them.  Ties go to the
-earlier start.  A point where some state's support is empty scores -1, below
-every valid point, since ``confusability_graph`` refuses it.
+with measurement directions, a measure-zero target that random moves cannot
+hit.  The search therefore scores two deterministic alignments and keeps the
+better, with ties going to the first:
+
+1. the computational-basis-aligned pair, which recovers classical structure
+   exactly; and
+2. the S-start, scored only when the first is below an upper bound on the
+   objective: M(M-1)/2 pairs, or none when the channel puts a common outcome
+   in every state's support (see ``_objective_bound``).
 
 The S-start comes from the channel's operator space S = span{K_i^dagger K_j}
 (Duan, Severini & Winter, arXiv:1002.2514): pure inputs a, b are zero-error
 distinguishable by some measurement iff <a|B|b> = 0 for every B in S.  Its
 states are the eigenbasis of a random Hermitian element of S, which is
 exactly zero-error when S is commutative, and its measurement is built from
-the output ranges span{K_i a}.
+the output ranges span{K_i a}.  The element is drawn from the generator
+seeded ``seed``, made only when the S-start is reached, so a run is
+reproducible bit for bit and one that stops at the first start never imports
+``numpy.random``.
 
-From its start a restart takes small random rotations of one state or of the
-measurement, keeping each that scores at least as well as the current point
-(so it can cross plateaus) and recording the best point only on a strict
-improvement.  It climbs only while its best score is below an upper bound on
-the objective: M(M-1)/2 pairs, or none when the channel puts a common outcome
-in every state's support (see ``_objective_bound``).  A restart at the bound
-stops scoring starts and proposals and records its best for the remaining
-iterations, which is the trace and the point the full run would give, since
-nothing can beat the bound.  Restart r draws everything, its S-start first,
-from the generator seeded ``seed + r``, made when the first draw needs it,
-so it is exactly the one-restart run at that seed; the best restart is
-chosen deterministically, so runs are reproducible bit for bit.
+Each start is scored by the public ``confusability_graph`` and
+``non_adjacent_pair_count``, so the result's graph is the one its score came
+from.  A start where some state's support is empty scores -1, below every
+valid start, since ``confusability_graph`` refuses it; when both starts are
+refused, the search raises the computational start's refusal.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,18 +47,15 @@ from .confusability import (
     ConfusabilityGraph,
     StateSet,
     _check_eps,
-    _supports_meet,
     confusability_graph,
     non_adjacent_pair_count,
 )
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, EmptySupportError
 from .graphs import independence_number
 from .quantum import (
     Povm,
     QuantumChannel,
-    _haar_q,
     _projective_povm,
-    haar_unitary,
     pure_state,
     validate_povm,
 )
@@ -72,7 +66,6 @@ __all__ = [
     "optimize_pair",
 ]
 
-_STEP = 0.15  # magnitude of the random unitary proposal rotations (radians-ish)
 # Absolute slack, above the round-off of eigvalsh on the d^2 x d^2 matrix C and
 # of the outcome probabilities, before lambda_min(C) is trusted as a bound.
 _ROUNDOFF = 1e-12
@@ -90,10 +83,8 @@ class SearchConfig:
     num_states : int
         States to place (M).  Must satisfy 2 <= M <= dim unless
         ``allow_overcomplete``.
-    restarts, iterations : int
-        Independent hill-climbing restarts and proposals per restart.
     seed : int
-        Restart r uses the generator seeded with ``seed + r``.
+        Seeds the generator the S-start is drawn from.
     eps_support : float
         Support cutoff used when scoring candidate pairs.  Must be positive.
     general_povm : bool
@@ -105,28 +96,28 @@ class SearchConfig:
     """
 
     num_states: int
-    restarts: int = 32
-    iterations: int = 2000
     seed: int = 7
     eps_support: float = DEFAULT_EPS
     general_povm: bool = False
     allow_overcomplete: bool = False
+    # Constants, not fields: the benchmark harness's search counter reads
+    # them (perfbench/tracing.py), so they stay until that counter reads the
+    # result instead.  One run and no climbing steps is what the search does.
+    restarts: ClassVar[int] = 1
+    iterations: ClassVar[int] = 0
 
     def __post_init__(self):
         if self.num_states < 2:
             raise ValueError("num_states must be >= 2: pairs need two states")
-        if self.restarts < 1 or self.iterations < 0:
-            raise ValueError("restarts must be >= 1 and iterations >= 0")
         _check_eps(self.eps_support)
 
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best pair found, its graph, and per-restart objective traces.
+    """Best pair found and its graph.
 
-    ``objective_bound`` is the upper bound on the objective at which a
-    restart stops; ``proposals`` counts the hill-climbing proposals scored
-    over all restarts, starts excluded.
+    ``objective_bound`` is the upper bound on the objective at which the
+    search stops after its first start.
     """
 
     best_states: StateSet
@@ -134,11 +125,8 @@ class SearchResult:
     graph: ConfusabilityGraph
     pair_count: int
     alpha_1: int
-    best_restart: int
-    history: tuple[tuple[float, ...], ...]
     config: SearchConfig
     objective_bound: float
-    proposals: int
 
 
 # ---------------------------------------------------------------------------
@@ -146,58 +134,10 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_state_vectors(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal((count, dim)) + 1j * rng.standard_normal((count, dim))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-
-def _random_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    return _haar_q(rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
-
-
 def _povm_from_isometry(iso: np.ndarray, dim: int, outcomes: int) -> Povm:
     """E_j = V_j^dagger V_j for the j-th dim x dim block V_j of the stacked isometry."""
     blocks = iso.reshape(outcomes, dim, dim)
     return validate_povm([b.conj().T @ b for b in blocks])
-
-
-def _small_rotation(dim: int, step: float, rng: np.random.Generator) -> np.ndarray:
-    # exp(i*step*H) with H Gaussian Hermitian scaled to unit typical eigenvalue.
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = (a + a.conj().T) / 2.0
-    h /= np.linalg.norm(h) / math.sqrt(dim)
-    lam, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * step * lam)) @ vecs.conj().T
-
-
-def _prob_table(
-    kraus: np.ndarray,
-    cand: tuple[np.ndarray, np.ndarray],
-    general: bool,
-    outcomes: int,
-) -> np.ndarray:
-    """p[k, j] = tr(E(|v_k><v_k|) E_j) at the search point ``cand`` = (vecs, meas).
-
-    vecs: (M, dim) unit rows; meas: a unitary (projective) or stacked isometry (general).
-    """
-    vecs, meas = cand
-    v = vecs.T  # (dim, M)
-    # The axis-0 sums add the K Kraus terms in order, as a loop would.
-    if general:
-        w = (meas @ (kraus @ v)).reshape(len(kraus), outcomes, v.shape[0], -1)  # (K, N, dim, M)
-        return (np.abs(w) ** 2).sum(axis=2).sum(axis=0).T
-    amp = meas.conj().T @ (kraus @ v)  # (K, N, M)
-    return (np.abs(amp) ** 2).sum(axis=0).T
-
-
-def _pair_count(p: np.ndarray, eps: float) -> int:
-    """Pairs of rows of ``p`` with disjoint supports, or -1 if some support is empty."""
-    shared = _supports_meet(p, eps)  # pairwise: do the supports meet
-    if not shared.diagonal().all():  # confusability_graph refuses this table
-        return -1
-    m = p.shape[0]
-    iu = np.triu_indices(m, 1)
-    return int(np.count_nonzero(shared[iu] == 0))
 
 
 def _operator_space(kraus: np.ndarray) -> np.ndarray:
@@ -233,7 +173,7 @@ def _s_start(
     c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
     a = np.tensordot(c, basis, axes=1)
     _, eigvecs = np.linalg.eigh(a + a.conj().T)  # in S: S is closed under adjoints
-    vecs = eigvecs.T[np.arange(m) % dim].copy()
+    vecs = eigvecs.T[np.arange(m) % dim]
     # Orthonormal bases of the output ranges span{K_i v}, each orthogonalized
     # against those before it, completed to a unitary.
     cols = np.zeros((dim, 0), dtype=np.complex128)
@@ -248,102 +188,12 @@ def _s_start(
 
 def _aligned_meas(u: np.ndarray, dim: int, general: bool, outcomes: int) -> np.ndarray:
     if not general:
-        return u.copy()
+        return u
     # Isometry whose j-th block is |u_j><u_j|, mirroring the projective
     # alignment; blocks past the dim-th are zero.
     iso = np.zeros((outcomes, dim, dim), dtype=np.complex128)
     iso[:dim] = u.T[:, :, None] * u.T.conj()[:, None, :]
     return iso.reshape(outcomes * dim, dim)
-
-
-def _starts(
-    kraus: np.ndarray,
-    m: int,
-    general: bool,
-    outcomes: int,
-    draw: Callable[[], np.random.Generator],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The four starts in scoring order, each drawn from ``draw()`` only when reached."""
-    dim = kraus[0].shape[1]
-    # Basis indices tile cyclically when m > dim; exact repeats are the best
-    # an overcomplete aligned start can do.
-    tile = np.arange(m) % dim
-    # Computational alignment: recovers classical structure exactly.
-    eye = np.eye(dim, dtype=np.complex128)
-    yield eye[tile].copy(), _aligned_meas(eye, dim, general, outcomes)
-    rng = draw()
-    yield _s_start(kraus, m, general, outcomes, rng)
-    # Haar alignment: same basis for states and measurement.
-    u = haar_unitary(dim, rng)
-    yield u.T[tile].copy(), _aligned_meas(u, dim, general, outcomes)
-    # Fully random pair.
-    vecs = _random_state_vectors(dim, m, rng)
-    if general:
-        meas = _random_isometry(outcomes * dim, dim, rng)
-    else:
-        meas = haar_unitary(dim, rng)
-    yield vecs, meas
-
-
-def _propose(
-    cand: tuple[np.ndarray, np.ndarray], rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate one state or the measurement; the array left unchanged is shared."""
-    vecs, meas = cand
-    m, dim = vecs.shape
-    target = int(rng.integers(0, m + 1))
-    if target < m:
-        vecs = vecs.copy()
-        vecs[target] = _small_rotation(dim, _STEP, rng) @ vecs[target]
-    else:
-        meas = _small_rotation(meas.shape[0], _STEP, rng) @ meas
-    return vecs, meas
-
-
-def _run_restart(
-    kraus: np.ndarray,
-    cfg: SearchConfig,
-    restart_index: int,
-    outcomes: int,
-    bound: float,
-) -> tuple[float, tuple[np.ndarray, np.ndarray], list[float], int]:
-    rng = None
-    general = cfg.general_povm
-
-    def draw() -> np.random.Generator:
-        # Made on first use: a restart that stops at the computational start
-        # draws nothing, and then never imports numpy.random.
-        nonlocal rng
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed + restart_index)
-        return rng
-
-    def score(cand: tuple[np.ndarray, np.ndarray]) -> float:
-        return float(_pair_count(_prob_table(kraus, cand, general, outcomes), cfg.eps_support))
-
-    best, best_score = None, -math.inf
-    for cand in _starts(kraus, cfg.num_states, general, outcomes, draw):
-        sc = score(cand)
-        if sc > best_score:
-            best, best_score = cand, sc
-        if best_score >= bound:
-            break
-
-    # Hill climb: move to every proposal that scores no worse (crossing
-    # plateaus), and move the best only on a strict improvement.
-    current = best
-    history: list[float] = []
-    while len(history) < cfg.iterations and best_score < bound:
-        proposal = _propose(current, draw())
-        sc = score(proposal)
-        if sc >= best_score:
-            current = proposal
-            if sc > best_score:
-                best, best_score = proposal, sc
-        history.append(best_score)
-    proposals = len(history)
-    history += [best_score] * (cfg.iterations - proposals)
-    return best_score, best, history, proposals
 
 
 def _ensemble(
@@ -358,6 +208,22 @@ def _ensemble(
     return states, _projective_povm(meas)
 
 
+def _scored(
+    channel: QuantumChannel, cfg: SearchConfig, cand: tuple[np.ndarray, np.ndarray]
+) -> tuple[int, StateSet, Povm, ConfusabilityGraph | EmptySupportError]:
+    """(pair count, states, POVM, graph) of a start.
+
+    A start the graph refuses scores -1 and carries the refusal in place of
+    its graph.
+    """
+    states, povm = _ensemble(cand, cfg.general_povm, cfg.allow_overcomplete)
+    try:
+        graph = confusability_graph(channel, states, povm, eps=cfg.eps_support)
+    except EmptySupportError as exc:
+        return -1, states, povm, exc
+    return non_adjacent_pair_count(graph), states, povm, graph
+
+
 def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
     """Search for a (states, POVM) pair maximizing non-adjacent pairs.
 
@@ -369,15 +235,19 @@ def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
     Returns
     -------
     SearchResult
-        ``pair_count`` is recomputed from the returned (states, POVM) with
-        the public graph constructor, so the reported graph and count are
-        exactly reproducible from the result's own fields.
+        The better of the computational start and the S-start; the graph and
+        ``pair_count`` are those the public graph constructor gives the
+        returned (states, POVM), so they are exactly reproducible from the
+        result's own fields.
 
     Raises
     ------
     DimensionMismatchError
         If ``cfg.num_states`` exceeds the channel dimension without
         ``allow_overcomplete``.
+    EmptySupportError
+        If both starts leave some state with no outcome above the cutoff;
+        it is the computational start's refusal.
     """
     dim = channel.dim
     m = cfg.num_states
@@ -385,27 +255,30 @@ def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
         raise DimensionMismatchError(
             f"{m} states exceed dimension {dim}; set allow_overcomplete to permit"
         )
-    outcomes = dim * dim if cfg.general_povm else dim
+    general = cfg.general_povm
+    outcomes = dim * dim if general else dim
     kraus = channel.kraus
     bound = _objective_bound(kraus, dim, m, outcomes, cfg.eps_support)
-    runs = [_run_restart(kraus, cfg, r, outcomes, bound) for r in range(cfg.restarts)]
-
-    best_restart = 0
-    for r in range(1, cfg.restarts):
-        if runs[r][0] > runs[best_restart][0]:
-            best_restart = r
-    states, povm = _ensemble(runs[best_restart][1], cfg.general_povm, cfg.allow_overcomplete)
-    graph = confusability_graph(channel, states, povm, eps=cfg.eps_support)
+    # Basis indices tile cyclically when m > dim; exact repeats are the best
+    # an overcomplete aligned start can do.
+    eye = np.eye(dim, dtype=np.complex128)
+    computational = (eye[np.arange(m) % dim], _aligned_meas(eye, dim, general, outcomes))
+    best = _scored(channel, cfg, computational)
+    if best[0] < bound:
+        rng = np.random.default_rng(cfg.seed)
+        s_start = _scored(channel, cfg, _s_start(kraus, m, general, outcomes, rng))
+        if s_start[0] > best[0]:
+            best = s_start
+    pair_count, states, povm, graph = best
+    if pair_count < 0:
+        raise graph
     alpha_1, _ = independence_number(graph)
     return SearchResult(
         best_states=states,
         best_povm=povm,
         graph=graph,
-        pair_count=non_adjacent_pair_count(graph),
+        pair_count=pair_count,
         alpha_1=alpha_1,
-        best_restart=best_restart,
-        history=tuple(tuple(run[2]) for run in runs),
         config=cfg,
         objective_bound=bound,
-        proposals=sum(run[3] for run in runs),
     )

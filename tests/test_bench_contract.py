@@ -63,3 +63,36 @@ def test_every_package_name_the_harness_uses_exists():
     assert names, "the scan found none of the harness's uses"
     missing = sorted(n for n in names if not hasattr(zecap, n))
     assert not missing
+
+
+def _pentagon_calls() -> dict:
+    """Small pentagon arguments for each function a counter is attached to."""
+    channel, states, povm = zecap.embed_classical(zecap.pentagon_matrix())
+    graph = zecap.confusability_graph(channel, states, povm)
+    code = zecap.build_code(graph, states, povm, n=1)
+    return {
+        "optimize_pair": (channel, zecap.SearchConfig(num_states=5)),
+        "confusability_graph": (channel, states, povm),
+        "independence_number": (graph,),
+        "lovasz_theta": (graph,),
+        "build_decoder": (code, channel, zecap.DEFAULT_EPS),
+        "verify_zero_error": (code, channel, zecap.DEFAULT_EPS),
+        "dumps_canonical": ({"pentagon": 5},),
+    }
+
+
+COUNTED = [(m, a, layer, c) for m, a, layer, c in tracing.WRAPS if c is not None]
+
+
+@pytest.mark.parametrize(
+    "modname, attr, layer, count", [pytest.param(*w, id=f"{w[0]}.{w[1]}") for w in COUNTED]
+)
+def test_every_counter_runs_on_a_real_call_of_the_function_it_wraps(modname, attr, layer, count):
+    # A counter that reads an attribute the library dropped fails here, not
+    # only in a traced benchmark run.
+    fn = getattr(importlib.import_module(modname), attr)
+    tracer = tracing.Tracer()
+    tracer.wrap(fn, layer, count)(*_pentagon_calls()[attr])
+    ((span_layer, t0, t1, parent, counters),) = tracer.spans
+    assert (span_layer, parent) == (layer, -1) and t0 <= t1
+    assert counters and all(isinstance(v, (int, float)) for v in counters.values())

@@ -42,14 +42,13 @@ from zecap.formats import code_document, dumps_canonical
 from zecap.quantum import (
     _projective_povm,
     apply_channel,
-    haar_unitary,
     outcome_probabilities,
     pure_state,
     validate_povm,
     validate_state,
 )
 
-from ensembles import random_density_matrix, random_general_povm
+from ensembles import haar_unitary, random_density_matrix, random_general_povm
 from invariants import check_decoder_iff_independent
 from oracles import decoder_fill
 

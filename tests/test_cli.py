@@ -213,12 +213,9 @@ def test_analyze_at_a_large_eps_searches_past_empty_supports(tmp_path):
     ],
 )
 def test_searched_builtins_start_at_the_objective_bound(tmp_path, name):
-    # A deterministic guard against the search cost coming back: every
-    # restart's best start already reaches the bound, so nothing is proposed.
+    # One of the two starts already reaches the bound on every searched builtin.
     spec = write_spec(tmp_path / f"{name}.json", name)
     search = load_stdout_json(run_cli(["analyze", spec]))["search"]
-    assert search["proposals"] == 0
-    assert search["final_objective_per_restart"] == [search["objective_bound"]] * search["restarts"]
     assert search["pair_count"] == search["objective_bound"]
 
 
@@ -233,14 +230,12 @@ def test_search_defaults_are_search_configs(monkeypatch):
     # The CLI reads its defaults off SearchConfig, so a change there reaches it.
     @dataclasses.dataclass(frozen=True)
     class Config(SearchConfig):
-        restarts: int = 3
-        iterations: int = 5
         seed: int = 11
 
     monkeypatch.setattr(cli, "SearchConfig", Config)
     monkeypatch.delenv("ZECAP_SEED", raising=False)
     args = cli._build_parser().parse_args(["search", "spec.json"])
-    assert (args.restarts, args.iters, args.seed) == (3, 5, None)
+    assert args.seed is None
     assert cli._env_seed() == 11
     monkeypatch.setenv("ZECAP_SEED", "4")
     assert cli._env_seed() == 4
@@ -248,7 +243,7 @@ def test_search_defaults_are_search_configs(monkeypatch):
 
 def test_a_malformed_seed_env_var_is_rejected(tmp_path):
     spec = write_spec(tmp_path / "id2.json", "identity-d2")
-    args = ["search", spec, "--restarts", "1", "--iters", "0"]
+    args = ["search", spec]
     for cmd in (args, ["analyze", spec]):
         proc = run_cli(cmd, env_extra={"ZECAP_SEED": "abc"})
         assert proc.returncode == 1
@@ -288,43 +283,46 @@ def test_analyze_n_max_flag_extends_block_lengths(tmp_path):
 
 def test_search_subcommand_reports_the_pair(tmp_path):
     spec = write_spec(tmp_path / "id2.json", "identity-d2")
-    doc = load_stdout_json(
-        run_cli(["search", spec, "--restarts", "2", "--iters", "50", "--seed", "3"])
-    )
+    doc = load_stdout_json(run_cli(["search", spec, "--seed", "3"]))
     assert doc["pair_count"] == 1
     assert doc["alpha_1"] == 2
     assert doc["seed"] == 3
-    assert doc["restarts"] == 2
     assert doc["graph"]["adjacency"] == [[], []]
     assert len(doc["states"]) == 2 and len(doc["povm"]) == 2
 
 
 def test_search_stdout_is_deterministic(tmp_path):
-    spec = write_spec(tmp_path / "deph.json", "dephasing-p0.3")
-    args = ["search", spec, "--restarts", "2", "--iters", "40", "--seed", "5"]
-    assert run_cli(args).stdout == run_cli(args).stdout
+    # bitflip-p0.1 is searched to its S-start, the one draw from the seed.
+    spec = write_spec(tmp_path / "bf.json", "bitflip-p0.1")
+    args = ["search", spec, "--seed", "5"]
+    first = run_cli(args).stdout
+    assert load_stdout_json(run_cli(args))["pair_count"] == 1
+    assert run_cli(args).stdout == first
 
 
 def test_search_overcomplete_requires_the_flag(tmp_path):
     spec = write_spec(tmp_path / "id2.json", "identity-d2")
-    proc = run_cli(["search", spec, "--M", "3", "--restarts", "1", "--iters", "10"])
+    proc = run_cli(["search", spec, "--M", "3"])
     assert proc.returncode == 1
     assert "allow_overcomplete" in proc.stderr
-    doc = load_stdout_json(
-        run_cli(
-            ["search", spec, "--M", "3", "--restarts", "1", "--iters", "10", "--allow-overcomplete"]
-        )
-    )
+    doc = load_stdout_json(run_cli(["search", spec, "--M", "3", "--allow-overcomplete"]))
     assert doc["pair_count"] == 2
 
 
 def test_search_general_povm_flag(tmp_path):
     spec = write_spec(tmp_path / "id2.json", "identity-d2")
-    doc = load_stdout_json(
-        run_cli(["search", spec, "--general-povm", "--restarts", "1", "--iters", "20"])
-    )
+    doc = load_stdout_json(run_cli(["search", spec, "--general-povm"]))
     assert doc["general_povm"] is True
     assert len(doc["povm"]) == 4
+
+
+@pytest.mark.parametrize("option", ["--restarts", "--iters"])
+def test_the_search_budget_options_are_gone(tmp_path, option):
+    # The search scores two fixed starts; there is no budget to set.
+    spec = write_spec(tmp_path / "id2.json", "identity-d2")
+    proc = run_cli(["search", spec, option, "1"])
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {option} 1" in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -334,8 +332,6 @@ def test_search_general_povm_flag(tmp_path):
         (["analyze", "--eps", "0"], "eps must be positive, got 0.0"),
         (["analyze", "--eps", "-1"], "eps must be positive, got -1.0"),
         (["analyze", "--eps", "nan"], "eps must be positive, got nan"),
-        (["search", "--restarts", "0"], "restarts must be >= 1"),
-        (["search", "--iters", "-1"], "iterations >= 0"),
         (["search", "--M", "1"], "num_states must be >= 2"),
     ],
 )

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from zecap import (
     DensityMatrix,
+    StateSet,
     Povm,
     QuantumChannel,
     apply_channel,
     basis_state,
-    haar_unitary,
     outcome_probabilities,
     pure_state,
     validate_channel,
@@ -30,7 +33,7 @@ from zecap.errors import (
 )
 from zecap import quantum
 
-from ensembles import random_channel, random_density_matrix, random_general_povm
+from ensembles import haar_unitary, random_channel, random_density_matrix, random_general_povm
 from invariants import check_probability_normalization, check_trace_preservation
 from oracles import kraus_output, povm_traces
 
@@ -416,6 +419,37 @@ def test_pure_state_normalizes_and_rejects_zero():
     assert np.trace(rho.matrix).real == pytest.approx(1.0)
     with pytest.raises(ValidationError):
         pure_state(np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_and_unpickled_wrappers_keep_frozen_arrays_and_no_cache(copier):
+    channel = validate_channel([np.eye(2)])  # exactly real, so the caches hold arrays
+    povm = validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    state = basis_state(2, 0)
+    assert channel._real_kraus is not None and povm._real_elements is not None
+    for obj, field, cache in ((state, "matrix", None), (channel, "kraus", "_real_kraus"),
+                              (povm, "elements", "_real_elements")):
+        twin = copier(obj)
+        assert twin == obj
+        arr = getattr(twin, field)
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.5
+        assert cache not in vars(twin)  # recomputed from the frozen array on use
+        assert twin == obj
+    twin = copier(StateSet(dim=2, states=(state, basis_state(2, 1))))
+    assert not any(s.matrix.flags.writeable for s in twin.states)
+
+
+def test_an_unpickled_wrapper_is_validated_again():
+    state = basis_state(2, 0)
+    object.__setattr__(state, "dim", 3)  # a corrupted payload
+    with pytest.raises(DimensionMismatchError):
+        pickle.loads(pickle.dumps(state))
 
 
 def test_basis_state_bounds():

@@ -1,7 +1,8 @@
-"""The hill-climbing (states, POVM) search."""
+"""The (states, POVM) search: two deterministic starts, the better kept."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -24,14 +25,7 @@ from zecap import (
 )
 from zecap import search
 from zecap.errors import DimensionMismatchError, EmptySupportError
-from zecap.search import (
-    _ensemble,
-    _objective_bound,
-    _operator_space,
-    _pair_count,
-    _prob_table,
-    _starts,
-)
+from zecap.search import _ensemble, _objective_bound, _operator_space, _s_start
 
 from ensembles import (
     random_channel,
@@ -40,11 +34,14 @@ from ensembles import (
     random_pure_state_set,
 )
 
-SMALL = dict(restarts=3, iterations=80)
-
 
 def purity(m: np.ndarray) -> float:
     return float(np.trace(m @ m).real)
+
+
+def same_ensemble(a, b) -> bool:
+    """Bit-identical states and POVM."""
+    return a.best_states == b.best_states and a.best_povm == b.best_povm
 
 
 # ---------------------------------------------------------------------------
@@ -84,20 +81,20 @@ def test_random_general_povm_counts_and_completeness():
 
 
 def test_identity_qubit_reaches_the_single_pair():
-    res = optimize_pair(identity_channel(2), SearchConfig(num_states=2, **SMALL))
+    res = optimize_pair(identity_channel(2), SearchConfig(num_states=2))
     assert res.pair_count == 1
     assert res.alpha_1 == 2
     assert res.graph.edges == frozenset()
 
 
 def test_identity_qutrit_distinguishes_all_pairs():
-    res = optimize_pair(identity_channel(3), SearchConfig(num_states=3, **SMALL))
+    res = optimize_pair(identity_channel(3), SearchConfig(num_states=3))
     assert res.pair_count == 3
     assert res.alpha_1 == 3
 
 
 def test_fully_depolarizing_admits_nothing():
-    res = optimize_pair(depolarizing_channel(1.0), SearchConfig(num_states=2, **SMALL))
+    res = optimize_pair(depolarizing_channel(1.0), SearchConfig(num_states=2))
     assert res.pair_count == 0
     assert res.alpha_1 == 1
     assert res.graph.edges == frozenset({(0, 1)})
@@ -105,13 +102,13 @@ def test_fully_depolarizing_admits_nothing():
 
 def test_pentagon_channel_search_recovers_five_pairs():
     channel, _, _ = embed_classical(pentagon_matrix())
-    res = optimize_pair(channel, SearchConfig(num_states=5, restarts=2, iterations=50))
+    res = optimize_pair(channel, SearchConfig(num_states=5))
     assert res.pair_count == 5
     assert res.alpha_1 == 2
 
 
 def test_reported_graph_is_reproducible_from_the_result():
-    res = optimize_pair(dephasing_channel(0.3), SearchConfig(num_states=2, **SMALL))
+    res = optimize_pair(dephasing_channel(0.3), SearchConfig(num_states=2))
     rebuilt = confusability_graph(
         dephasing_channel(0.3), res.best_states, res.best_povm, eps=res.config.eps_support
     )
@@ -121,61 +118,85 @@ def test_reported_graph_is_reproducible_from_the_result():
 
 
 def test_search_is_deterministic_for_a_seed():
-    cfg = SearchConfig(num_states=2, restarts=2, iterations=60, seed=13)
-    a = optimize_pair(dephasing_channel(0.4), cfg)
-    b = optimize_pair(dephasing_channel(0.4), cfg)
-    assert a.pair_count == b.pair_count
-    assert a.best_restart == b.best_restart
-    assert a.history == b.history
-    assert a.graph.edges == b.graph.edges
-    assert all(
-        np.array_equal(x.matrix, y.matrix)
-        for x, y in zip(a.best_states.states, b.best_states.states)
-    )
-    c = optimize_pair(dephasing_channel(0.4), SearchConfig(num_states=2, restarts=2, iterations=60, seed=14))
-    assert c.pair_count == a.pair_count
+    # Each of these reaches its S-start, the one draw from the seed.
+    channels = [bitflip_channel(0.1), random_channel(3, 2, np.random.default_rng(5))]
+    for channel in channels:
+        for general in (False, True):
+            cfg = SearchConfig(num_states=2, seed=13, general_povm=general)
+            a, b = optimize_pair(channel, cfg), optimize_pair(channel, cfg)
+            assert same_ensemble(a, b)
+            assert (a.pair_count, a.alpha_1, a.graph) == (b.pair_count, b.alpha_1, b.graph)
+    c = optimize_pair(bitflip_channel(0.1), SearchConfig(num_states=2, seed=14))
+    assert c.pair_count == 1
 
 
-def test_restart_r_is_a_one_restart_run_seeded_seed_plus_r():
-    # Random two-Kraus qutrit channels with a coarse support cutoff: no start
-    # reaches the objective bound and the climb improves at seed-dependent
-    # iterations, so the traces differ per restart (three distinct traces on
-    # the second channel).
-    for kraus_seed, eps in ((42, 0.2), (320, 0.1)):
-        channel = random_channel(3, 2, np.random.default_rng(kraus_seed))
-        cfg = dict(num_states=3, iterations=40, eps_support=eps)
-        multi = optimize_pair(channel, SearchConfig(restarts=4, seed=5, **cfg))
-        assert len(set(multi.history)) > 1
-        solos = [
-            optimize_pair(channel, SearchConfig(restarts=1, seed=5 + r, **cfg)) for r in range(4)
-        ]
-        for r, solo in enumerate(solos):
-            assert multi.history[r] == solo.history[0]
-        best = solos[multi.best_restart]
-        assert all(
-            np.array_equal(x.matrix, y.matrix)
-            for x, y in zip(multi.best_states.states, best.best_states.states)
-        )
-
-
-def test_hill_climb_finds_the_pair_a_random_qubit_channel_admits():
-    # No start reaches the bound here; the climb does, in both restarts.
-    channel = random_channel(2, 2, np.random.default_rng(2201))
-    cfg = SearchConfig(num_states=2, restarts=2, iterations=100, seed=1, eps_support=0.1)
-    res = optimize_pair(channel, cfg)
-    assert res.pair_count == 1 == res.objective_bound
-    assert res.proposals > 0
+def test_the_s_start_is_drawn_from_the_generator_seeded_seed():
+    # The bit-flip channel's S-start beats its computational start, so the
+    # result is the S-start of default_rng(seed), bit for bit.
+    channel = bitflip_channel(0.1)
+    for seed in (3, 4, 7):
+        for general in (False, True):
+            cfg = SearchConfig(num_states=2, seed=seed, general_povm=general)
+            res = optimize_pair(channel, cfg)
+            outcomes = 4 if general else 2
+            cand = _s_start(channel.kraus, 2, general, outcomes, np.random.default_rng(seed))
+            assert (res.best_states, res.best_povm) == _ensemble(cand, general, False)
 
 
 def test_bitflip_search_finds_the_x_basis_pair():
     # |+> and |-> are fixed by both Kraus operators; only the S-start, the
     # eigenbasis of an element of S = span{I, X}, lines up with them.
-    res = optimize_pair(bitflip_channel(0.1), SearchConfig(num_states=2, **SMALL))
+    res = optimize_pair(bitflip_channel(0.1), SearchConfig(num_states=2))
     assert res.pair_count == 1
     assert res.alpha_1 == 2
     plus = np.full(2, 1 / math.sqrt(2))
     overlaps = sorted(float((plus @ st.matrix @ plus).real) for st in res.best_states.states)
     assert overlaps == pytest.approx([0.0, 1.0], abs=1e-12)
+
+
+# Seeded random channels from tests/ensembles.py at the default cutoff:
+# (i, d, K) for random_channel(d, K, default_rng(1000 + i)) searched with
+# seed i, then (pair_count, alpha_1) at M = 2 and at M = d, the same under
+# projective and general POVMs.  The 8-restart, 400-iteration hill climb
+# that the search replaced gave exactly these values (and the same states
+# and POVM).  A unitary channel (K = 1) is read perfectly in its S-start;
+# with K >= 2 neither start separates a pair, although dim S = 4 <= 2d - 2
+# proves one exists for d >= 3.
+RANDOM_CHANNEL_PINS = [
+    (0, 2, 1, (1, 2), (1, 2)),
+    (1, 3, 1, (1, 2), (3, 3)),
+    (2, 4, 1, (1, 2), (6, 4)),
+    (3, 5, 1, (1, 2), (10, 5)),
+    (4, 2, 2, (0, 1), (0, 1)),
+    (5, 3, 2, (0, 1), (0, 1)),
+    (6, 4, 2, (0, 1), (0, 1)),
+    (7, 5, 2, (0, 1), (0, 1)),
+    (8, 2, 3, (0, 1), (0, 1)),
+    (9, 3, 3, (0, 1), (0, 1)),
+    (10, 4, 3, (0, 1), (0, 1)),
+    (11, 5, 3, (0, 1), (0, 1)),
+    (12, 2, 1, (1, 2), (1, 2)),
+    (13, 3, 1, (1, 2), (3, 3)),
+    (14, 4, 1, (1, 2), (6, 4)),
+    (15, 5, 1, (1, 2), (10, 5)),
+    (16, 2, 2, (0, 1), (0, 1)),
+    (17, 3, 2, (0, 1), (0, 1)),
+    (18, 4, 2, (0, 1), (0, 1)),
+    (19, 5, 2, (0, 1), (0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "i, dim, kraus_count, at_two, at_dim",
+    RANDOM_CHANNEL_PINS,
+    ids=[f"{i}-d{d}-K{k}" for i, d, k, _, _ in RANDOM_CHANNEL_PINS],
+)
+def test_pinned_pair_counts_on_seeded_random_channels(i, dim, kraus_count, at_two, at_dim):
+    channel = random_channel(dim, kraus_count, np.random.default_rng(1000 + i))
+    for general in (False, True):
+        for m, want in ((2, at_two), (dim, at_dim)):
+            res = optimize_pair(channel, SearchConfig(num_states=m, seed=i, general_povm=general))
+            assert (res.pair_count, res.alpha_1) == want, (general, m)
 
 
 # ---------------------------------------------------------------------------
@@ -203,30 +224,24 @@ def test_operator_space_has_the_known_dimension_and_spans_every_product(channel,
             assert np.allclose(flat.T @ (flat.conj() @ v), v, atol=1e-12)
 
 
-def test_the_search_score_is_the_graph_pair_count_or_minus_one_when_the_graph_is_refused():
-    # Every start of seeded random channels, scored by the search's own
-    # kernel, against the public graph of the same (states, POVM) pair.
-    refused = counted = 0
-    for seed in range(6):
-        dim, kraus_count = 2 + seed % 2, 1 + seed % 3
-        channel = random_channel(dim, kraus_count, np.random.default_rng(seed))
-        for general in (False, True):
-            outcomes = dim * dim if general else dim
-            rng = np.random.default_rng(100 + seed)
-            for cand in _starts(channel.kraus, dim, general, outcomes, lambda: rng):
-                p = _prob_table(channel.kraus, cand, general, outcomes)
-                states, povm = _ensemble(cand, general, False)
-                for eps in (1e-9, 0.1, 0.5, 0.9):
-                    score = _pair_count(p, eps)
-                    try:
-                        graph = confusability_graph(channel, states, povm, eps=eps)
-                    except EmptySupportError:
-                        assert score == -1
-                        refused += 1
-                    else:
-                        assert score == non_adjacent_pair_count(graph)
-                        counted += 1
-    assert refused > 10 and counted > 10
+def test_a_refused_start_scores_below_every_valid_one():
+    # At eps = 0.9 the computational start of bitflip-p0.3 leaves every
+    # state's support empty (0.7 and 0.3), so the graph refuses it; the
+    # S-start reads the X basis with probabilities 1 and 0.
+    channel = bitflip_channel(0.3)
+    eye = np.eye(2, dtype=np.complex128)
+    states, povm = _ensemble((eye, eye), False, False)
+    with pytest.raises(EmptySupportError):
+        confusability_graph(channel, states, povm, eps=0.9)
+    res = optimize_pair(channel, SearchConfig(num_states=2, eps_support=0.9))
+    assert res.pair_count == 1 == res.objective_bound
+    assert res.graph.supports == (frozenset({0}), frozenset({1}))
+
+
+def test_a_search_whose_starts_are_both_refused_raises_the_first_refusal():
+    # Every state through depolarizing-p0.3 puts 0.85 on its likeliest outcome.
+    with pytest.raises(EmptySupportError, match="for state 0 "):
+        optimize_pair(depolarizing_channel(0.3), SearchConfig(num_states=2, eps_support=0.9))
 
 
 def test_depolarizing_admits_no_pair_in_any_ensemble_as_the_bound_says():
@@ -244,64 +259,47 @@ def test_depolarizing_below_the_cutoff_keeps_its_thresholded_pair():
     # lambda_min(C) = 5e-13 <= eps: the noise is invisible at this cutoff, so
     # the bound stays M(M-1)/2 and the computational pair is found.
     channel = depolarizing_channel(1e-12)
-    res = optimize_pair(channel, SearchConfig(num_states=2, **SMALL))
+    res = optimize_pair(channel, SearchConfig(num_states=2))
     assert res.objective_bound == 1.0
     assert res.pair_count == 1
     assert _objective_bound(depolarizing_channel(1e-6).kraus, 2, 2, 2, DEFAULT_EPS) == 0.0
 
 
-def test_a_restart_at_the_bound_records_a_flat_full_length_trace():
-    res = optimize_pair(identity_channel(3), SearchConfig(num_states=3, restarts=3, iterations=50))
-    assert res.objective_bound == 3.0
-    assert res.proposals == 0
-    assert res.history == ((3.0,) * 50,) * 3
-    # The S-start ties with the computational start, which comes first.
+def test_a_computational_start_at_the_bound_is_kept_and_no_s_start_is_drawn(monkeypatch):
+    def no_s_start(*args):
+        raise AssertionError("the S-start was reached")
+
+    monkeypatch.setattr(search, "_s_start", no_s_start)
+    res = optimize_pair(identity_channel(3), SearchConfig(num_states=3))
+    assert res.objective_bound == 3.0 == res.pair_count
     for j, st in enumerate(res.best_states.states):
         assert st.matrix[j, j] == 1.0
 
 
 @pytest.mark.parametrize(
-    "channel, cfg, stops_midway",
+    "channel, cfg",
     [
-        (identity_channel(3), SearchConfig(num_states=3, restarts=2, iterations=30), False),
-        # Restart 3 reaches the bound part-way through its climb.
-        (
-            random_channel(2, 2, np.random.default_rng(1)),
-            SearchConfig(num_states=2, restarts=4, iterations=60, seed=5, eps_support=0.1),
-            True,
-        ),
+        (identity_channel(3), SearchConfig(num_states=3)),
+        (identity_channel(2), SearchConfig(num_states=2, general_povm=True)),
+        (dephasing_channel(0.5), SearchConfig(num_states=2)),
+        # The bound is 0 here, which the computational start's 0 pairs reach.
+        (depolarizing_channel(1.0), SearchConfig(num_states=2)),
     ],
 )
-def test_stopping_at_the_bound_changes_no_result(monkeypatch, channel, cfg, stops_midway):
+def test_stopping_at_the_bound_changes_no_result(monkeypatch, channel, cfg):
+    # Without the bound the S-start is scored too, and ties with the
+    # computational start, which comes first and is kept.
     stopped = optimize_pair(channel, cfg)
-    bound = stopped.objective_bound
-    assert any(h[0] < bound == h[-1] for h in stopped.history) == stops_midway
+    assert stopped.pair_count == stopped.objective_bound
     monkeypatch.setattr(search, "_objective_bound", lambda *args: math.inf)
     full = optimize_pair(channel, cfg)
-    assert full.proposals == cfg.restarts * cfg.iterations
-    assert stopped.proposals < full.proposals
-    assert stopped.history == full.history
-    assert stopped.best_restart == full.best_restart
-    assert stopped.pair_count == full.pair_count
-    assert stopped.graph.edges == full.graph.edges
-    assert all(
-        np.array_equal(x.matrix, y.matrix)
-        for x, y in zip(stopped.best_states.states, full.best_states.states)
-    )
-    assert all(
-        np.array_equal(x, y) for x, y in zip(stopped.best_povm.elements, full.best_povm.elements)
-    )
-
-
-def test_history_tracks_best_so_far_monotonically():
-    res = optimize_pair(dephasing_channel(0.5), SearchConfig(num_states=2, restarts=3, iterations=100, seed=2))
-    assert len(res.history) == 3
-    for trace in res.history:
-        assert all(b >= a for a, b in zip(trace, trace[1:]))
+    assert same_ensemble(stopped, full)
+    assert stopped.graph == full.graph
+    assert (stopped.pair_count, stopped.alpha_1) == (full.pair_count, full.alpha_1)
 
 
 def test_general_povm_search_runs_and_validates():
-    cfg = SearchConfig(num_states=2, restarts=2, iterations=40, general_povm=True)
+    cfg = SearchConfig(num_states=2, general_povm=True)
     res = optimize_pair(identity_channel(2), cfg)
     assert len(res.best_povm) == 4
     assert res.pair_count == 1
@@ -310,11 +308,8 @@ def test_general_povm_search_runs_and_validates():
 
 def test_overcomplete_search_needs_the_flag():
     with pytest.raises(DimensionMismatchError):
-        optimize_pair(identity_channel(2), SearchConfig(num_states=3, **SMALL))
-    res = optimize_pair(
-        identity_channel(2),
-        SearchConfig(num_states=3, restarts=2, iterations=80, allow_overcomplete=True),
-    )
+        optimize_pair(identity_channel(2), SearchConfig(num_states=3))
+    res = optimize_pair(identity_channel(2), SearchConfig(num_states=3, allow_overcomplete=True))
     # Three states in two dimensions: the best split is supports {0},{1},{0},
     # which the tiled computational start hits exactly.
     assert res.pair_count == 2
@@ -324,21 +319,31 @@ def test_overcomplete_search_needs_the_flag():
 def test_config_rejects_nonsense():
     with pytest.raises(ValueError):
         SearchConfig(num_states=1)
-    with pytest.raises(ValueError):
-        SearchConfig(num_states=2, restarts=0)
+
+
+def test_restarts_and_iterations_are_constants_not_fields():
+    # The benchmark harness reads them; the search makes one run of no proposals.
+    names = {f.name for f in dataclasses.fields(SearchConfig)}
+    assert names == {"num_states", "seed", "eps_support", "general_povm", "allow_overcomplete"}
+    cfg = SearchConfig(num_states=2)
+    assert (cfg.restarts, cfg.iterations) == (1, 0)
+    with pytest.raises(TypeError):
+        SearchConfig(num_states=2, restarts=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.restarts = 3
 
 
 @pytest.mark.parametrize("eps", [math.nan, 0.0, -1e-9])
 def test_config_rejects_an_eps_support_that_is_not_positive(eps):
-    # Under NaN every candidate would score -1 and the whole budget be spent
-    # before the graph refused the cutoff.
+    # Under NaN every start would score -1 and the search would only fail
+    # when the graph refused the cutoff.
     with pytest.raises(ValueError, match=f"^eps must be positive, got {eps!r}$"):
         SearchConfig(num_states=2, eps_support=eps)
 
 
 def test_a_search_that_never_draws_never_imports_numpy_random():
-    # identity-d3 stops every restart at its computational start, and the
-    # generator is made on the first draw, so numpy.random stays unloaded.
+    # identity-d3 stops at its computational start, and the generator is
+    # made only for the S-start, so numpy.random stays unloaded.
     code = (
         "import sys, numpy\n"
         "if 'numpy.random' in sys.modules:\n"
@@ -346,10 +351,10 @@ def test_a_search_that_never_draws_never_imports_numpy_random():
         "    raise SystemExit\n"
         "from zecap import SearchConfig, identity_channel, optimize_pair\n"
         "res = optimize_pair(identity_channel(3), SearchConfig(num_states=3))\n"
-        "print(res.pair_count, res.proposals, 'numpy.random' in sys.modules)\n"
+        "print(res.pair_count, 'numpy.random' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     if proc.stdout.split() == ["preloaded"]:
         pytest.skip("import numpy alone loads numpy.random")
-    assert proc.stdout.split() == ["3", "0", "False"]
+    assert proc.stdout.split() == ["3", "False"]
