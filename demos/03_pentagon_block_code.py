@@ -11,9 +11,9 @@ import itertools
 import math
 
 from zecap import (
-    build_code,
     build_decoder,
     capacity_bounds,
+    code_from_witness,
     confusability_graph,
     embed_classical,
     pentagon_matrix,
@@ -42,7 +42,8 @@ def main():
     print(f"log2(5)/2  = {math.log2(5.0) / 2.0:.12f} bits/use: the bound is met.")
     print()
 
-    code = build_code(graph, states, povm, n=2)
+    # The two-use code is the n=2 witness the bounds already found.
+    code = code_from_witness(bounds.per_n[1].witness, states, povm, n=2)
     print(f"two-use code ({code.message_count} messages, rate {code.rate:.6f}):")
     report = verify_zero_error(code, channel, eps=1e-9)
     decoder = build_decoder(code, channel, eps=1e-9)

@@ -15,6 +15,7 @@ from .blockcode import (
     ZeroErrorReport,
     build_code,
     build_decoder,
+    code_from_witness,
     verify_zero_error,
 )
 from .channels import (

@@ -59,6 +59,7 @@ __all__ = [
     "ZeroErrorReport",
     "build_code",
     "build_decoder",
+    "code_from_witness",
     "verify_zero_error",
 ]
 
@@ -80,18 +81,29 @@ _CHUNK_ENTRIES = 2**16
 _Word = tuple[int, ...]
 
 
+def _block_length(n) -> int:
+    """``n`` as a Python int >= 1, or ``DimensionMismatchError``."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise DimensionMismatchError(f"block length {n!r} is not an integer") from None
+    if n < 1:
+        raise DimensionMismatchError("block length must be >= 1")
+    return n
+
+
 @dataclass(frozen=True)
 class QuantumBlockCode:
     """K codewords of length n over the state alphabet of ``source``.
 
     ``codewords[i]`` is the tuple of state indices encoding message i, in
-    the order given; ``build_code`` gives them in lexicographic order, so
-    message numbering is deterministic.  The block length and the indices
-    are stored as Python ints, whatever integer type they came in.  The
-    constructor checks shape, not zero-error-ness:
-    ``build_code`` produces certified codes, while ``verify_zero_error``
-    and ``build_decoder`` diagnose arbitrary ones (including bad ones,
-    on purpose).
+    the order given; ``code_from_witness`` gives them in lexicographic
+    order, so message numbering is deterministic.  The block length and
+    the indices are stored as Python ints, whatever integer type they came
+    in.  The constructor checks shape, not zero-error-ness: ``build_code``
+    produces certified codes, while ``verify_zero_error`` and
+    ``build_decoder`` diagnose arbitrary ones (including bad ones, on
+    purpose).
     """
 
     block_length: int
@@ -100,14 +112,7 @@ class QuantumBlockCode:
     povm: Povm
 
     def __post_init__(self):
-        try:
-            n = operator.index(self.block_length)
-        except TypeError:
-            raise DimensionMismatchError(
-                f"block length {self.block_length!r} is not an integer"
-            ) from None
-        if n < 1:
-            raise DimensionMismatchError("block length must be >= 1")
+        n = _block_length(self.block_length)
         if len(self.codewords) < 1:
             raise DimensionMismatchError("a code needs at least one codeword")
         m = len(self.source.states)
@@ -232,6 +237,60 @@ def _enumerate_supports(
     return tuple(word_sets), tables, owners
 
 
+def code_from_witness(
+    witness,
+    states: StateSet,
+    povm: Povm,
+    n: int,
+) -> QuantumBlockCode:
+    """The code whose codewords are the vertices ``witness`` of G^boxtimes n.
+
+    Parameters
+    ----------
+    witness : sequence of int
+        Vertex indices of the n-th strong power of the confusability graph
+        of ``(states, povm)``, such as a ``RateEntry.witness``.
+    states : StateSet
+    povm : Povm
+    n : int
+        Block length: the power the witness indexes.
+
+    Returns
+    -------
+    QuantumBlockCode
+        One codeword per vertex, decoded from the vertex index to its index
+        tuple (vertex = sum of digits base M, the order np.kron lays out),
+        in lexicographic order.  The code is zero-error exactly when the
+        witness is an independent set; that is checked by
+        ``verify_zero_error``, not here.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If a vertex is not an integer in 0..M^n - 1, the witness is empty or
+        repeats a vertex, or ``n`` is not an integer >= 1.
+    """
+    n = _block_length(n)
+    m = len(states.states)
+    size = m**n
+    try:
+        vertices = [operator.index(v) for v in witness]
+    except TypeError:
+        raise DimensionMismatchError(
+            f"witness {witness!r} is not a sequence of integer vertices"
+        ) from None
+    outside = [v for v in vertices if not 0 <= v < size]
+    if outside:
+        raise DimensionMismatchError(f"witness vertex {outside[0]} is outside 0..{size - 1}")
+    digits = np.unravel_index(np.asarray(vertices, dtype=np.intp), (m,) * n)
+    return QuantumBlockCode(
+        block_length=n,
+        codewords=tuple(sorted(zip(*(d.tolist() for d in digits)))),
+        source=states,
+        povm=povm,
+    )
+
+
 def build_code(
     graph: Graph,
     states: StateSet,
@@ -244,8 +303,7 @@ def build_code(
     Parameters
     ----------
     graph : Graph
-        Must be the confusability graph of ``(states, povm)``; it is the
-        caller's handle on eps and the adjacency actually used.
+        Must be the confusability graph of ``(states, povm)``.
     states : StateSet
     povm : Povm
     n : int
@@ -256,9 +314,9 @@ def build_code(
     Returns
     -------
     QuantumBlockCode
-        K = alpha(G^boxtimes n) codewords, the lexicographically smallest
-        maximum independent set, decoded from power-graph vertex indices to
-        index tuples (vertex = sum of digits base M).
+        K = alpha(G^boxtimes n) codewords: ``code_from_witness`` of the
+        maximum independent set ``independence_number`` returns, the same
+        one ``capacity_bounds`` reports as that block length's witness.
 
     Raises
     ------
@@ -271,14 +329,7 @@ def build_code(
         )
     power = strong_power(graph, n, max_vertices)
     _, witness = independence_number(power, max_vertices)
-    # A power vertex is its word's base-M digit string, the order np.kron lays out.
-    digits = np.unravel_index(witness, (graph.vertex_count,) * n)
-    return QuantumBlockCode(
-        block_length=n,
-        codewords=tuple(sorted(zip(*(d.tolist() for d in digits)))),
-        source=states,
-        povm=povm,
-    )
+    return code_from_witness(witness, states, povm, n)
 
 
 def build_decoder(

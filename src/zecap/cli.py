@@ -25,7 +25,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .blockcode import build_code, build_decoder, verify_zero_error
+from .blockcode import build_code, build_decoder, code_from_witness, verify_zero_error
 from .capacity import capacity_bounds
 from .confusability import DEFAULT_EPS, confusability_graph
 from .errors import ZecapError
@@ -113,7 +113,8 @@ def _cmd_analyze(args) -> int:
         code_failure = "no block length fit the exact-computation cap"
     else:
         try:
-            code = build_code(graph, states, povm, n=best.n)
+            # The code is the witness the bounds already hold: no second solve.
+            code = code_from_witness(best.witness, states, povm, best.n)
             decoder = build_decoder(code, spec.channel, eps=args.eps)
             certificate = verify_zero_error(code, spec.channel, eps=args.eps)
             code_doc = code_document(code, decoder, certificate)

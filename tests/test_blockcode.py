@@ -11,13 +11,18 @@ import pytest
 
 from zecap import (
     QuantumBlockCode,
+    SearchConfig,
     basis_state,
     build_code,
     build_decoder,
+    builtin_spec,
+    capacity_bounds,
+    code_from_witness,
     confusability_graph,
     depolarizing_channel,
     embed_classical,
     identity_channel,
+    optimize_pair,
     pentagon_matrix,
     verify_zero_error,
 )
@@ -38,7 +43,7 @@ from zecap.errors import (
     SizeLimitError,
     TraceNotOneError,
 )
-from zecap.formats import code_document, dumps_canonical
+from zecap.formats import code_document, dumps_canonical, parse_channel_spec
 from zecap.quantum import (
     _projective_povm,
     apply_channel,
@@ -91,12 +96,55 @@ def test_identity_codes_use_every_basis_word():
 
 def test_pentagon_code_at_both_block_lengths():
     channel, states, povm, graph = pentagon_ensemble()
-    code1 = build_code(graph, states, povm, n=1)
-    assert code1.codewords == ((0,), (2,))
-    code2 = build_code(graph, states, povm, n=2)
-    assert code2.codewords == PENTAGON_CODEWORDS
-    assert code2.message_count == 5
-    assert code2.rate == pytest.approx(math.log2(5.0) / 2.0, abs=1e-12)
+    one, two = capacity_bounds(graph, n_max=2).per_n
+    for code1, code2 in [
+        (build_code(graph, states, povm, n=1), build_code(graph, states, povm, n=2)),
+        (
+            code_from_witness(one.witness, states, povm, 1),
+            code_from_witness(two.witness, states, povm, 2),
+        ),
+    ]:
+        assert code1.codewords == ((0,), (2,))
+        assert code2.codewords == PENTAGON_CODEWORDS
+        assert code2.message_count == 5
+        assert code2.rate == pytest.approx(math.log2(5.0) / 2.0, abs=1e-12)
+        assert (code2.source, code2.povm) == (states, povm)
+
+
+@pytest.mark.parametrize(
+    "name, n_max", [("identity-d3", 3), ("bitflip-p0.1", 2)]
+)
+def test_the_witness_code_is_the_code_build_code_solves_for(name, n_max):
+    # Both builtins are searched; bitflip-p0.1's ensemble is the search's
+    # X-basis pair, not the computational basis.
+    channel = parse_channel_spec(builtin_spec(name)).channel
+    res = optimize_pair(channel, SearchConfig(num_states=channel.dim))
+    states, povm, graph = res.best_states, res.best_povm, res.graph
+    for entry in capacity_bounds(graph, n_max=n_max).per_n:
+        from_witness = code_from_witness(entry.witness, states, povm, entry.n)
+        solved = build_code(graph, states, povm, n=entry.n)
+        assert from_witness.block_length == solved.block_length == entry.n
+        assert from_witness.codewords == solved.codewords
+        assert from_witness.message_count == entry.alpha
+        assert verify_zero_error(from_witness, channel, eps=1e-9).passed
+
+
+@pytest.mark.parametrize(
+    "witness, n, message",
+    [
+        ((0, 25), 2, "witness vertex 25 is outside 0..24"),
+        ((-1, 7), 2, "witness vertex -1 is outside 0..24"),
+        ((), 2, "a code needs at least one codeword"),
+        ((0, 7, 7), 2, "duplicate codeword"),
+        ((0, 2.0), 1, "is not a sequence of integer vertices"),
+        ((0,), 0, "block length must be >= 1"),
+        ((0,), 1.0, "block length 1.0 is not an integer"),
+    ],
+)
+def test_code_from_witness_refuses_what_indexes_no_code(witness, n, message):
+    channel, states, povm, graph = pentagon_ensemble()
+    with pytest.raises(DimensionMismatchError, match=message):
+        code_from_witness(witness, states, povm, n)
 
 
 def test_complete_graph_code_carries_one_message():

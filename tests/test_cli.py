@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import zecap
-from zecap import cli
+from zecap import blockcode, capacity, cli
 from zecap.formats import dumps_canonical, graph_to_json
 from zecap import SearchConfig, cycle_graph
 
@@ -274,6 +274,49 @@ def test_analyze_n_max_flag_extends_block_lengths(tmp_path):
     assert [e["n"] for e in entries] == [1, 2, 3]
     assert [e["alpha"] for e in entries] == [2, 4, 8]
     assert report["ensemble"]["provenance"] == "searched"
+
+
+ANALYZE_SOLVE_CASES = [
+    *((name, "2") for name in (
+        "pentagon",
+        "identity-d3",
+        "identity-d5",
+        "depolarizing-p0.3",
+        "dephasing-p0.5",
+        "bitflip-p0.1",
+    )),
+    ("identity-d3", "3"),
+    ("dephasing-p0.5", "3"),
+]
+
+
+@pytest.mark.parametrize("name, n_max", ANALYZE_SOLVE_CASES)
+def test_analyze_solves_each_block_length_once(tmp_path, monkeypatch, name, n_max):
+    # The report's code is the witness capacity_bounds found, so blockcode
+    # builds no strong power and runs no exact solve of its own.
+    monkeypatch.delenv("ZECAP_SEED", raising=False)
+    calls = {}
+
+    def counted(module, attr):
+        fn = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            key = f"{module.__name__}.{attr}"
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counted(blockcode, "strong_power")
+    counted(blockcode, "independence_number")
+    counted(capacity, "independence_number")
+    spec = write_spec(tmp_path / f"{name}.json", name)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", spec, "--n-max", n_max, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    solved = [e for e in report["bounds"]["per_n"] if not e["skipped"]]
+    assert calls == {"zecap.capacity.independence_number": len(solved)}
+    assert report["code"]["certificate"]["passed"] is True
 
 
 # ---------------------------------------------------------------------------
