@@ -282,10 +282,16 @@ def code_from_witness(
     outside = [v for v in vertices if not 0 <= v < size]
     if outside:
         raise DimensionMismatchError(f"witness vertex {outside[0]} is outside 0..{size - 1}")
-    digits = np.unravel_index(np.asarray(vertices, dtype=np.intp), (m,) * n)
+    # Python ints, not np.unravel_index: M^n need not fit an intp.
+    codewords = []
+    for v in vertices:
+        word = [0] * n
+        for t in range(n - 1, -1, -1):
+            v, word[t] = divmod(v, m)
+        codewords.append(tuple(word))
     return QuantumBlockCode(
         block_length=n,
-        codewords=tuple(sorted(zip(*(d.tolist() for d in digits)))),
+        codewords=tuple(sorted(codewords)),
         source=states,
         povm=povm,
     )

@@ -139,12 +139,25 @@ def test_the_witness_code_is_the_code_build_code_solves_for(name, n_max):
         ((0, 2.0), 1, "is not a sequence of integer vertices"),
         ((0,), 0, "block length must be >= 1"),
         ((0,), 1.0, "block length 1.0 is not an integer"),
+        ((0, 2**70), 28, f"witness vertex {2**70} is outside 0..{5**28 - 1}"),
     ],
 )
 def test_code_from_witness_refuses_what_indexes_no_code(witness, n, message):
     channel, states, povm, graph = pentagon_ensemble()
     with pytest.raises(DimensionMismatchError, match=message):
         code_from_witness(witness, states, povm, n)
+
+
+@pytest.mark.parametrize("n", [27, 28, 40])
+def test_code_from_witness_decodes_past_the_intp_range(n):
+    # 5^27 fits an int64, 5^28 and 5^40 do not: the digits are decoded
+    # from Python ints, lexicographically sorted as below the boundary.
+    channel, states, povm, graph = pentagon_ensemble()
+    code = code_from_witness((5**n - 1, 7, 0), states, povm, n)
+    assert code.codewords == ((0,) * n, (0,) * (n - 2) + (1, 2), (4,) * n)
+    if n == 40:
+        (word,) = code_from_witness((2**70,), states, povm, n).codewords
+        assert sum(d * 5 ** (n - 1 - t) for t, d in enumerate(word)) == 2**70
 
 
 def test_complete_graph_code_carries_one_message():

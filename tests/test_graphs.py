@@ -15,9 +15,12 @@ import pytest
 
 from zecap import (
     Graph,
+    build_code,
     complete_graph,
+    confusability_graph,
     cycle_graph,
     edgeless_graph,
+    embed_classical,
     independence_number,
     strong_power,
     strong_product,
@@ -309,6 +312,14 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _sizes_of_calls(monkeypatch, name) -> list[int]:
+    """The vertex count of the adjacency each call of graphs.<name> takes."""
+    sizes = []
+    inner = getattr(graphs, name)
+    monkeypatch.setattr(graphs, name, lambda adj: sizes.append(len(adj)) or inner(adj))
+    return sizes
+
+
 def test_witness_rebuild_queries_only_what_its_known_completion_leaves_open(monkeypatch):
     # The maximum set the alpha search found answers every vertex inside it.
     calls = _count_calls(monkeypatch, "_clique")
@@ -530,11 +541,7 @@ def test_transitive_route_on_complete_and_edgeless_graphs(monkeypatch):
 
 
 def test_transitive_route_searches_only_the_remainder(monkeypatch):
-    sizes = []
-    inner = graphs._maximum_independent_set
-    monkeypatch.setattr(
-        graphs, "_maximum_independent_set", lambda masks: sizes.append(len(masks)) or inner(masks)
-    )
+    sizes = _sizes_of_calls(monkeypatch, "_maximum_independent_set")
     g = _relabelled(strong_product(cycle_graph(7), cycle_graph(9), max_vertices=63), 79)
     assert independence_number(g, max_vertices=63)[0] == 13
     assert sizes == [63 - 9]  # G - N[0]: vertex 0 and its 8 neighbours go
@@ -550,6 +557,55 @@ def test_a_proof_out_of_nodes_falls_back_to_the_whole_search(monkeypatch):
     monkeypatch.setattr(graphs, "_PROOF_NODES", 0)
     assert not _transitive(g)
     assert independence_number(g, max_vertices=63) == want
+
+
+def test_a_power_is_proven_transitive_on_its_factor(monkeypatch):
+    # A relabelled C7 channel: one private outcome per input and one per edge.
+    perm = np.random.default_rng(4).permutation(7)
+    w = np.zeros((7, 14))
+    for i in range(7):
+        w[perm[i], [i, 7 + i, 7 + (i - 1) % 7]] = 1 / 3
+    channel, states, povm = embed_classical(w)
+    graph = confusability_graph(channel, states, povm)
+    sizes = _sizes_of_calls(monkeypatch, "_vertex_transitive")
+    code = build_code(graph, states, povm, n=2)
+    assert sizes == [7] and code.message_count == 10
+    # The same power built from its edges is its own only factor.
+    power = strong_power(graph, 2)
+    sizes.clear()
+    assert independence_number(power) == independence_number(Graph(49, power.edges))
+    assert sizes == [7, 49]
+
+
+def test_a_factor_not_proven_leaves_the_direct_proof(monkeypatch):
+    # C3 plus C5: 2-regular, and no automorphism maps the triangle onto the pentagon.
+    g = Graph.from_edges(8, [(0, 1), (1, 2), (0, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)])
+    square = strong_power(g, 2)
+    sizes = _sizes_of_calls(monkeypatch, "_vertex_transitive")
+    assert independence_number(square) == pruned_alpha(64, square.edges)
+    assert sizes == [8, 64]
+    # Nested products are flattened into one factor tuple.
+    c3 = cycle_graph(3)
+    assert strong_product(strong_product(g, c3), g, 192)._factors == (g, c3, g)
+
+
+def test_a_power_whose_factor_proof_runs_out_falls_back_to_the_whole_search(monkeypatch):
+    power = strong_power(cycle_graph(7), 2)
+    want = independence_number(power)
+    monkeypatch.setattr(graphs, "_PROOF_NODES", 0)
+    searched = _sizes_of_calls(monkeypatch, "_maximum_independent_set")
+    assert independence_number(power) == want
+    assert searched == [49]
+
+
+def test_recorded_factors_are_invisible_to_equality_and_copies():
+    power = strong_power(cycle_graph(7), 2)
+    plain = Graph(49, power.edges)
+    assert power == plain and hash(power) == hash(plain)
+    want = independence_number(power)
+    for back in (copy.copy(power), copy.deepcopy(power), pickle.loads(pickle.dumps(power))):
+        assert back == power == plain and hash(back) == hash(power)
+        assert back._factors == () and independence_number(back) == want
 
 
 @pytest.mark.parametrize(
