@@ -316,7 +316,7 @@ def _sizes_of_calls(monkeypatch, name) -> list[int]:
     """The vertex count of the adjacency each call of graphs.<name> takes."""
     sizes = []
     inner = getattr(graphs, name)
-    monkeypatch.setattr(graphs, name, lambda adj: sizes.append(len(adj)) or inner(adj))
+    monkeypatch.setattr(graphs, name, lambda adj, *rest: sizes.append(len(adj)) or inner(adj, *rest))
     return sizes
 
 
@@ -346,7 +346,7 @@ def test_clique_search_node_count_is_pinned(monkeypatch):
         corpus.append(Graph.from_edges(60, random_graph(60, 0.15, np.random.default_rng(seed))))
     alphas = [independence_number(g, max_vertices=81)[0] for g in corpus]
     assert alphas[:6] == [13] * 3 + [18] * 3  # Hales 1973
-    assert len(nodes) == 15_636
+    assert len(nodes) == 12_036
 
 
 def test_a_greedy_set_of_maximum_size_settles_the_search_at_one_coloring(monkeypatch):
@@ -511,14 +511,42 @@ def _alpha_through_zero(n: int, edges) -> int:
     return 1 + brute_alpha(len(keep), rest)[0]
 
 
-@pytest.mark.parametrize("m, n", [(5, 5), (5, 7), (7, 7)])
+def _whole_search(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """The clique search on all of ``g``, with no symmetry used."""
+    return graphs._maximum_independent_set(g.adjacency)
+
+
+def _accepted_stabilisers(monkeypatch) -> list[list[np.ndarray]]:
+    """Each list of automorphisms fixing 0 that a direct proof hands the search."""
+    found = []
+    inner = graphs._stabiliser
+
+    def recorded(*args):
+        gens = inner(*args)
+        found.append(gens)
+        return gens
+
+    monkeypatch.setattr(graphs, "_stabiliser", recorded)
+    return found
+
+
+@pytest.mark.parametrize("m, n", [(5, 5), (5, 7), (7, 7), (7, 9), (9, 9)])
 def test_transitive_route_keeps_the_canonical_witness(monkeypatch, m, n):
+    # The route branches once per orbit of the automorphisms fixing 0 that
+    # the proof accepts, each checked here.  C7xC9 and C9xC9 are too large
+    # for the oracle; the whole search, with no symmetry, is checked there.
     monkeypatch.setattr(graphs, "_TRANSITIVE_FLOOR", 0)
-    g = strong_product(cycle_graph(m), cycle_graph(n))
-    for seed in range(4):
+    found = _accepted_stabilisers(monkeypatch)
+    branched = _count_calls(monkeypatch, "_orbital")
+    g = strong_product(cycle_graph(m), cycle_graph(n), max_vertices=81)
+    for seed in range(12):
         h = _relabelled(g, seed)
         assert _transitive(h)
-        assert independence_number(h) == pruned_alpha(m * n, h.edges)
+        want = pruned_alpha(m * n, h.edges) if m * n <= 49 else _whole_search(h)
+        assert independence_number(h, 81) == want
+        for sigma in found[-1]:
+            assert sigma[0] == 0 and graphs._is_automorphism(h.adjacency, sigma)
+    assert len(branched) == len(found) == 12 and all(found)
 
 
 def test_transitive_route_is_exact_on_random_cubic_graphs(monkeypatch):
@@ -577,12 +605,33 @@ def test_a_power_is_proven_transitive_on_its_factor(monkeypatch):
     assert sizes == [7, 49]
 
 
+def _alpha_by_components(g: Graph, components) -> tuple[int, tuple[int, ...]]:
+    """The oracle's answer on a disjoint union, one component at a time.
+
+    Alpha is the sum over the components, and the lexicographically smallest
+    maximum set is the union of each component's: whether a vertex is kept
+    depends only on what its own component has kept so far.
+    """
+    alpha, witness = 0, []
+    for members in components:
+        members = sorted(members)
+        pairs = itertools.combinations(range(len(members)), 2)
+        edges = [(i, j) for i, j in pairs if g.has_edge(members[i], members[j])]
+        a, w = pruned_alpha(len(members), edges)
+        alpha += a
+        witness += [members[i] for i in w]
+    return alpha, tuple(sorted(witness))
+
+
 def test_a_factor_not_proven_leaves_the_direct_proof(monkeypatch):
     # C3 plus C5: 2-regular, and no automorphism maps the triangle onto the pentagon.
     g = Graph.from_edges(8, [(0, 1), (1, 2), (0, 2)] + [(3 + i, 3 + (i + 1) % 5) for i in range(5)])
     square = strong_power(g, 2)
     sizes = _sizes_of_calls(monkeypatch, "_vertex_transitive")
-    assert independence_number(square) == pruned_alpha(64, square.edges)
+    # The square is C3xC3, C3xC5, C5xC3 and C5xC5, apart; word (a, b) is 8a + b.
+    parts = [range(3), range(3, 8)]
+    components = [[8 * a + b for a in p for b in q] for p in parts for q in parts]
+    assert independence_number(square) == _alpha_by_components(square, components)
     assert sizes == [8, 64]
     # Nested products are flattened into one factor tuple.
     c3 = cycle_graph(3)
@@ -596,6 +645,74 @@ def test_a_power_whose_factor_proof_runs_out_falls_back_to_the_whole_search(monk
     searched = _sizes_of_calls(monkeypatch, "_maximum_independent_set")
     assert independence_number(power) == want
     assert searched == [49]
+
+
+def test_orbital_branching_is_exact_on_relabelled_circulants(monkeypatch):
+    # On many of these the first orbit holds no vertex of any maximum set of
+    # G - N[0], so a search that stopped after its first branch would be wrong.
+    monkeypatch.setattr(graphs, "_TRANSITIVE_FLOOR", 0)
+    branched = _count_calls(monkeypatch, "_orbital")
+    rng = np.random.default_rng(1)
+    for _ in range(120):
+        n = int(rng.integers(8, 25))
+        steps = [d for d in range(1, n // 2 + 1) if rng.random() < 0.35] or [1]
+        g = _relabelled(Graph.from_edges(n, _circulant(n, steps)), int(rng.integers(1 << 30)))
+        assert independence_number(g) == pruned_alpha(n, g.edges)
+    assert len(branched) >= 100
+
+
+def test_every_accepted_stabiliser_generator_fixes_zero(monkeypatch):
+    found = _accepted_stabilisers(monkeypatch)
+    corpus = [_kneser(8, 3), _paley(61), _kneser(9, 3), _paley(97)]
+    corpus.append(strong_product(cycle_graph(9), cycle_graph(11), max_vertices=99))
+    for g in corpus:
+        for seed in range(3):
+            h = _relabelled(g, seed)
+            assert graphs._proven_transitive(h) is not None
+            for sigma in found[-1]:
+                assert sigma[0] == 0 and graphs._is_automorphism(h.adjacency, sigma)
+    assert all(found)
+
+
+def test_a_stabiliser_candidate_that_is_no_automorphism_is_refused(monkeypatch):
+    # The search one level down first offers a transposition that fixes 0
+    # and is no automorphism, then the map that moves 0 to its neighbour
+    # (an automorphism that does not fix 0), then its own candidates.
+    g = _relabelled(strong_product(cycle_graph(7), cycle_graph(9), max_vertices=63), 5)
+    adj = g.adjacency
+    want = _whole_search(g)
+    rest = np.flatnonzero(~adj[0])[1:]
+    swap = np.arange(63)
+    swap[[rest[0], rest[-1]]] = swap[[rest[-1], rest[0]]]
+    assert not graphs._is_automorphism(adj, swap)
+    # (a, b) -> (a + 1, b), word 9a + b, in the relabelled graph's labels.
+    perm = np.random.default_rng(5).permutation(63)
+    shift = np.empty(63, dtype=np.intp)
+    shift[perm] = perm[(np.arange(63) + 9) % 63]
+    assert shift[0] != 0 and graphs._is_automorphism(adj, shift)
+    inner = graphs._leaves
+    only_bad = []
+
+    def leaves(nbrs, weights, path, leaf, depth, *args):
+        if depth == 1:
+            yield swap
+            yield shift
+            if only_bad:
+                return
+        yield from inner(nbrs, weights, path, leaf, depth, *args)
+
+    monkeypatch.setattr(graphs, "_leaves", leaves)
+    found = _accepted_stabilisers(monkeypatch)
+    assert independence_number(g, 63) == want
+    assert found[-1] and all(sigma[0] == 0 for sigma in found[-1])
+    assert not any(np.array_equal(sigma, swap) for sigma in found[-1])
+    # With nothing but the bad candidates, no generator is accepted and the
+    # remainder is searched with no symmetry.
+    only_bad.append(True)
+    branched = _count_calls(monkeypatch, "_orbital")
+    assert independence_number(g, 63) == want
+    assert found[-1] == [] and branched == []
+
 
 
 def test_recorded_factors_are_invisible_to_equality_and_copies():
