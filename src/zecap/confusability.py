@@ -103,7 +103,7 @@ def support_set(probs: np.ndarray, eps: float = DEFAULT_EPS) -> frozenset[int]:
     """
     _check_eps(eps)
     p = np.asarray(probs, dtype=np.float64)
-    idx = frozenset(np.flatnonzero(p > eps).tolist())
+    idx = frozenset((p > eps).ravel().nonzero()[0].tolist())  # flat indices
     if not idx:
         raise EmptySupportError(eps=eps)
     return idx

@@ -21,8 +21,9 @@ would spend three of its four real multiplications on zeros.  That float64
 output is measured as it is: the POVM traces stay one complex product, into
 which numpy promotes it exactly, and when the POVM is exactly real too every
 trace's imaginary part is a sum of products with an exact zero, so it is not
-checked.  A stack's realness is decided once, on first use; a state's on
-every call.  Wrapper dataclasses (:class:`DensityMatrix`,
+checked.  Every validated wrapper decides its realness once, on first use
+(a state's matrix, a Kraus stack, a POVM stack); channel outputs are tested
+on each call.  Wrapper dataclasses (:class:`DensityMatrix`,
 :class:`QuantumChannel`, :class:`Povm`) certify that their contents passed
 validation; each checks that its array's shape matches its ``dim``, and their
 arrays are frozen (non-writeable), in copies and unpickled objects too.
@@ -165,6 +166,10 @@ class DensityMatrix:
         _check_shape(self, "matrix", stack=False)
 
     __setstate__ = _restore
+
+    @cached_property
+    def _real_matrix(self) -> np.ndarray | None:
+        return _exact_real(self.matrix)
 
     def __eq__(self, other):
         if not isinstance(other, DensityMatrix):
@@ -328,20 +333,30 @@ def _exact_real(a: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray(a.real)
 
 
-def _apply_kraus(channel: QuantumChannel, m: np.ndarray) -> np.ndarray:
+def _kraus_sum(channel: QuantumChannel, m: np.ndarray, real_m: np.ndarray | None) -> np.ndarray:
     """``sum_k K_k m K_k^dagger`` as one batched product over the channel's Kraus stack.
 
-    The axis-0 sum adds the K terms in order, as a loop would.  When the
-    channel's Kraus stack (its realness decided once) and ``m`` (tested on
-    each call) are both exactly real, the product runs in float64 as
-    ``sum_k K_k m K_k^T`` and the result is that float64 sum; otherwise it is
-    complex128.
+    ``real_m`` is ``m``'s exactly real part, or None.  The axis-0 sum adds
+    the K terms in order, as a loop would.  When the channel's Kraus stack
+    (its realness decided once) is exactly real and ``real_m`` is given, the
+    product runs in float64 as ``sum_k K_k m K_k^T`` and the result is that
+    float64 sum; otherwise it is complex128.
     """
-    ks, real_ks = channel.kraus, channel._real_kraus
-    real_m = None if real_ks is None else _exact_real(m)
-    if real_m is None:
+    real_ks = channel._real_kraus
+    if real_ks is None or real_m is None:
+        ks = channel.kraus
         return (ks @ m @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
     return (real_ks @ real_m @ real_ks.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _apply_kraus(channel: QuantumChannel, m: np.ndarray) -> np.ndarray:
+    """``_kraus_sum`` of a bare matrix ``m``, whose realness is tested on each call.
+
+    This is the recomputation the Kronecker path of ``verify_zero_error``
+    checks against: it reads nothing a state has cached.  A state's own
+    realness is decided once, on first use (``DensityMatrix._real_matrix``).
+    """
+    return _kraus_sum(channel, m, None if channel._real_kraus is None else _exact_real(m))
 
 
 def apply_channel(channel: QuantumChannel, state: DensityMatrix) -> DensityMatrix:
@@ -360,7 +375,7 @@ def apply_channel(channel: QuantumChannel, state: DensityMatrix) -> DensityMatri
         raise DimensionMismatchError(
             f"channel dim {channel.dim} != state dim {state.dim}"
         )
-    return validate_state(_apply_kraus(channel, state.matrix))
+    return validate_state(_kraus_sum(channel, state.matrix, state._real_matrix))
 
 
 def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: Povm) -> np.ndarray:
@@ -403,7 +418,7 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
         raise DimensionMismatchError(
             f"dimensions disagree: channel {channel.dim}, state {state.dim}, POVM {povm.dim}"
         )
-    sigma = _apply_kraus(channel, state.matrix)
+    sigma = _kraus_sum(channel, state.matrix, state._real_matrix)
     # tr(sigma E_j) = sum_{a,b} E_j[a, b] sigma^T[a, b].  The product stays
     # complex even for a float64 sigma: a float64 product rounds differently.
     raw = povm.elements.reshape(len(povm), -1) @ sigma.T.ravel()
@@ -411,17 +426,27 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
     # real POVM's are exact zeros too, so every term of an imaginary part has
     # an exact zero factor: the sum is zero, or NaN where the other factor is
     # not finite, and NaN > _TOL is false.  The check could not fire.
-    if sigma.dtype != np.float64 or povm._real_elements is None:
-        imag = float(np.max(np.abs(raw.imag)))
+    return _checked_distribution(raw, sigma.dtype != np.float64 or povm._real_elements is None)
+
+
+def _checked_distribution(raw: np.ndarray, check_imag: bool) -> np.ndarray:
+    """The real parts of the outcome traces ``raw``, checked and clamped to [0, 1].
+
+    Each check is one ufunc reduction, the one that ``ndarray.min``, ``max``
+    and ``sum`` call, so it gives the same bits and propagates a NaN alike.
+    The imaginary parts are checked when ``check_imag`` is set.
+    """
+    if check_imag:
+        imag = float(np.maximum.reduce(np.abs(raw.imag)))
         if imag > _TOL:
             raise InvalidProbabilitiesError(f"outcome trace has imaginary part up to {imag:.3e}")
     p = raw.real.copy()
-    lo, hi = float(p.min()), float(p.max())
+    lo, hi = float(np.minimum.reduce(p)), float(np.maximum.reduce(p))
     if lo < -_TOL or hi > 1.0 + _TOL:
         raise InvalidProbabilitiesError(
             f"outcome probability outside [0,1]: min {lo:.3e}, max {hi:.3e}"
         )
-    s = float(p.sum())
+    s = float(np.add.reduce(p))
     if abs(s - 1.0) > _TOL:
         raise InvalidProbabilitiesError(f"probabilities sum to {s!r}, expected 1")
     # Clipping an array already inside [0, 1] returns it bit for bit, -0.0

@@ -325,9 +325,10 @@ def test_pentagon_certificate_passes_with_agreeing_paths():
     assert rep.paths_agree
 
 
-def test_each_channel_and_povm_stack_is_tested_for_realness_once(monkeypatch):
-    # A Kraus stack's and a POVM stack's realness is decided on first use and
-    # kept; states and channel outputs are tested on every call.
+def test_each_wrapper_decides_its_realness_once_and_the_kronecker_path_on_each_call(monkeypatch):
+    # A state's, a Kraus stack's and a POVM stack's realness is decided on
+    # first use and kept; the Kronecker path tests the outputs it recomputes
+    # (and the bare state matrices it recomputes them from) on every call.
     exact_real = quantum._exact_real
     tested = []
 
@@ -339,15 +340,25 @@ def test_each_channel_and_povm_stack_is_tested_for_realness_once(monkeypatch):
     monkeypatch.setattr(blockcode, "_exact_real", recorded)
     channel, states, povm, graph = pentagon_ensemble()
     code = build_code(graph, states, povm, n=2)
+    m, d = len(states.states), channel.dim
+    outside, inside = [], []
     for _ in range(3):
         for s in states.states:
             outcome_probabilities(channel, s, povm)
             apply_channel(channel, s)
+        outside += tested
+        tested.clear()
         assert verify_zero_error(code, channel, eps=1e-9).paths_agree
+        # One stack of recomputed outputs, from one bare matrix per state.
+        stacks = [a for a in tested if a.ndim == 3 and a.shape == (m, d, d)]
+        assert len(stacks) == 1 and not any(a is stacks[0] for a in outside + inside)
+        assert [sum(a is s.matrix for a in tested) for s in states.states] == [1] * m
+        inside += tested
+        tested.clear()
     assert code.povm is povm
-    assert sum(a is channel.kraus for a in tested) == 1
-    assert sum(a is povm.elements for a in tested) == 1
-    assert len(tested) > 3 * 2 * len(states.states)
+    assert [sum(a is s.matrix for a in outside) for s in states.states] == [1] * m
+    assert sum(a is channel.kraus for a in outside + inside) == 1
+    assert sum(a is povm.elements for a in outside + inside) == 1
 
 
 def test_certificate_reports_full_overlap_for_confusable_codewords():

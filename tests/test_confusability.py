@@ -62,6 +62,26 @@ def test_support_set_cutoff_is_strict():
     assert support_set(np.array([eps * 1.01, 1.0]), eps) == frozenset({0, 1})
 
 
+def test_support_set_returns_flat_indices_as_flatnonzero_would():
+    # 1-D, strided and 2-D inputs (C-ordered, transposed and sliced), with
+    # entries exactly at eps, NaN (never above eps) and -0.0: the support is
+    # the flat indices of the C-order ravel, as np.flatnonzero gives them.
+    eps = 1e-9
+    above = np.nextafter(eps, 1.0)
+    p = np.array([0.5, eps, np.nan, -0.0, 0.0, 0.25, above, 0.25, np.nan, 1e-12, eps, -0.0])
+    assert support_set(p, eps) == frozenset({0, 5, 6, 7})
+    inputs = [
+        p, p[::2], p[1::3], p[::-1], p.tolist(),
+        p.reshape(3, 4), p.reshape(4, 3).T, p.reshape(3, 4)[:, 1::2], p.reshape(2, 3, 2),
+        np.array([eps, eps, 1.0]), np.array([[eps, above], [-0.0, np.nan]]),
+    ]
+    for probs in inputs:
+        got = support_set(probs, eps)
+        assert got == frozenset(np.flatnonzero(np.asarray(probs, np.float64) > eps).tolist())
+        assert type(got) is frozenset and all(type(j) is int for j in got)
+    assert support_set(p.reshape(4, 3).T, eps) == frozenset({0, 2, 6, 9})
+
+
 def test_support_set_rejects_empty_and_bad_eps():
     with pytest.raises(EmptySupportError):
         support_set(np.array([0.0, 0.0]))

@@ -391,6 +391,68 @@ def test_outcome_probabilities_equal_the_reference_bit_for_bit(real_channel, rea
         assert got.tobytes() == want.tobytes(), case
 
 
+def test_a_states_cached_realness_does_not_leak_between_channels(monkeypatch):
+    # One state object measured under a real channel and then a complex one,
+    # and a fresh one in the reverse order: each channel product runs in
+    # float64 exactly when channel and state are real, and each distribution
+    # and channel output equals the one recomputed from the bare matrices.
+    kraus_sum = quantum._kraus_sum
+    took_float = []
+
+    def recorded(channel, m, real_m):
+        out = kraus_sum(channel, m, real_m)
+        took_float.append(out.dtype == np.float64)
+        return out
+
+    monkeypatch.setattr(quantum, "_kraus_sum", recorded)
+    rng = np.random.default_rng(4107)
+    for case in range(20):
+        dim = int(rng.integers(1, 5))
+        complex_channel = random_channel(dim, int(rng.integers(1, 4)), rng)
+        real_channel = _real_channel(complex_channel)
+        povm = random_general_povm(dim, int(rng.integers(1, dim * dim + 2)), seed=4107 + case)
+        matrix = random_density_matrix(dim, rng).matrix
+        if case % 2:
+            matrix = matrix.real
+        real_state = not np.imag(matrix).any()  # a 1 x 1 state is real either way
+        for order in ((real_channel, complex_channel), (complex_channel, real_channel)):
+            state = validate_state(matrix)
+            for channel in order + order:
+                took_float.clear()
+                got = outcome_probabilities(channel, state, povm)
+                want = _reference_outcome_probabilities(channel, state, povm)
+                assert got.tobytes() == want.tobytes(), case
+                out = validate_state(quantum._apply_kraus(channel, state.matrix)).matrix
+                assert apply_channel(channel, state).matrix.tobytes() == out.tobytes(), case
+                assert set(took_float) == {channel is real_channel and real_state}, case
+
+
+def test_a_nan_state_gives_the_reference_distribution():
+    # A directly constructed (never validated) state with a NaN entry: no
+    # check refuses a NaN, so the distribution is the reference's, NaNs and
+    # all, on the float64 path and on the complex one.
+    nan_state = DensityMatrix(dim=2, matrix=np.array([[0.5, np.nan], [np.nan, 0.5]]))
+    y_plus = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+    for channel in (validate_channel([np.eye(2)]), validate_channel([1j * np.eye(2)])):
+        for povm in (computational_povm(2), validate_povm([y_plus, np.eye(2) - y_plus])):
+            got = outcome_probabilities(channel, nan_state, povm)
+            want = _reference_outcome_probabilities(channel, nan_state, povm)
+            assert np.isnan(got).any()
+            assert got.tobytes() == want.tobytes()
+
+
+def test_a_negative_zero_probability_survives_the_checks():
+    # No BLAS product yields -0.0 (its sums start at +0.0), so the traces are
+    # given directly: -0.0 comes back as -0.0 whether the vector is returned
+    # as it is or clipped, as np.clip would return it.
+    for raw in ([-0.0, 0.25, 0.75], [-0.0, -1e-12, 1.0 + 1e-12]):
+        raw = np.array(raw, dtype=np.complex128)
+        for check_imag in (True, False):
+            got = quantum._checked_distribution(raw, check_imag)
+            assert np.signbit(got[0]) and got[0] == 0.0
+            assert got.tobytes() == np.clip(raw.real, 0.0, 1.0).tobytes()
+
+
 def test_the_imaginary_part_check_still_fires_on_a_complex_output():
     # Unvalidated, non-Hermitian: each diagonal entry, so each trace with a
     # computational POVM element, has imaginary part 0.1.  A real channel and
@@ -431,7 +493,8 @@ def test_copies_and_unpickled_wrappers_keep_frozen_arrays_and_no_cache(copier):
     povm = validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     state = basis_state(2, 0)
     assert channel._real_kraus is not None and povm._real_elements is not None
-    for obj, field, cache in ((state, "matrix", None), (channel, "kraus", "_real_kraus"),
+    assert state._real_matrix is not None
+    for obj, field, cache in ((state, "matrix", "_real_matrix"), (channel, "kraus", "_real_kraus"),
                               (povm, "elements", "_real_elements")):
         twin = copier(obj)
         assert twin == obj
