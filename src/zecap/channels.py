@@ -119,7 +119,9 @@ def embed_classical(w: np.ndarray) -> tuple[QuantumChannel, StateSet, Povm]:
         input directions (keeping it trace preserving).  ``states`` are
         the first m_in computational basis states and ``povm`` the full
         computational measurement, so outcome_probabilities reproduces W
-        entry for entry.
+        entry for entry, to one rounding: p(j|i) is sqrt(W[i, j])^2 in
+        float64, so the pentagon's 1/2 reads 0.5000000000000001 while
+        1/3 comes back exact.
 
     Raises
     ------

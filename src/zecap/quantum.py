@@ -12,7 +12,13 @@ A channel keeps its Kraus operators as one frozen (K, d, d) stack and a POVM
 its elements as one frozen (N, d, d) stack, both built at validation, so each
 distribution is one stacked contraction with no per-operator Python loop: one
 batched product applies the Kraus stack, and the N POVM traces are one
-matrix-vector product with the element stack.
+matrix-vector product with the element stack.  A stack of matrix units
+c_k |a_k><b_k| (every classical embedding) is applied to a finite real state
+without the product: K scalar products and one ordered scatter-add into the
+diagonal give the product's float64 output bit for bit (``_kraus_sum``).  The
+Kronecker path of ``verify_zero_error`` keeps the dense product
+(``_apply_kraus``), so each certified classical code checks one against the
+other.
 
 Matrices are plain ``numpy.ndarray`` of complex128.  A channel whose Kraus
 operators and input are exactly real (imaginary parts identically zero, as in
@@ -22,11 +28,12 @@ output is measured as it is: the POVM traces stay one complex product, into
 which numpy promotes it exactly, and when the POVM is exactly real too every
 trace's imaginary part is a sum of products with an exact zero, so it is not
 checked.  Every validated wrapper decides its realness once, on first use
-(a state's matrix, a Kraus stack, a POVM stack); channel outputs are tested
-on each call.  Wrapper dataclasses (:class:`DensityMatrix`,
-:class:`QuantumChannel`, :class:`Povm`) certify that their contents passed
-validation; each checks that its array's shape matches its ``dim``, and their
-arrays are frozen (non-writeable), in copies and unpickled objects too.
+(a state's matrix, a Kraus stack, a POVM stack), and a channel whether its
+stack is made of matrix units; channel outputs are tested on each call.
+Wrapper dataclasses (:class:`DensityMatrix`, :class:`QuantumChannel`,
+:class:`Povm`) certify that their contents passed validation; each checks
+that its array's shape matches its ``dim``, and their arrays, and the arrays
+they cache, are frozen (non-writeable), in copies and unpickled objects too.
 All indices are 0-based.
 """
 
@@ -73,6 +80,13 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=np.complex128, order="C")
     out.setflags(write=False)
     return out
+
+
+def _read_only(a: np.ndarray | None) -> np.ndarray | None:
+    """``a`` itself, made non-writeable: a wrapper's cache, or None."""
+    if a is not None:
+        a.setflags(write=False)
+    return a
 
 
 def _restore(obj, state: dict) -> None:
@@ -169,7 +183,11 @@ class DensityMatrix:
 
     @cached_property
     def _real_matrix(self) -> np.ndarray | None:
-        return _exact_real(self.matrix)
+        return _read_only(_exact_real(self.matrix))
+
+    @cached_property
+    def _finite(self) -> bool:
+        return bool(np.isfinite(self.matrix).all())
 
     def __eq__(self, other):
         if not isinstance(other, DensityMatrix):
@@ -198,7 +216,30 @@ class QuantumChannel:
 
     @cached_property
     def _real_kraus(self) -> np.ndarray | None:
-        return _exact_real(self.kraus)
+        return _read_only(_exact_real(self.kraus))
+
+    @cached_property
+    def _matrix_units(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """The stack as matrix units c_k |a_k><b_k|: (a_k (d+1), b_k (d+1), c_k), or None.
+
+        The first two are flat indices of the diagonal entries (a_k, a_k) and
+        (b_k, b_k) of a d x d matrix.  A stack qualifies when it is exactly
+        real, each operator has exactly one nonzero entry, and each
+        coefficient lies in [-1, 1], so no product with a finite state
+        overflows.
+        """
+        ks = self._real_kraus
+        if ks is None:
+            return None
+        flat = ks.reshape(len(ks), -1)
+        if not (np.count_nonzero(flat, axis=1) == 1).all():
+            return None
+        rows, cols = flat.nonzero()
+        coef = flat[rows, cols]
+        if not (np.abs(coef) <= 1.0).all():
+            return None
+        out, inp = np.divmod(cols, self.dim)
+        return tuple(_read_only(a) for a in (out * (self.dim + 1), inp * (self.dim + 1), coef))
 
     def __eq__(self, other):
         if not isinstance(other, QuantumChannel):
@@ -223,7 +264,7 @@ class Povm:
 
     @cached_property
     def _real_elements(self) -> np.ndarray | None:
-        return _exact_real(self.elements)
+        return _read_only(_exact_real(self.elements))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -333,7 +374,33 @@ def _exact_real(a: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray(a.real)
 
 
-def _kraus_sum(channel: QuantumChannel, m: np.ndarray, real_m: np.ndarray | None) -> np.ndarray:
+def _kraus_sum(channel: QuantumChannel, state: DensityMatrix) -> np.ndarray:
+    """``sum_k K_k rho K_k^dagger`` for a state, on a matrix-unit stack without a matrix product.
+
+    When the channel's Kraus stack is made of matrix units c_k |a_k><b_k|
+    (decided once, ``QuantumChannel._matrix_units``) and the state is exactly
+    real and finite, term k is v_k |a_k><a_k| with v_k = (c_k rho[b_k, b_k]) c_k:
+    each dot product of the batched product has that one nonzero term, so
+    it makes the same two roundings.  One ``np.bincount`` then adds the v_k
+    into the diagonal in Kraus order, the order of the batched product's
+    axis-0 sum.  Its sums start at +0.0, as the product's dot products do,
+    so a zero entry is +0.0 in both: the float64 output is that product's,
+    bit for bit.  Any other channel or state takes
+    ``_batched_kraus_sum``; a non-finite entry, which that product spreads
+    over the whole output, keeps it too.
+    """
+    units, real_m = channel._matrix_units, state._real_matrix
+    if units is None or real_m is None or not state._finite:
+        return _batched_kraus_sum(channel, state.matrix, real_m)
+    out, inp, coef = units
+    v = coef * real_m.reshape(-1).take(inp)
+    v *= coef
+    return np.bincount(out, weights=v, minlength=real_m.size).reshape(real_m.shape)
+
+
+def _batched_kraus_sum(
+    channel: QuantumChannel, m: np.ndarray, real_m: np.ndarray | None
+) -> np.ndarray:
     """``sum_k K_k m K_k^dagger`` as one batched product over the channel's Kraus stack.
 
     ``real_m`` is ``m``'s exactly real part, or None.  The axis-0 sum adds
@@ -350,13 +417,15 @@ def _kraus_sum(channel: QuantumChannel, m: np.ndarray, real_m: np.ndarray | None
 
 
 def _apply_kraus(channel: QuantumChannel, m: np.ndarray) -> np.ndarray:
-    """``_kraus_sum`` of a bare matrix ``m``, whose realness is tested on each call.
+    """``_batched_kraus_sum`` of a bare matrix ``m``, whose realness is tested on each call.
 
     This is the recomputation the Kronecker path of ``verify_zero_error``
-    checks against: it reads nothing a state has cached.  A state's own
-    realness is decided once, on first use (``DensityMatrix._real_matrix``).
+    checks against: it reads nothing a state has cached, and it always runs
+    the batched product, so a certified code built on matrix units compares
+    ``_kraus_sum``'s shortcut with it.  A state's own realness is decided
+    once, on first use (``DensityMatrix._real_matrix``).
     """
-    return _kraus_sum(channel, m, None if channel._real_kraus is None else _exact_real(m))
+    return _batched_kraus_sum(channel, m, None if channel._real_kraus is None else _exact_real(m))
 
 
 def apply_channel(channel: QuantumChannel, state: DensityMatrix) -> DensityMatrix:
@@ -375,7 +444,7 @@ def apply_channel(channel: QuantumChannel, state: DensityMatrix) -> DensityMatri
         raise DimensionMismatchError(
             f"channel dim {channel.dim} != state dim {state.dim}"
         )
-    return validate_state(_kraus_sum(channel, state.matrix, state._real_matrix))
+    return validate_state(_kraus_sum(channel, state))
 
 
 def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: Povm) -> np.ndarray:
@@ -383,9 +452,10 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
 
     Computes ``p(j) = tr(E(rho) E_j)`` for each POVM element ``E_j``: the
     channel output comes from one batched product over the stacked Kraus
-    operators, and all N traces from one complex product of the flattened
-    (N, d*d) element stack with the flattened transpose of that output,
-    O(N d^2) work in a single call.  A float64 channel output (exactly real
+    operators, or from its matrix-unit shortcut with the same bits
+    (``_kraus_sum``), and all N traces from one complex product of the
+    flattened (N, d*d) element stack with the flattened transpose of that
+    output, O(N d^2) work in a single call.  A float64 channel output (exactly real
     channel and state) enters that product promoted to complex128, exactly.
 
     Every trace's imaginary part is checked, except when the channel output
@@ -418,7 +488,7 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
         raise DimensionMismatchError(
             f"dimensions disagree: channel {channel.dim}, state {state.dim}, POVM {povm.dim}"
         )
-    sigma = _kraus_sum(channel, state.matrix, state._real_matrix)
+    sigma = _kraus_sum(channel, state)
     # tr(sigma E_j) = sum_{a,b} E_j[a, b] sigma^T[a, b].  The product stays
     # complex even for a float64 sigma: a float64 product rounds differently.
     raw = povm.elements.reshape(len(povm), -1) @ sigma.T.ravel()

@@ -102,6 +102,18 @@ def test_embedding_reproduces_the_pentagon_rows_exactly():
         assert np.abs(p - w[i]).max() <= 1e-12
 
 
+def test_embedding_reproduces_w_to_one_rounding():
+    # p(j|i) is sqrt(W[i, j])^2 in float64: the pentagon's 1/2 rounds up,
+    # a third comes back exact.
+    channel, states, povm = embed_classical(pentagon_matrix())
+    p = outcome_probabilities(channel, states.states[0], povm)
+    assert p[0] == np.sqrt(0.5) ** 2 == 0.5000000000000001
+    w = np.zeros((3, 3))
+    w[:, 0] = w[:, 1] = w[:, 2] = 1.0 / 3.0
+    channel, states, povm = embed_classical(w)
+    assert outcome_probabilities(channel, states.states[1], povm).tolist() == [1.0 / 3.0] * 3
+
+
 def test_embedding_is_exact_on_random_stochastic_matrices():
     rng = np.random.default_rng(42)
     for _ in range(50):

@@ -15,7 +15,13 @@ from zecap import (
     QuantumChannel,
     apply_channel,
     basis_state,
+    bitflip_channel,
+    dephasing_channel,
+    depolarizing_channel,
+    embed_classical,
+    identity_channel,
     outcome_probabilities,
+    pentagon_matrix,
     pure_state,
     validate_channel,
     validate_povm,
@@ -399,8 +405,8 @@ def test_a_states_cached_realness_does_not_leak_between_channels(monkeypatch):
     kraus_sum = quantum._kraus_sum
     took_float = []
 
-    def recorded(channel, m, real_m):
-        out = kraus_sum(channel, m, real_m)
+    def recorded(channel, state):
+        out = kraus_sum(channel, state)
         took_float.append(out.dtype == np.float64)
         return out
 
@@ -472,6 +478,155 @@ def test_the_imaginary_part_check_still_fires_on_a_complex_output():
 
 
 # ---------------------------------------------------------------------------
+# Matrix-unit Kraus stacks (classical embeddings)
+# ---------------------------------------------------------------------------
+
+
+def _batched(channel, state):
+    return quantum._batched_kraus_sum(channel, state.matrix, state._real_matrix)
+
+
+def _classical_channels(seed: int, count: int):
+    # Seeded embeddings with padded inputs both ways (m_in < n_out pads
+    # inputs, m_in > n_out pads outputs), zero entries, several inputs per
+    # output, and every other stack with some coefficients negated.
+    rng = np.random.default_rng(seed)
+    shapes = [(3, 6), (6, 3), (4, 4), (7, 14), (1, 5), (5, 1)]
+    for case in range(count):
+        m_in, n_out = shapes[case % len(shapes)]
+        w = rng.random((m_in, n_out))
+        w[rng.random((m_in, n_out)) < 0.4] = 0.0
+        w[w.sum(axis=1) == 0.0, 0] = 1.0
+        w /= w.sum(axis=1, keepdims=True)
+        channel, states, povm = embed_classical(w)
+        if case % 2:
+            signs = rng.choice([-1.0, 1.0], size=len(channel.kraus))
+            channel = validate_channel(list(signs[:, None, None] * channel.kraus))
+        yield rng, channel, states, povm
+
+
+def test_the_matrix_unit_kernel_equals_the_batched_product_bit_for_bit():
+    # Basis states and random real dense states, under the embedding's
+    # diagonal POVM and a dense real one: the channel output is the batched
+    # product's, and the distribution and apply_channel's state are the
+    # reference's.
+    negated = 0
+    for case, (rng, channel, states, diagonal) in enumerate(_classical_channels(4201, 48)):
+        dim = channel.dim
+        assert channel._matrix_units is not None, case
+        negated += bool((channel._matrix_units[2] < 0).any())
+        outcomes = int(rng.integers(2, dim + 3))
+        dense = validate_povm([e.real for e in random_general_povm(dim, outcomes, 4201 + case).elements])
+        mixed = [validate_state(random_density_matrix(dim, rng).matrix.real) for _ in range(2)]
+        for state in states.states + tuple(mixed):
+            got, want = quantum._kraus_sum(channel, state), _batched(channel, state)
+            assert got.dtype == want.dtype == np.float64, case
+            assert got.tobytes() == want.tobytes(), case
+            out = apply_channel(channel, state).matrix
+            assert out.tobytes() == validate_state(want).matrix.tobytes(), case
+            for povm in (diagonal, dense):
+                p = outcome_probabilities(channel, state, povm)
+                ref = _reference_outcome_probabilities(channel, state, povm)
+                assert p.tobytes() == ref.tobytes(), case
+    assert negated >= 12
+
+
+def test_the_matrix_unit_kernel_adds_in_kraus_order():
+    # Three inputs all reach output 0, so sigma[0, 0] sums three terms in
+    # Kraus order.  2^-53 + 2^-53 + 1 rounds to 1 + 2^-52 only when the two
+    # small terms are added first; 1 + 2^-53 + 2^-53 rounds back to 1.  A
+    # scatter-add that reordered its terms would fail one of the two.
+    channel, _, _ = embed_classical(np.array([[1.0, 0.0, 0.0]] * 3))
+    assert channel._matrix_units is not None
+    tiny = 2.0**-53
+    for diagonal, want in (([tiny, tiny, 1.0], 1.0000000000000002), ([1.0, tiny, tiny], 1.0)):
+        state = validate_state(np.diag(diagonal))
+        got = quantum._kraus_sum(channel, state)
+        assert got[0, 0] == want
+        assert got.tobytes() == _batched(channel, state).tobytes()
+        assert apply_channel(channel, state).matrix[0, 0] == want
+
+
+def test_each_channel_decides_its_matrix_units_once_and_copies_recompute_them():
+    channel, states, povm = embed_classical(pentagon_matrix())
+    units = channel._matrix_units
+    out, inp, coef = units
+    # sqrt(1/2) |j><i| for j in {i, i+1 mod 5}, in embedding order: by i, then j.
+    assert out.tolist() == [6 * j for i in range(5) for j in sorted((i, (i + 1) % 5))]
+    assert inp.tolist() == [6 * i for i in range(5) for _ in range(2)]
+    assert coef.tolist() == [np.sqrt(0.5)] * 10
+    for s in states.states:
+        outcome_probabilities(channel, s, povm)
+        apply_channel(channel, s)
+    assert channel._matrix_units is units
+    for twin in (copy.copy(channel), copy.deepcopy(channel), pickle.loads(pickle.dumps(channel))):
+        assert "_matrix_units" not in vars(twin)
+        again = twin._matrix_units
+        assert again is not units and all(a.tobytes() == b.tobytes() for a, b in zip(again, units))
+
+
+def test_other_stacks_and_non_finite_states_keep_the_batched_product(monkeypatch):
+    batched = quantum._batched_kraus_sum
+    calls = []
+
+    def recorded(channel, m, real_m):
+        calls.append(channel)
+        return batched(channel, m, real_m)
+
+    monkeypatch.setattr(quantum, "_batched_kraus_sum", recorded)
+    # Identity, dephasing and bit-flip stacks are real but not matrix units;
+    # the depolarizing stack is complex.
+    others = (identity_channel(3), dephasing_channel(0.3), bitflip_channel(0.1), depolarizing_channel(0.3))
+    for channel in others:
+        assert channel._matrix_units is None
+        dim = channel.dim
+        povm = computational_povm(dim)
+        for state in (basis_state(dim, 0), validate_state(np.full((dim, dim), 1.0 / dim))):
+            calls.clear()
+            p = outcome_probabilities(channel, state, povm)
+            assert calls == [channel]
+            assert p.tobytes() == _reference_outcome_probabilities(channel, state, povm).tobytes()
+    # A NaN or an inf anywhere in a directly built state turns the whole
+    # batched output into NaN; the kernel would only see the diagonal.
+    channel, _, povm = embed_classical(pentagon_matrix())
+    for bad in (np.nan, np.inf):
+        matrix = np.eye(5) / 5
+        matrix[1, 3] = bad
+        state = DensityMatrix(dim=5, matrix=matrix)
+        calls.clear()
+        with np.errstate(invalid="ignore"):  # inf * 0
+            p = outcome_probabilities(channel, state, povm)
+            want = _reference_outcome_probabilities(channel, state, povm)
+        assert calls == [channel] and np.isnan(p).all()
+        assert p.tobytes() == want.tobytes()
+    # A finite real state on matrix units takes the kernel; the Kronecker
+    # path's bare-matrix entry never does, and agrees with it bit for bit.
+    state = basis_state(5, 2)
+    calls.clear()
+    sigma = quantum._kraus_sum(channel, state)
+    assert calls == []
+    assert quantum._apply_kraus(channel, state.matrix).tobytes() == sigma.tobytes()
+    assert calls == [channel]
+
+
+def test_cached_arrays_are_read_only():
+    # A write through a cache would change every later result while the
+    # wrapper's own frozen array stays as it was.
+    channel, states, povm = embed_classical(pentagon_matrix())
+    state = states.states[0]
+    caches = [channel._real_kraus, povm._real_elements, state._real_matrix, *channel._matrix_units]
+    for a in caches:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    p = outcome_probabilities(channel, state, povm)
+    assert p.tolist() == [0.5000000000000001] * 2 + [0.0] * 3
+    # A caller's float64 array is returned as it is, and stays writeable.
+    outs = np.zeros((2, 3, 3))
+    assert quantum._exact_real(outs) is outs and outs.flags.writeable
+
+
+# ---------------------------------------------------------------------------
 # Constructors
 # ---------------------------------------------------------------------------
 
@@ -490,19 +645,24 @@ def test_pure_state_normalizes_and_rejects_zero():
 )
 def test_copies_and_unpickled_wrappers_keep_frozen_arrays_and_no_cache(copier):
     channel = validate_channel([np.eye(2)])  # exactly real, so the caches hold arrays
+    units = embed_classical(pentagon_matrix())[0]  # matrix units too
     povm = validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     state = basis_state(2, 0)
     assert channel._real_kraus is not None and povm._real_elements is not None
-    assert state._real_matrix is not None
-    for obj, field, cache in ((state, "matrix", "_real_matrix"), (channel, "kraus", "_real_kraus"),
-                              (povm, "elements", "_real_elements")):
+    assert state._real_matrix is not None and state._finite
+    assert units._matrix_units is not None
+    for obj, field, caches in ((state, "matrix", ("_real_matrix", "_finite")),
+                               (channel, "kraus", ("_real_kraus",)),
+                               (units, "kraus", ("_real_kraus", "_matrix_units")),
+                               (povm, "elements", ("_real_elements",))):
         twin = copier(obj)
         assert twin == obj
         arr = getattr(twin, field)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 0.5
-        assert cache not in vars(twin)  # recomputed from the frozen array on use
+        for cache in caches:
+            assert cache not in vars(twin)  # recomputed from the frozen array on use
         assert twin == obj
     twin = copier(StateSet(dim=2, states=(state, basis_state(2, 1))))
     assert not any(s.matrix.flags.writeable for s in twin.states)
