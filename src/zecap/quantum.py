@@ -13,7 +13,8 @@ its elements as one frozen (N, d, d) stack, both built at validation, so each
 distribution is one stacked contraction with no per-operator Python loop: one
 batched product applies the Kraus stack, and the N POVM traces are one
 matrix-vector product with the element stack.  A stack of matrix units
-c_k |a_k><b_k| (every classical embedding) is applied to a finite real state
+c_k |a_k><b_k| with d >= 2 (every classical embedding of two or more
+symbols) is applied to a finite real state
 without the product: K scalar products and one ordered scatter-add into the
 diagonal give the product's float64 output bit for bit (``_kraus_sum``).  The
 Kronecker path of ``verify_zero_error`` keeps the dense product
@@ -226,10 +227,12 @@ class QuantumChannel:
         (b_k, b_k) of a d x d matrix.  A stack qualifies when it is exactly
         real, each operator has exactly one nonzero entry, and each
         coefficient lies in [-1, 1], so no product with a finite state
-        overflows.
+        overflows.  A 1 x 1 stack never qualifies: the batched product's
+        axis-0 sum over (K, 1, 1) is one contiguous reduction, which numpy
+        adds pairwise rather than in Kraus order.
         """
         ks = self._real_kraus
-        if ks is None:
+        if ks is None or self.dim == 1:
             return None
         flat = ks.reshape(len(ks), -1)
         if not (np.count_nonzero(flat, axis=1) == 1).all():

@@ -402,15 +402,20 @@ def test_a_states_cached_realness_does_not_leak_between_channels(monkeypatch):
     # and a fresh one in the reverse order: each channel product runs in
     # float64 exactly when channel and state are real, and each distribution
     # and channel output equals the one recomputed from the bare matrices.
-    kraus_sum = quantum._kraus_sum
     took_float = []
 
-    def recorded(channel, state):
-        out = kraus_sum(channel, state)
-        took_float.append(out.dtype == np.float64)
-        return out
+    def recording(fn):
+        def recorded(channel, arg):
+            out = fn(channel, arg)
+            took_float.append((fn.__name__, out.dtype == np.float64))
+            return out
 
-    monkeypatch.setattr(quantum, "_kraus_sum", recorded)
+        return recorded
+
+    # The state entry and the Kronecker path's bare-matrix entry each decide
+    # the dtype for themselves.
+    for name in ("_kraus_sum", "_apply_kraus"):
+        monkeypatch.setattr(quantum, name, recording(getattr(quantum, name)))
     rng = np.random.default_rng(4107)
     for case in range(20):
         dim = int(rng.integers(1, 5))
@@ -430,7 +435,8 @@ def test_a_states_cached_realness_does_not_leak_between_channels(monkeypatch):
                 assert got.tobytes() == want.tobytes(), case
                 out = validate_state(quantum._apply_kraus(channel, state.matrix)).matrix
                 assert apply_channel(channel, state).matrix.tobytes() == out.tobytes(), case
-                assert set(took_float) == {channel is real_channel and real_state}, case
+                real = channel is real_channel and real_state
+                assert took_float == [("_kraus_sum", real), ("_apply_kraus", real), ("_kraus_sum", real)], case
 
 
 def test_a_nan_state_gives_the_reference_distribution():
@@ -547,7 +553,19 @@ def test_the_matrix_unit_kernel_adds_in_kraus_order():
         assert apply_channel(channel, state).matrix[0, 0] == want
 
 
-def test_each_channel_decides_its_matrix_units_once_and_copies_recompute_them():
+def test_a_one_by_one_stack_keeps_the_batched_product():
+    # The batched product's axis-0 sum over a (9, 1, 1) stack is one
+    # contiguous reduction, added pairwise: 1 + 8 * 2^-27 squared comes out
+    # 1 + 2^-51, where adding in Kraus order would round back to 1.
+    channel = validate_channel([np.array([[1.0]])] + [np.array([[2.0**-27]])] * 8)
+    assert channel._real_kraus is not None and channel._matrix_units is None
+    state = basis_state(1, 0)
+    got = quantum._kraus_sum(channel, state)
+    assert got.tobytes() == _batched(channel, state).tobytes()
+    assert got[0, 0] > 1.0
+
+
+def test_each_channel_decides_its_matrix_units_once():
     channel, states, povm = embed_classical(pentagon_matrix())
     units = channel._matrix_units
     out, inp, coef = units
@@ -559,10 +577,6 @@ def test_each_channel_decides_its_matrix_units_once_and_copies_recompute_them():
         outcome_probabilities(channel, s, povm)
         apply_channel(channel, s)
     assert channel._matrix_units is units
-    for twin in (copy.copy(channel), copy.deepcopy(channel), pickle.loads(pickle.dumps(channel))):
-        assert "_matrix_units" not in vars(twin)
-        again = twin._matrix_units
-        assert again is not units and all(a.tobytes() == b.tobytes() for a, b in zip(again, units))
 
 
 def test_other_stacks_and_non_finite_states_keep_the_batched_product(monkeypatch):
@@ -664,6 +678,10 @@ def test_copies_and_unpickled_wrappers_keep_frozen_arrays_and_no_cache(copier):
         for cache in caches:
             assert cache not in vars(twin)  # recomputed from the frozen array on use
         assert twin == obj
+        if obj is units:
+            again = twin._matrix_units
+            assert again is not obj._matrix_units
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(again, obj._matrix_units))
     twin = copier(StateSet(dim=2, states=(state, basis_state(2, 1))))
     assert not any(s.matrix.flags.writeable for s in twin.states)
 
