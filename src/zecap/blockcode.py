@@ -8,8 +8,11 @@ set of output words a codeword can produce is the Cartesian product of the
 per-position support sets, so decoding is a finite table: every reachable
 word belongs to exactly one codeword.
 
-``verify_zero_error`` re-derives the supports through a second, independent
-path and checks it against the Cartesian one, certifying the
+``verify_zero_error`` decides this by position, by Shannon's rule: two
+codewords share a word iff their states are equal or adjacent in the
+confusability graph at every position, so it lists words only for the pairs
+that fail, to sum their confusable mass.  A second, independent path
+recomputes the supports and checks them against that rule, certifying the
 product-measurement model rather than assuming it: each codeword's joint
 state (np.kron's products of its recomputed post-channel states, never
 assumed to factorise) is contracted with the stacked POVM one position at a
@@ -34,11 +37,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confusability import StateSet, support_set
+from .confusability import ConfusabilityGraph, StateSet, confusability_graph
 from .errors import (
     AmbiguousSupportsError,
     DimensionMismatchError,
-    EmptySupportError,
     SizeLimitError,
 )
 from .graphs import MAX_VERTICES, Graph, independence_number, strong_power
@@ -188,11 +190,12 @@ class ZeroErrorReport:
 
     ``passed`` requires pairwise-disjoint reachable supports and, when the
     Kronecker path ran, exact agreement between the two support
-    computations.  ``max_overlap_mass`` is the largest confusable
-    probability mass over codeword pairs, zero for a passing code: for each
-    shared word the mass counted is min of the two production probabilities,
-    summed over the shared words in lexicographic order.  ``overlap_pair``
-    is the pair carrying it, the lexicographically first one on ties.
+    computations.  ``support_sizes`` are products of per-position support
+    sizes.  ``max_overlap_mass`` is the largest confusable probability mass
+    over codeword pairs, zero for a passing code: for each shared word the
+    mass counted is min of the two production probabilities, summed over the
+    shared words in lexicographic order.  ``overlap_pair`` is the pair
+    carrying it, the lexicographically first one on ties.
     """
 
     passed: bool
@@ -207,34 +210,21 @@ class ZeroErrorReport:
     paths_agree: bool | None
 
 
-def _enumerate_supports(
+def _code_graph(
     code: QuantumBlockCode,
     channel: QuantumChannel,
     eps: float,
-) -> tuple[tuple[frozenset[_Word], ...], list[np.ndarray], dict[_Word, list[int]]]:
-    """Reachable word set of each codeword, each state's outcome table, and owners.
+) -> tuple[ConfusabilityGraph, list[int]]:
+    """The confusability graph of the code's states, and each codeword's word count.
 
-    ``owners`` maps each reachable word to the codewords producing it, in order.  Its keys
-    are in the order the codewords first reach them, each codeword listing its words sorted.
+    The first codeword reaching more than ``ENUMERATION_CAP`` words is refused.
     """
-    tables = [outcome_probabilities(channel, s, code.povm) for s in code.source.states]
-    supports = []
-    for k, p in enumerate(tables):
-        try:
-            supports.append(sorted(support_set(p, eps)))
-        except EmptySupportError:
-            raise EmptySupportError(state_index=k, eps=eps) from None
-    word_sets = []
-    owners: dict[_Word, list[int]] = {}
-    for i, cw in enumerate(code.codewords):
-        size = math.prod(len(supports[c]) for c in cw)
+    graph = confusability_graph(channel, code.source, code.povm, eps)
+    sizes = [math.prod(len(graph.supports[c]) for c in cw) for cw in code.codewords]
+    for size in sizes:
         if size > ENUMERATION_CAP:
             raise SizeLimitError(size, ENUMERATION_CAP, what="output words")
-        words = list(itertools.product(*(supports[c] for c in cw)))
-        for w in words:
-            owners.setdefault(w, []).append(i)
-        word_sets.append(frozenset(words))
-    return tuple(word_sets), tables, owners
+    return graph, sizes
 
 
 def code_from_witness(
@@ -360,12 +350,13 @@ def build_decoder(
         If some state's outcome distribution has no entry above ``eps``; the
         error names the state.
     """
-    _, _, owners = _enumerate_supports(code, channel, eps)
-    clash = min(((idx[1], w) for w, idx in owners.items() if len(idx) > 1), default=None)
-    if clash is not None:
-        second, w = clash
-        raise AmbiguousSupportsError(pair=(owners[w][0], second), word=w)
-    mapping = {w: idx[0] for w, idx in owners.items()}
+    graph, _ = _code_graph(code, channel, eps)
+    supports = [sorted(s) for s in graph.supports]
+    mapping: dict[_Word, int] = {}
+    for i, cw in enumerate(code.codewords):
+        for w in itertools.product(*(supports[c] for c in cw)):
+            if mapping.setdefault(w, i) != i:
+                raise AmbiguousSupportsError(pair=(mapping[w], i), word=w)
     return DecoderTable(
         block_length=code.block_length,
         outcome_count=len(code.povm),
@@ -383,7 +374,9 @@ def verify_zero_error(
 
     Two support computations are compared:
 
-    * product path: Cartesian products of per-position support sets;
+    * product path: two codewords are confusable iff at every position
+      their states are equal or adjacent in the confusability graph, and
+      each codeword reaches the product of its positions' supports;
     * Kronecker path (when the joint dimension d^n fits ``TENSOR_DIM_CAP``
       and the N^n words fit ``ENUMERATION_CAP``):
       each state's output is recomputed from the channel and validated,
@@ -410,32 +403,37 @@ def verify_zero_error(
         If a channel output the Kronecker path recomputes is not a density
         matrix within 1e-9 (numerical breakdown upstream).
     """
-    word_sets, tables, owners = _enumerate_supports(code, channel, eps)
-
-    # Pairwise disjointness plus the worst confusable mass: a word with
-    # several owners is shared by each pair of them.  Shared words go in
-    # lexicographic order, so each pair's mass is summed in an order that
-    # does not depend on set iteration.
-    shared = sorted(w for w, idx in owners.items() if len(idx) > 1)
-    pair_mass: dict[tuple[int, int], float] = {}
-    for w in shared:
-        idx = owners[w]
-        probs = [math.prod(tables[c][x] for c, x in zip(code.codewords[i], w)) for i in idx]
-        for (a, pa), (b, pb) in itertools.combinations(zip(idx, probs), 2):
-            pair_mass[a, b] = pair_mass.get((a, b), 0.0) + min(pa, pb)
-    disjoint = not pair_mass
-    # Largest mass, the lexicographically first pair on ties.
-    overlap_pair = min(pair_mass, key=lambda ab: (-pair_mass[ab], ab), default=None)
-    max_mass = pair_mass.get(overlap_pair, 0.0)
+    graph, sizes = _code_graph(code, channel, eps)
+    codewords = np.array(code.codewords, dtype=np.intp)
+    # Two codewords share a word iff their states meet at every position.
+    meet = graph.adjacency | np.eye(graph.vertex_count, dtype=bool)
+    confusable = np.ones((len(codewords),) * 2, dtype=bool)
+    for col in codewords.T:
+        confusable &= meet[:, col][col]
+    # The heaviest confusable pair, the lexicographically first on ties.  Each
+    # pair's mass is summed over its shared words in lexicographic order.
+    overlap_pair, max_mass = None, 0.0
+    pairs = [(a, b) for a, b in np.argwhere(confusable).tolist() if a < b]
+    if pairs:
+        tables = [outcome_probabilities(channel, s, code.povm) for s in code.source.states]
+    for a, b in pairs:
+        ca, cb = code.codewords[a], code.codewords[b]
+        common = (sorted(graph.supports[x] & graph.supports[y]) for x, y in zip(ca, cb))
+        mass = 0.0
+        for w in itertools.product(*common):
+            pa = math.prod(tables[c][x] for c, x in zip(ca, w))
+            mass += min(pa, math.prod(tables[c][x] for c, x in zip(cb, w)))
+        if overlap_pair is None or mass > max_mass:
+            overlap_pair, max_mass = (a, b), mass
+    disjoint = not pairs
 
     n = code.block_length
-    n_outcomes = len(code.povm)
     joint_dim = channel.dim**n
-    word_count = n_outcomes**n
+    word_count = len(code.povm) ** n
     tensor_checked = joint_dim <= TENSOR_DIM_CAP and word_count <= ENUMERATION_CAP
     paths_agree: bool | None = None
     if tensor_checked:
-        paths_agree = _tensor_path_agrees(code, channel, eps, word_sets)
+        paths_agree = _tensor_path_agrees(code, channel, eps, graph.supports)
 
     passed = disjoint and (paths_agree is not False)
     return ZeroErrorReport(
@@ -444,8 +442,8 @@ def verify_zero_error(
         pairwise_disjoint=disjoint,
         overlap_pair=overlap_pair,
         max_overlap_mass=max_mass,
-        support_sizes=tuple(len(ws) for ws in word_sets),
-        total_reachable=sum(len(ws) for ws in word_sets),
+        support_sizes=tuple(sizes),
+        total_reachable=sum(sizes),
         word_space_size=word_count,
         tensor_path_checked=tensor_checked,
         paths_agree=paths_agree,
@@ -456,11 +454,13 @@ def _tensor_path_agrees(
     code: QuantumBlockCode,
     channel: QuantumChannel,
     eps: float,
-    word_sets: tuple[frozenset[tuple[int, ...]], ...],
+    supports: tuple[frozenset[int], ...],
 ) -> bool:
-    """Recompute supports on the joint space and compare set-for-set.
+    """Recompute supports on the joint space and compare them word for word.
 
     The channel outputs are recomputed per state and validated as one stack.
+    Each chunk's ``p > eps`` tensor must equal the outer AND of its
+    codewords' rows of the (M, N) table of ``supports``, built in word space.
     """
     n, d = code.block_length, channel.dim
     outs = np.array([_apply_kraus(channel, s.matrix) for s in code.source.states])
@@ -481,16 +481,15 @@ def _tensor_path_agrees(
     table = np.ascontiguousarray(outs.reshape(len(outs), d * d)[:, support])
     codewords = np.array(code.codewords, dtype=np.intp)
     chunk = max(1, _CHUNK_ENTRIES // len(support) ** n)
+    rows = np.array([[j in s for j in range(len(elements))] for s in supports])
     for start in range(0, len(codewords), chunk):
         cws = codewords[start : start + chunk]
-        found = np.argwhere(_word_probabilities(_support_joints(table, cws), f, n) > eps)
-        # Rows (codeword in chunk, word) come sorted, so each codeword's
-        # words are one run of rows.
-        bounds = np.searchsorted(found[:, 0], np.arange(len(cws) + 1)).tolist()
-        words = list(map(tuple, found[:, 1:].tolist()))
-        for want, lo, hi in zip(word_sets[start : start + chunk], bounds, bounds[1:]):
-            if set(words[lo:hi]) != want:
-                return False
+        want = rows[cws[:, 0]]
+        for c in cws.T[1:]:
+            want = (want[:, :, None] & rows[c][:, None, :]).reshape(len(c), -1)
+        p = _word_probabilities(_support_joints(table, cws), f, n)
+        if not np.array_equal(p.reshape(len(cws), -1) > eps, want):
+            return False
     return True
 
 

@@ -12,6 +12,7 @@ Slow is fine; these run on small instances only.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -179,8 +180,10 @@ def graph_channel_matrix(vertex_count: int, edges) -> np.ndarray:
 
 
 def decoder_fill(w: np.ndarray, codewords, eps: float):
-    """Decoding table of a code on the classical channel ``w``, filled in codeword order.
+    """Decoding table of a code, filled in codeword order.
 
+    ``w[c, j]`` is the probability of outcome j from state c: a classical
+    channel's matrix, or the stacked outcome tables of any ensemble.
     Codeword i reaches every word whose position t has w[c_t, word_t] > eps.
     The codewords claim their words in order, each codeword's words in
     lexicographic order.  Returns ``(mapping, None)`` when no word is claimed
@@ -195,6 +198,87 @@ def decoder_fill(w: np.ndarray, codewords, eps: float):
                 return None, ((mapping[word], i), word)
             mapping[word] = i
     return mapping, None
+
+
+# The certificate's caps on the Kronecker cross-check: joint dimension d^n
+# and word count N^n (README, caps table).
+_JOINT_DIM_CAP = 4096
+_WORD_CAP = 10**6
+
+
+def certificate_by_words(tables, codewords, eps: float, outputs=None, elements=None) -> dict:
+    """Every field of a code's zero-error certificate, by listing reachable words.
+
+    ``tables[c][j]`` is the probability of outcome j from state c; a test
+    passes the package's own tables, so that the masses compare bit for bit,
+    and the supports are its entries above ``eps``.  Codeword i
+    reaches every word whose position t has tables[c_t][word_t] > eps, and
+    each word is filed under the codewords producing it.  A word with several
+    owners is shared by each pair of them; a pair's mass is summed over its
+    shared words in lexicographic order, each word counting the smaller of
+    the two production probabilities (products taken left to right).  The
+    heaviest pair is reported, the lexicographically first one on ties.
+
+    ``outputs`` (each state's channel output) and ``elements`` (the POVM) give
+    the second path: when d^n and N^n fit the caps, every word's probability
+    is tr(rho_c0 x ... x rho_cn-1 . E_w0 x ... x E_wn-1), both sides built
+    with np.kron, and each codeword's words above ``eps`` must be exactly its
+    listed ones.
+    """
+    supports = [[j for j in range(len(p)) if p[j] > eps] for p in tables]
+    n, count = len(codewords[0]), len(tables[0])
+    word_sets, owners = [], {}
+    for i, cw in enumerate(codewords):
+        words = set(itertools.product(*(supports[c] for c in cw)))
+        for word in words:
+            owners.setdefault(word, []).append(i)
+        word_sets.append(words)
+    pair_mass = {}
+    for word in sorted(owners):
+        for a, b in itertools.combinations(owners[word], 2):
+            pa, pb = (
+                math.prod(tables[c][x] for c, x in zip(codewords[i], word)) for i in (a, b)
+            )
+            pair_mass[a, b] = pair_mass.get((a, b), 0.0) + min(pa, pb)
+    best = None
+    for ab in sorted(pair_mass):
+        if best is None or pair_mass[ab] > pair_mass[best]:
+            best = ab
+    tensor_checked = outputs is not None and (
+        len(outputs[0]) ** n <= _JOINT_DIM_CAP and count**n <= _WORD_CAP
+    )
+    agree = None
+    if tensor_checked:
+        all_words = list(itertools.product(range(count), repeat=n))
+        # products[w] = E_w0 x ... x E_wn-1, one Kronecker factor at a time:
+        # entry ((i, k), (j, l)) of A x B is A[i, j] B[k, l].
+        e = np.asarray(elements, dtype=np.complex128)
+        products = e
+        for _ in range(n - 1):
+            w, d = len(products), products.shape[1] * e.shape[1]
+            products = np.einsum("aij,bkl->abikjl", products, e).reshape(w * count, d, d)
+        flat = products.reshape(len(all_words), -1)
+        agree = True
+        for cw, words in zip(codewords, word_sets):
+            joint = np.asarray(outputs[cw[0]], dtype=np.complex128)
+            for c in cw[1:]:
+                joint = np.kron(joint, outputs[c])
+            # tr(joint E_w) = sum_ij joint[i, j] E_w[j, i], for every word w.
+            p = (flat @ joint.T.ravel()).real
+            agree = agree and {w for w, pw in zip(all_words, p) if pw > eps} == words
+    disjoint = not pair_mass
+    return {
+        "passed": disjoint and agree is not False,
+        "eps": eps,
+        "pairwise_disjoint": disjoint,
+        "overlap_pair": best,
+        "max_overlap_mass": pair_mass.get(best, 0.0),
+        "support_sizes": tuple(len(words) for words in word_sets),
+        "total_reachable": sum(len(words) for words in word_sets),
+        "word_space_size": count**n,
+        "tensor_path_checked": tensor_checked,
+        "paths_agree": agree,
+    }
 
 
 def random_graph(vertex_count: int, p: float, rng: np.random.Generator):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -27,13 +28,8 @@ from zecap import (
     verify_zero_error,
 )
 from zecap import blockcode, quantum
-from zecap.blockcode import (
-    _enumerate_supports,
-    _support_joints,
-    _tensor_path_agrees,
-    _word_probabilities,
-)
-from zecap.confusability import StateSet
+from zecap.blockcode import _support_joints, _word_probabilities
+from zecap.confusability import StateSet, support_set
 from zecap.errors import (
     AmbiguousSupportsError,
     DimensionMismatchError,
@@ -55,7 +51,7 @@ from zecap.quantum import (
 
 from ensembles import haar_unitary, random_density_matrix, random_general_povm
 from invariants import check_decoder_iff_independent
-from oracles import decoder_fill
+from oracles import certificate_by_words, decoder_fill
 
 PENTAGON_CODEWORDS = ((0, 0), (1, 2), (2, 4), (3, 1), (4, 3))
 
@@ -191,13 +187,14 @@ def test_build_code_respects_the_power_cap():
 def test_pentagon_words_per_codeword():
     channel, states, povm, graph = pentagon_ensemble()
     code = build_code(graph, states, povm, n=2)
-    words = _enumerate_supports(code, channel, eps=1e-9)[0]
+    assert verify_zero_error(code, channel, eps=1e-9).support_sizes == (4, 4, 4, 4, 4)
+    # The decoder files each reachable word under its one codeword, so 20
+    # entries are 5 disjoint sets of 4.
+    mapping = build_decoder(code, channel, eps=1e-9).mapping
+    words = [frozenset(w for w, i in mapping.items() if i == k) for k in range(5)]
     assert words[0] == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
     assert [len(w) for w in words] == [4, 4, 4, 4, 4]
-    union = set().union(*words)
-    assert len(union) == 20
-    for a, b in itertools.combinations(words, 2):
-        assert not (a & b)
+    assert len(mapping) == 20
 
 
 @pytest.mark.parametrize("check", [build_decoder, verify_zero_error])
@@ -422,9 +419,13 @@ def test_the_kronecker_path_validates_every_recomputed_output(error, spoil, valu
 def pairwise_overlap(code, channel, eps):
     # Brute-force reference: every codeword pair, the min of the two
     # production probabilities summed over its shared words; the first pair
-    # in lexicographic order wins among those of largest mass.
-    word_sets = _enumerate_supports(code, channel, eps)[0]
+    # in lexicographic order wins among those of largest mass.  Each
+    # codeword's words are listed from its states' outcome tables.
     tables = [outcome_probabilities(channel, s, code.povm) for s in code.source.states]
+    supports = [sorted(support_set(p, eps)) for p in tables]
+    word_sets = [
+        frozenset(itertools.product(*(supports[c] for c in cw))) for cw in code.codewords
+    ]
 
     def prob(cw, w):
         return math.prod(tables[c][x] for c, x in zip(cw, w))
@@ -694,21 +695,51 @@ def test_certificate_with_more_outcomes_than_dimensions(n):
     assert not rep.pairwise_disjoint and not rep.passed
     assert rep.tensor_path_checked
     assert rep.paths_agree is True
-    assert _enumerate_supports(code, channel, eps=1e-9)[0][0] == frozenset(
+    first = QuantumBlockCode(n, code.codewords[:1], states, povm)
+    assert build_decoder(first, channel, eps=1e-9).mapping.keys() == set(
         itertools.product((1, 2), repeat=n)
     )
 
 
-def test_tensor_path_catches_a_lost_or_a_gained_word():
+def push_across_eps(monkeypatch, i, changes):
+    """Change codeword i's word probabilities on the next Kronecker path.
+
+    ``changes`` maps each word to the value its probability takes.
+    """
+    seen = [0]
+
+    def pushed(joints, f, n):
+        p = _word_probabilities(joints, f, n).copy()
+        start = seen[0]
+        seen[0] += len(joints)
+        if start <= i < start + len(joints):
+            for word, value in changes.items():
+                p[(i - start,) + word] = value
+        return p
+
+    monkeypatch.setattr(blockcode, "_word_probabilities", pushed)
+
+
+EPS = 1e-9
+JUST_ABOVE_EPS = float(np.nextafter(EPS, 1.0))
+
+
+def test_tensor_path_catches_a_lost_or_a_gained_word(monkeypatch):
+    # Trine states reach two outcomes each, so every codeword of the four
+    # reaches four words and misses five: a reached word pushed down to eps,
+    # or a missed one pushed just above it, is one joint probability across.
     channel, states, povm = trine_ensemble()
     code = all_words_code(states, povm, 2)
-    word_sets = _enumerate_supports(code, channel, eps=1e-9)[0]
-    assert _tensor_path_agrees(code, channel, 1e-9, word_sets)
-    lost = (word_sets[0] - {(1, 1)},) + word_sets[1:]
-    assert not _tensor_path_agrees(code, channel, 1e-9, lost)
-    # State 0 never yields outcome 0.
-    gained = (word_sets[0] | {(0, 1)},) + word_sets[1:]
-    assert not _tensor_path_agrees(code, channel, 1e-9, gained)
+    supports = confusability_graph(channel, states, povm).supports
+    assert verify_zero_error(code, channel, eps=EPS).paths_agree is True
+    for i in (0, code.message_count - 1):
+        cw = code.codewords[i]
+        lost = {tuple(min(supports[c]) for c in cw): EPS}
+        gained = {tuple(min({0, 1, 2} - supports[c]) for c in cw): JUST_ABOVE_EPS}
+        for changes in (lost, gained):
+            push_across_eps(monkeypatch, i, changes)
+            rep = verify_zero_error(code, channel, eps=EPS)
+            assert rep.tensor_path_checked and rep.paths_agree is False and not rep.passed
 
 
 @pytest.mark.parametrize(
@@ -811,7 +842,7 @@ def test_stacked_joints_match_one_joint_calls_and_the_product_elements(d, n, pov
 
 
 @pytest.mark.parametrize("change", ["lost", "gained", "swapped"])
-def test_tensor_path_catches_a_changed_word_at_the_end_of_a_later_chunk(change):
+def test_tensor_path_catches_a_changed_word_at_the_end_of_a_later_chunk(change, monkeypatch):
     # Identity channel on d = 4, block length 3, with a Haar-random basis
     # measured in itself: 64 codewords of one word each.  The POVM is dense,
     # so each codeword builds its entries at all 16^3 support pairs and the
@@ -822,18 +853,22 @@ def test_tensor_path_catches_a_changed_word_at_the_end_of_a_later_chunk(change):
     code = all_words_code(states, povm, 3)
     chunk = blockcode._CHUNK_ENTRIES // 16**3
     assert 1 <= chunk and 2 * chunk < code.message_count
-    word_sets = _enumerate_supports(code, channel, eps=1e-9)[0]
-    assert _tensor_path_agrees(code, channel, 1e-9, word_sets)
+    assert verify_zero_error(code, channel, eps=EPS).passed
+    supports = confusability_graph(channel, states, povm).supports
     for i in (2 * chunk - 1, code.message_count - 1):
-        (word,) = word_sets[i]
+        (word,) = itertools.product(*(supports[c] for c in code.codewords[i]))
         other = tuple(3 - x for x in word)
-        new = {
-            "lost": frozenset(),
-            "gained": frozenset({word, other}),
-            "swapped": frozenset({other}),
-        }[change]
-        changed = word_sets[:i] + (new,) + word_sets[i + 1 :]
-        assert not _tensor_path_agrees(code, channel, 1e-9, changed), i
+        push_across_eps(
+            monkeypatch,
+            i,
+            {
+                "lost": {word: EPS},
+                "gained": {other: JUST_ABOVE_EPS},
+                "swapped": {word: EPS, other: JUST_ABOVE_EPS},
+            }[change],
+        )
+        rep = verify_zero_error(code, channel, eps=EPS)
+        assert rep.pairwise_disjoint and rep.paths_agree is False and not rep.passed, i
 
 
 # ---------------------------------------------------------------------------
@@ -843,3 +878,122 @@ def test_tensor_path_catches_a_changed_word_at_the_end_of_a_later_chunk(change):
 
 def test_decoder_exists_exactly_for_independent_codeword_sets():
     check_decoder_iff_independent(200)
+
+
+def check_against_the_oracle(code, channel, eps=EPS):
+    """The certificate, and the decoder or its refusal, equal the oracles'.
+
+    Report floats compare by ``float.hex`` and every field by type.  Returns
+    whether the code passed and whether its decoder met a collision.
+    """
+    states = code.source.states
+    tables = [outcome_probabilities(channel, s, code.povm) for s in states]
+    outputs = [apply_channel(channel, s).matrix for s in states]
+    want = certificate_by_words(tables, code.codewords, eps, outputs, code.povm.elements)
+    got = dataclasses.asdict(verify_zero_error(code, channel, eps=eps))
+    assert got.keys() == want.keys()
+    for key, value in got.items():
+        assert type(value) is type(want[key]), key
+        if isinstance(value, float):
+            assert value.hex() == want[key].hex(), key
+        else:
+            assert value == want[key], key
+    mapping, clash = decoder_fill(np.array(tables), code.codewords, eps)
+    if clash is None:
+        assert list(build_decoder(code, channel, eps=eps).mapping.items()) == list(mapping.items())
+    else:
+        with pytest.raises(AmbiguousSupportsError) as exc:
+            build_decoder(code, channel, eps=eps)
+        assert (exc.value.pair, exc.value.word) == clash
+    return got["passed"], clash is not None
+
+
+def random_codewords(rng, m, n, most=8):
+    words = list(itertools.product(range(m), repeat=n))
+    count = int(rng.integers(1, min(most, len(words)) + 1))
+    return tuple(sorted(words[i] for i in rng.choice(len(words), size=count, replace=False)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_random_sparse_classical_codes_match_the_word_listing_oracle(seed):
+    # Each input reaches one to three of two to five outcomes, so codes of
+    # one to eight random codewords pass and fail alike.
+    rng = np.random.default_rng(seed)
+    passed = collided = 0
+    for _ in range(300):
+        m_in, n_out, n = int(rng.integers(2, 5)), int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        w = np.zeros((m_in, n_out))
+        for row in w:
+            cols = rng.choice(n_out, size=int(rng.integers(1, min(3, n_out) + 1)), replace=False)
+            row[cols] = rng.dirichlet(np.ones(len(cols)))
+        channel, states, povm = embed_classical(w)
+        code = QuantumBlockCode(n, random_codewords(rng, m_in, n), states, povm)
+        ok, clash = check_against_the_oracle(code, channel)
+        passed += ok
+        collided += clash
+    assert 50 <= passed <= 250 and 50 <= collided <= 250
+
+
+def haar_basis_ensemble(d, seed, measured_in_itself):
+    # Haar-random basis states on the identity channel, measured in their own
+    # basis (every code passes) or in another Haar basis (supports meet).
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(d, rng)
+    states = StateSet(dim=d, states=tuple(pure_state(u[:, k]) for k in range(d)))
+    povm = _projective_povm(u if measured_in_itself else haar_unitary(d, rng))
+    return identity_channel(d), states, povm
+
+
+@pytest.mark.parametrize(
+    "ensemble",
+    [
+        y_basis_ensemble,
+        trine_ensemble,
+        lambda: conjugated_by_diag_1_i(*trine_ensemble()),
+        lambda: haar_basis_ensemble(3, 41, True),
+        lambda: haar_basis_ensemble(3, 42, False),
+        lambda: haar_basis_ensemble(2, 43, False),
+    ],
+    ids=[
+        "y-basis",
+        "trine",
+        "trine-complex",
+        "haar-basis-3",
+        "haar-other-basis-3",
+        "haar-other-basis-2",
+    ],
+)
+def test_quantum_ensembles_match_the_word_listing_oracle(ensemble):
+    channel, states, povm = ensemble()
+    rng = np.random.default_rng(len(povm))
+    m = len(states.states)
+    for n in (1, 2, 3):
+        check_against_the_oracle(all_words_code(states, povm, n), channel)
+        for _ in range(5):
+            check_against_the_oracle(
+                QuantumBlockCode(n, random_codewords(rng, m, n), states, povm), channel
+            )
+
+
+def pentagon_product_code(n):
+    # The 5-word C5 x C5 code to the power n/2.
+    channel, states, povm, graph = pentagon_ensemble()
+    codewords = tuple(sum(ws, ()) for ws in itertools.product(PENTAGON_CODEWORDS, repeat=n // 2))
+    return channel, QuantumBlockCode(n, codewords, states, povm)
+
+
+@pytest.mark.parametrize("n, reachable", [(6, 8_000), (8, 160_000)])
+def test_the_pentagon_product_code_is_certified_by_position(n, reachable):
+    # Past the Kronecker path's cap (5^n > 4096): the certificate is the
+    # positional check alone.  One codeword moved to a confusable word gives
+    # the word listing's heaviest pair and mass.
+    channel, code = pentagon_product_code(n)
+    rep = verify_zero_error(code, channel, eps=EPS)
+    assert rep.passed and rep.pairwise_disjoint and rep.overlap_pair is None
+    assert rep.support_sizes == (2**n,) * 5 ** (n // 2) and rep.total_reachable == reachable
+    assert not rep.tensor_path_checked and rep.paths_agree is None
+    j = code.message_count // 2
+    *head, last = code.codewords[j]
+    moved = code.codewords[:j] + ((*head, (last + 1) % 5),) + code.codewords[j + 1 :]
+    spoiled = QuantumBlockCode(n, moved, code.source, code.povm)
+    assert check_against_the_oracle(spoiled, channel) == (False, True)
