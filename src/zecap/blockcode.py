@@ -37,13 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .confusability import ConfusabilityGraph, StateSet, confusability_graph
+from .confusability import ConfusabilityGraph, StateSet, _graph_and_table
 from .errors import (
     AmbiguousSupportsError,
     DimensionMismatchError,
     SizeLimitError,
 )
-from .graphs import MAX_VERTICES, Graph, independence_number, strong_power
+from .graphs import MAX_VERTICES, Graph, _strong_power_pairs, independence_number, strong_power
 from .quantum import (
     Povm,
     QuantumChannel,
@@ -51,7 +51,7 @@ from .quantum import (
     _exact_real,
     _require_hermitian_psd,
     _require_unit_trace,
-    outcome_probabilities,
+    outcome_probabilities,  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
 )
 
 __all__ = [
@@ -214,17 +214,17 @@ def _code_graph(
     code: QuantumBlockCode,
     channel: QuantumChannel,
     eps: float,
-) -> tuple[ConfusabilityGraph, list[int]]:
-    """The confusability graph of the code's states, and each codeword's word count.
+) -> tuple[ConfusabilityGraph, np.ndarray, list[int]]:
+    """The code's confusability graph, its (M, N) outcome table, each codeword's word count.
 
     The first codeword reaching more than ``ENUMERATION_CAP`` words is refused.
     """
-    graph = confusability_graph(channel, code.source, code.povm, eps)
+    graph, table = _graph_and_table(channel, code.source, code.povm, eps)
     sizes = [math.prod(len(graph.supports[c]) for c in cw) for cw in code.codewords]
     for size in sizes:
         if size > ENUMERATION_CAP:
             raise SizeLimitError(size, ENUMERATION_CAP, what="output words")
-    return graph, sizes
+    return graph, table, sizes
 
 
 def code_from_witness(
@@ -350,7 +350,7 @@ def build_decoder(
         If some state's outcome distribution has no entry above ``eps``; the
         error names the state.
     """
-    graph, _ = _code_graph(code, channel, eps)
+    graph, _, _ = _code_graph(code, channel, eps)
     supports = [sorted(s) for s in graph.supports]
     mapping: dict[_Word, int] = {}
     for i, cw in enumerate(code.codewords):
@@ -403,26 +403,20 @@ def verify_zero_error(
         If a channel output the Kronecker path recomputes is not a density
         matrix within 1e-9 (numerical breakdown upstream).
     """
-    graph, sizes = _code_graph(code, channel, eps)
-    codewords = np.array(code.codewords, dtype=np.intp)
-    # Two codewords share a word iff their states meet at every position.
-    meet = graph.adjacency | np.eye(graph.vertex_count, dtype=bool)
-    confusable = np.ones((len(codewords),) * 2, dtype=bool)
-    for col in codewords.T:
-        confusable &= meet[:, col][col]
-    # The heaviest confusable pair, the lexicographically first on ties.  Each
-    # pair's mass is summed over its shared words in lexicographic order.
+    graph, table, sizes = _code_graph(code, channel, eps)
+    # Two codewords share a word iff their states meet at every position: they
+    # are adjacent in the strong power.  The heaviest such pair is reported,
+    # the lexicographically first on ties, each pair's mass summed over its
+    # shared words in lexicographic order.
     overlap_pair, max_mass = None, 0.0
-    pairs = [(a, b) for a, b in np.argwhere(confusable).tolist() if a < b]
-    if pairs:
-        tables = [outcome_probabilities(channel, s, code.povm) for s in code.source.states]
+    pairs = _strong_power_pairs(graph, np.array(code.codewords, dtype=np.intp)).tolist()
     for a, b in pairs:
         ca, cb = code.codewords[a], code.codewords[b]
         common = (sorted(graph.supports[x] & graph.supports[y]) for x, y in zip(ca, cb))
         mass = 0.0
         for w in itertools.product(*common):
-            pa = math.prod(tables[c][x] for c, x in zip(ca, w))
-            mass += min(pa, math.prod(tables[c][x] for c, x in zip(cb, w)))
+            pa = math.prod(table[c, x] for c, x in zip(ca, w))
+            mass += min(pa, math.prod(table[c, x] for c, x in zip(cb, w)))
         if overlap_pair is None or mass > max_mass:
             overlap_pair, max_mass = (a, b), mass
     disjoint = not pairs
@@ -433,7 +427,7 @@ def verify_zero_error(
     tensor_checked = joint_dim <= TENSOR_DIM_CAP and word_count <= ENUMERATION_CAP
     paths_agree: bool | None = None
     if tensor_checked:
-        paths_agree = _tensor_path_agrees(code, channel, eps, graph.supports)
+        paths_agree = _tensor_path_agrees(code, channel, eps, table > eps)
 
     passed = disjoint and (paths_agree is not False)
     return ZeroErrorReport(
@@ -454,13 +448,13 @@ def _tensor_path_agrees(
     code: QuantumBlockCode,
     channel: QuantumChannel,
     eps: float,
-    supports: tuple[frozenset[int], ...],
+    rows: np.ndarray,
 ) -> bool:
     """Recompute supports on the joint space and compare them word for word.
 
     The channel outputs are recomputed per state and validated as one stack.
     Each chunk's ``p > eps`` tensor must equal the outer AND of its
-    codewords' rows of the (M, N) table of ``supports``, built in word space.
+    codewords' rows of ``rows``, the (M, N) support table, built in word space.
     """
     n, d = code.block_length, channel.dim
     outs = np.array([_apply_kraus(channel, s.matrix) for s in code.source.states])
@@ -481,7 +475,6 @@ def _tensor_path_agrees(
     table = np.ascontiguousarray(outs.reshape(len(outs), d * d)[:, support])
     codewords = np.array(code.codewords, dtype=np.intp)
     chunk = max(1, _CHUNK_ENTRIES // len(support) ** n)
-    rows = np.array([[j in s for j in range(len(elements))] for s in supports])
     for start in range(0, len(codewords), chunk):
         cws = codewords[start : start + chunk]
         want = rows[cws[:, 0]]

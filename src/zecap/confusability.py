@@ -151,6 +151,16 @@ def confusability_graph(
     EmptySupportError
         If some state's distribution has no entry above ``eps``.
     """
+    return _graph_and_table(channel, states, povm, eps)[0]
+
+
+def _graph_and_table(
+    channel: QuantumChannel,
+    states: StateSet,
+    povm: Povm,
+    eps: float,
+) -> tuple[ConfusabilityGraph, np.ndarray]:
+    """``confusability_graph`` and the (M, N) table of p(w|k) its supports are read from."""
     if states.dim != channel.dim or povm.dim != channel.dim:
         raise DimensionMismatchError(
             f"dimensions disagree: channel {channel.dim}, states {states.dim}, POVM {povm.dim}"
@@ -162,13 +172,14 @@ def confusability_graph(
     if empty.size:
         raise EmptySupportError(state_index=int(empty[0]), eps=eps)
     np.fill_diagonal(meet, False)
-    return ConfusabilityGraph(
+    graph = ConfusabilityGraph(
         vertex_count=len(p),
         adjacency=meet,
         supports=tuple(frozenset(np.flatnonzero(row).tolist()) for row in p > eps),
         eps=eps,
         fragile_count=int(np.count_nonzero((p >= eps / 10.0) & (p <= 10.0 * eps))),
     )
+    return graph, p
 
 
 def _supports_meet(p: np.ndarray, eps: float) -> np.ndarray:

@@ -195,6 +195,35 @@ def strong_power(g: Graph, n: int, max_vertices: int = MAX_VERTICES) -> Graph:
     return out
 
 
+def _strong_power_pairs(g: Graph, words: np.ndarray) -> np.ndarray:
+    """The edges of g^boxtimes n among K distinct words, as rows (a, b), a < b, in order.
+
+    ``words`` is a (K, n) array of vertex tuples; words a and b are adjacent
+    iff at every position their vertices are equal or adjacent in g.  No
+    (K, K) matrix is held: the relation is packed eight pairs a byte and
+    taken about 64 KiB of rows at a time, from column a onward, with one
+    AND per position.  Only its nonzero bytes are unpacked, so the cost is
+    about n K^2 / 16 bytes, plus the edges found.
+    """
+    k = len(words)
+    meet = g.adjacency | np.eye(g.vertex_count, dtype=bool)
+    # Bit b of packed[x, t] is set iff vertex x meets word b's vertex t.
+    packed = np.packbits(meet[:, words.T], axis=-1)
+    step = 2**19 // k + 1
+    firsts, seconds = [], []
+    for lo in range(0, k, step):
+        rows, skip = words[lo : lo + step], lo // 8
+        block = packed[rows[:, 0], 0, skip:]
+        for t in range(1, words.shape[1]):
+            block &= packed[rows[:, t], t, skip:]
+        r, c = np.nonzero(block)
+        i, bit = np.nonzero(np.unpackbits(block[r, c][:, None], axis=1))
+        a, b = lo + r[i], 8 * (skip + c[i]) + bit
+        firsts.append(a[a < b])
+        seconds.append(b[a < b])
+    return np.array([np.concatenate(firsts), np.concatenate(seconds)]).T
+
+
 # ---------------------------------------------------------------------------
 # Exact maximum independent set
 # ---------------------------------------------------------------------------

@@ -200,13 +200,9 @@ def decoder_fill(w: np.ndarray, codewords, eps: float):
     return mapping, None
 
 
-# The certificate's caps on the Kronecker cross-check: joint dimension d^n
-# and word count N^n (README, caps table).
-_JOINT_DIM_CAP = 4096
-_WORD_CAP = 10**6
-
-
-def certificate_by_words(tables, codewords, eps: float, outputs=None, elements=None) -> dict:
+def certificate_by_words(
+    tables, codewords, eps: float, outputs=None, elements=None, caps=None
+) -> dict:
     """Every field of a code's zero-error certificate, by listing reachable words.
 
     ``tables[c][j]`` is the probability of outcome j from state c; a test
@@ -220,7 +216,8 @@ def certificate_by_words(tables, codewords, eps: float, outputs=None, elements=N
     heaviest pair is reported, the lexicographically first one on ties.
 
     ``outputs`` (each state's channel output) and ``elements`` (the POVM) give
-    the second path: when d^n and N^n fit the caps, every word's probability
+    the second path.  ``caps`` is the package's pair of caps on it, joint
+    dimension d^n and word count N^n: when both fit, every word's probability
     is tr(rho_c0 x ... x rho_cn-1 . E_w0 x ... x E_wn-1), both sides built
     with np.kron, and each codeword's words above ``eps`` must be exactly its
     listed ones.
@@ -245,7 +242,7 @@ def certificate_by_words(tables, codewords, eps: float, outputs=None, elements=N
         if best is None or pair_mass[ab] > pair_mass[best]:
             best = ab
     tensor_checked = outputs is not None and (
-        len(outputs[0]) ** n <= _JOINT_DIM_CAP and count**n <= _WORD_CAP
+        len(outputs[0]) ** n <= caps[0] and count**n <= caps[1]
     )
     agree = None
     if tensor_checked:

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -889,7 +890,8 @@ def check_against_the_oracle(code, channel, eps=EPS):
     states = code.source.states
     tables = [outcome_probabilities(channel, s, code.povm) for s in states]
     outputs = [apply_channel(channel, s).matrix for s in states]
-    want = certificate_by_words(tables, code.codewords, eps, outputs, code.povm.elements)
+    caps = (blockcode.TENSOR_DIM_CAP, blockcode.ENUMERATION_CAP)
+    want = certificate_by_words(tables, code.codewords, eps, outputs, code.povm.elements, caps)
     got = dataclasses.asdict(verify_zero_error(code, channel, eps=eps))
     assert got.keys() == want.keys()
     for key, value in got.items():
@@ -980,6 +982,22 @@ def pentagon_product_code(n):
     channel, states, povm, graph = pentagon_ensemble()
     codewords = tuple(sum(ws, ()) for ws in itertools.product(PENTAGON_CODEWORDS, repeat=n // 2))
     return channel, QuantumBlockCode(n, codewords, states, povm)
+
+
+def test_many_one_word_codewords_are_certified_in_bounded_memory():
+    # All 19,683 words of the identity channel on three letters at n = 9:
+    # a (K, K) boolean matrix would take 387 MB, listing the words 9 MiB.
+    channel, states, povm = embed_classical(np.eye(3))
+    code = all_words_code(states, povm, 9)
+    tracemalloc.start()
+    try:
+        rep = verify_zero_error(code, channel, eps=EPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert rep.passed and rep.total_reachable == 3**9 and rep.support_sizes == (1,) * 3**9
+    assert not rep.tensor_path_checked
 
 
 @pytest.mark.parametrize("n, reachable", [(6, 8_000), (8, 160_000)])

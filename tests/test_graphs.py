@@ -184,6 +184,23 @@ def test_the_fifth_power_of_the_pentagon_is_built_as_a_matrix():
     assert (g.adjacency.sum(axis=1) == 242).all()  # 3^5 - 1: each digit equal or adjacent
 
 
+@pytest.mark.parametrize("m, n, count", [(5, 1, 5), (4, 3, 1), (6, 3, 150), (5, 5, 1500)])
+def test_strong_power_pairs_are_the_induced_edges_in_order(m, n, count):
+    # Words in random order, as many as span several row blocks at 1,500:
+    # the edges among them are the pairs equal or adjacent at every position.
+    rng = np.random.default_rng(m * n + count)
+    g = Graph.from_edges(m, random_graph(m, 0.5, rng))
+    meet = g.adjacency | np.eye(m, dtype=bool)
+    every = np.array(list(itertools.product(range(m), repeat=n)))
+    words = every[rng.choice(len(every), size=count, replace=False)]
+    want = np.ones((count, count), dtype=bool)
+    for t in range(n):
+        want &= meet[np.ix_(words[:, t], words[:, t])]
+    got = graphs._strong_power_pairs(g, words)
+    assert got.shape == (int(np.triu(want, 1).sum()), 2)
+    assert got.tolist() == np.argwhere(np.triu(want, 1)).tolist()
+
+
 def test_strong_power_respects_size_cap():
     with pytest.raises(SizeLimitError) as exc:
         strong_power(cycle_graph(5), 3)
