@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .confusability import StateSet
-from .errors import DimensionMismatchError, NotStochasticError
+from .errors import DimensionMismatchError, NotStochasticError, SizeLimitError
 from .quantum import Povm, QuantumChannel, _projective_povm, basis_state, validate_channel
 
 __all__ = [
@@ -35,6 +35,12 @@ _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 BUILTIN_STOCHASTIC_TOL = 1e-12
+
+# Bytes of the complex128 (K, d, d) Kraus stack of a classical embedding:
+# 2^28 is a dense 64 x 64 W (4,096 operators of 64 x 64), which `zecap
+# validate` takes in about 0.6 s and 310 MB peak RSS; a dense 128 x 128 W
+# would need 4.3 GB.
+KRAUS_BYTES_CAP = 2**28
 
 
 def identity_channel(dim: int) -> QuantumChannel:
@@ -140,19 +146,19 @@ def embed_classical(w: np.ndarray) -> tuple[QuantumChannel, StateSet, Povm]:
             raise NotStochasticError(row=i, row_sum=float(row.sum()))
 
     dim = max(m_in, n_out)
-    kraus = []
-    for i in range(m_in):
-        for j in range(n_out):
-            if w[i, j] > 0.0:
-                k = np.zeros((dim, dim), dtype=np.complex128)
-                k[j, i] = np.sqrt(w[i, j])
-                kraus.append(k)
-    for i in range(m_in, dim):
-        # Unused input directions pass through so the channel stays TP.
-        k = np.zeros((dim, dim), dtype=np.complex128)
-        k[i, i] = 1.0
-        kraus.append(k)
-
+    # Kraus order: by input i, then output j, then the padded inputs.
+    inputs, outputs = np.nonzero(w > 0.0)
+    padded = np.arange(m_in, dim)
+    count = len(inputs) + len(padded)
+    size = count * dim * dim * np.dtype(np.complex128).itemsize
+    if size > KRAUS_BYTES_CAP:
+        raise SizeLimitError(size, KRAUS_BYTES_CAP, "bytes of Kraus operators")
+    coef = np.sqrt(w[inputs, outputs])
+    kraus = np.zeros((count, dim, dim), dtype=np.complex128)
+    kraus[np.arange(len(inputs)), outputs, inputs] = coef
+    # Unused input directions pass through so the channel stays TP.
+    kraus[np.arange(len(inputs), count), padded, padded] = 1.0
+    kraus.setflags(write=False)  # so validation wraps it without a copy
     channel = validate_channel(kraus)
     states = StateSet(dim=dim, states=tuple(basis_state(dim, i) for i in range(m_in)))
     povm = _projective_povm(np.eye(dim, dtype=np.complex128))

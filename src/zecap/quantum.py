@@ -12,25 +12,28 @@ A channel keeps its Kraus operators as one frozen (K, d, d) stack and a POVM
 its elements as one frozen (N, d, d) stack, both built at validation, so each
 distribution is one stacked contraction with no per-operator Python loop: one
 batched product applies the Kraus stack, and the N POVM traces are one
-matrix-vector product with the element stack.  A stack of matrix units
-c_k |a_k><b_k| with d >= 2 (every classical embedding of two or more
-symbols) is applied to a finite real state
-without the product: K scalar products and one ordered scatter-add into the
-diagonal give the product's float64 output bit for bit (``_kraus_sum``).  The
-Kronecker path of ``verify_zero_error`` keeps the dense product
-(``_apply_kraus``), so each certified classical code checks one against the
-other.
+matrix-vector product with the element stack.  Every classical embedding
+of two or more symbols skips both products.  Its stack of matrix units
+c_k |a_k><b_k| is applied to a real state with entries in [-1, 1] by K scalar
+products and one ordered scatter-add into the diagonal, which give the
+product's float64 output bit for bit (``_kraus_sum``).  Its POVM of diagonal
+units e_j |a_j><a_j| is measured on a finite float64 output by one gather
+and one multiply, which give the complex product's probabilities bit for
+bit (``outcome_probabilities``).  The Kronecker path of
+``verify_zero_error`` keeps its own dense contraction (``_apply_kraus`` and
+the element stack), so each certified classical code checks both kernels.
 
 Matrices are plain ``numpy.ndarray`` of complex128.  A channel whose Kraus
 operators and input are exactly real (imaginary parts identically zero, as in
 every classical embedding) is applied in float64, where a complex product
 would spend three of its four real multiplications on zeros.  That float64
-output is measured as it is: the POVM traces stay one complex product, into
-which numpy promotes it exactly, and when the POVM is exactly real too every
-trace's imaginary part is a sum of products with an exact zero, so it is not
-checked.  Every validated wrapper decides its realness once, on first use
-(a state's matrix, a Kraus stack, a POVM stack), and a channel whether its
-stack is made of matrix units; channel outputs are tested on each call.
+output is measured as it is: off diagonal-unit POVMs the traces stay one
+complex product, into which numpy promotes it exactly, and when the POVM is
+exactly real too every trace's imaginary part is a sum of products with an
+exact zero, so it is not checked.  Every validated wrapper decides its
+realness once, on first use (a state's matrix, a Kraus stack, a POVM stack),
+a channel whether its stack is made of matrix units, and a POVM whether its
+stack is made of diagonal units; channel outputs are tested on each call.
 Wrapper dataclasses (:class:`DensityMatrix`, :class:`QuantumChannel`,
 :class:`Povm`) certify that their contents passed validation; each checks
 that its array's shape matches its ``dim``, and their arrays, and the arrays
@@ -78,6 +81,21 @@ _TOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only C-ordered complex128 array.
+
+    An array that already is one, and owns its memory, is kept as it is, so
+    a stack built for a wrapper and made read-only by its builder is not
+    copied again (a view taken before that is the builder's to leave
+    alone).  Anything else is copied.
+    """
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.complex128
+        and a.flags.c_contiguous
+        and a.flags.owndata
+        and not a.flags.writeable
+    ):
+        return a
     out = np.array(a, dtype=np.complex128, order="C")
     out.setflags(write=False)
     return out
@@ -93,8 +111,8 @@ def _read_only(a: np.ndarray | None) -> np.ndarray | None:
 def _restore(obj, state: dict) -> None:
     """``__setstate__`` of the wrappers: a copy or an unpickled object is validated again.
 
-    Only the fields are taken from ``state``, and ``__post_init__`` freezes a
-    copy of the array, so a realness cache is recomputed, not copied, and no
+    Only the fields are taken from ``state``, and ``__post_init__`` freezes
+    the array (``_freeze``), so a cache is recomputed, not copied, and no
     copy holds a writeable array.
     """
     for f in fields(obj):
@@ -187,8 +205,9 @@ class DensityMatrix:
         return _read_only(_exact_real(self.matrix))
 
     @cached_property
-    def _finite(self) -> bool:
-        return bool(np.isfinite(self.matrix).all())
+    def _bounded(self) -> bool:
+        """Whether every entry is finite and at most 1 in magnitude, as a valid state's are."""
+        return bool((np.abs(self.matrix) <= 1.0).all())
 
     def __eq__(self, other):
         if not isinstance(other, DensityMatrix):
@@ -269,6 +288,29 @@ class Povm:
     def _real_elements(self) -> np.ndarray | None:
         return _read_only(_exact_real(self.elements))
 
+    @cached_property
+    def _diagonal_units(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The stack as diagonal units e_j |a_j><a_j|: (a_j (d+1), e_j), or None.
+
+        The first is the flat index of the diagonal entry (a_j, a_j) of a
+        d x d matrix.  A stack qualifies when it is exactly real, each element
+        has exactly one nonzero entry, on the diagonal, and each weight e_j is
+        finite, as in the computational POVM of every classical embedding.
+        A one-element POVM, {I}, never qualifies: it is a unit only at d = 1,
+        where the product has a single term and nothing to skip.
+        """
+        es = self._real_elements
+        if es is None or len(es) == 1:
+            return None
+        flat = es.reshape(len(es), -1)
+        if not (np.count_nonzero(flat, axis=1) == 1).all():
+            return None
+        rows, cols = flat.nonzero()
+        weights = flat[rows, cols]
+        if (cols % (self.dim + 1)).any() or not np.isfinite(weights).all():
+            return None
+        return _read_only(cols), _read_only(weights)
+
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -320,7 +362,9 @@ def validate_channel(kraus: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Quan
     Parameters
     ----------
     kraus : sequence of array_like, each shape (d, d)
-        Kraus operators.  At least one; all the same square dimension.
+        Kraus operators.  At least one; all the same square dimension.  A
+        read-only complex128 (K, d, d) stack that owns its memory becomes
+        the channel's stack without a copy (``_freeze``).
 
     Returns
     -------
@@ -341,7 +385,7 @@ def validate_channel(kraus: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Quan
     dev = float(np.linalg.norm(s - np.eye(d)))
     if dev > _TOL:
         raise NotTracePreservingError(dev, _TOL)
-    return QuantumChannel(dim=d, kraus=ops)
+    return QuantumChannel(dim=d, kraus=kraus)
 
 
 def validate_povm(elements: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Povm:
@@ -377,12 +421,23 @@ def _exact_real(a: np.ndarray) -> np.ndarray | None:
     return np.ascontiguousarray(a.real)
 
 
+def _on_units(channel: QuantumChannel, state: DensityMatrix) -> bool:
+    """Whether ``_kraus_sum`` applies the channel's matrix units to the state.
+
+    It does when the channel's Kraus stack is made of matrix units (decided
+    once, ``QuantumChannel._matrix_units``) and the state is exactly real
+    with entries in [-1, 1] (``DensityMatrix._bounded``).  The output is
+    then finite: each term is at most 1 in magnitude, and each diagonal sum
+    of at most K terms at most K.
+    """
+    return channel._matrix_units is not None and state._real_matrix is not None and state._bounded
+
+
 def _kraus_sum(channel: QuantumChannel, state: DensityMatrix) -> np.ndarray:
     """``sum_k K_k rho K_k^dagger`` for a state, on a matrix-unit stack without a matrix product.
 
-    When the channel's Kraus stack is made of matrix units c_k |a_k><b_k|
-    (decided once, ``QuantumChannel._matrix_units``) and the state is exactly
-    real and finite, term k is v_k |a_k><a_k| with v_k = (c_k rho[b_k, b_k]) c_k:
+    On matrix units c_k |a_k><b_k| and a real bounded state (``_on_units``),
+    term k is v_k |a_k><a_k| with v_k = (c_k rho[b_k, b_k]) c_k:
     each dot product of the batched product has that one nonzero term, so
     it makes the same two roundings.  One ``np.bincount`` then adds the v_k
     into the diagonal in Kraus order, the order of the batched product's
@@ -392,13 +447,17 @@ def _kraus_sum(channel: QuantumChannel, state: DensityMatrix) -> np.ndarray:
     ``_batched_kraus_sum``; a non-finite entry, which that product spreads
     over the whole output, keeps it too.
     """
-    units, real_m = channel._matrix_units, state._real_matrix
-    if units is None or real_m is None or not state._finite:
-        return _batched_kraus_sum(channel, state.matrix, real_m)
-    out, inp, coef = units
+    if not _on_units(channel, state):
+        return _batched_kraus_sum(channel, state.matrix, state._real_matrix)
+    return _unit_kraus_sum(channel, state._real_matrix).reshape(state.matrix.shape)
+
+
+def _unit_kraus_sum(channel: QuantumChannel, real_m: np.ndarray) -> np.ndarray:
+    """``_kraus_sum``'s matrix-unit shortcut, its output flattened (``_on_units`` must hold)."""
+    out, inp, coef = channel._matrix_units
     v = coef * real_m.reshape(-1).take(inp)
     v *= coef
-    return np.bincount(out, weights=v, minlength=real_m.size).reshape(real_m.shape)
+    return np.bincount(out, weights=v, minlength=real_m.size)
 
 
 def _batched_kraus_sum(
@@ -456,10 +515,20 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
     Computes ``p(j) = tr(E(rho) E_j)`` for each POVM element ``E_j``: the
     channel output comes from one batched product over the stacked Kraus
     operators, or from its matrix-unit shortcut with the same bits
-    (``_kraus_sum``), and all N traces from one complex product of the
+    (``_kraus_sum``), and the N traces from one complex product of the
     flattened (N, d*d) element stack with the flattened transpose of that
     output, O(N d^2) work in a single call.  A float64 channel output (exactly real
     channel and state) enters that product promoted to complex128, exactly.
+
+    A POVM of diagonal units e_j |a_j><a_j| (decided once,
+    ``Povm._diagonal_units``), such as every classical embedding's, skips
+    the product on a finite float64 output: p_j = e_j sigma[a_j, a_j] from
+    one gather and one multiply (``_diagonal_traces``), on the matrix-unit
+    shortcut's flat output as it is built.  Each trace of the product has
+    that one nonzero term and adds exact zeros, so its real part is that
+    rounding, with a zero as +0.0.  A complex output, any other POVM, and an
+    output with a non-finite entry, which the product spreads as NaN over
+    every trace, keep the product.
 
     Every trace's imaginary part is checked, except when the channel output
     is float64 and the POVM is exactly real: each imaginary part is then a
@@ -491,7 +560,14 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
         raise DimensionMismatchError(
             f"dimensions disagree: channel {channel.dim}, state {state.dim}, POVM {povm.dim}"
         )
+    diagonal = povm._diagonal_units
+    # A matrix-unit output is finite by construction (``_on_units``), and
+    # is measured as it is built; a batched float64 output is checked.
+    if diagonal is not None and _on_units(channel, state):
+        return _diagonal_traces(_unit_kraus_sum(channel, state._real_matrix), diagonal)
     sigma = _kraus_sum(channel, state)
+    if diagonal is not None and sigma.dtype == np.float64 and np.isfinite(sigma).all():
+        return _diagonal_traces(sigma.reshape(-1), diagonal)
     # tr(sigma E_j) = sum_{a,b} E_j[a, b] sigma^T[a, b].  The product stays
     # complex even for a float64 sigma: a float64 product rounds differently.
     raw = povm.elements.reshape(len(povm), -1) @ sigma.T.ravel()
@@ -502,18 +578,39 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
     return _checked_distribution(raw, sigma.dtype != np.float64 or povm._real_elements is None)
 
 
+def _diagonal_traces(flat_sigma: np.ndarray, diagonal: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The checked p_j = e_j sigma[a_j, a_j] of a finite flattened float64 output.
+
+    ``diagonal`` is ``Povm._diagonal_units``: the flat indices a_j (d+1)
+    and the weights e_j.
+    """
+    where, weights = diagonal
+    p = flat_sigma.take(where)
+    p *= weights
+    p += 0.0  # a -0.0 becomes the +0.0 that the product's zeros make
+    return _checked_probabilities(p)
+
+
 def _checked_distribution(raw: np.ndarray, check_imag: bool) -> np.ndarray:
     """The real parts of the outcome traces ``raw``, checked and clamped to [0, 1].
 
-    Each check is one ufunc reduction, the one that ``ndarray.min``, ``max``
-    and ``sum`` call, so it gives the same bits and propagates a NaN alike.
-    The imaginary parts are checked when ``check_imag`` is set.
+    The imaginary parts are checked when ``check_imag`` is set; the real
+    parts are copied and checked by ``_checked_probabilities``.
     """
     if check_imag:
         imag = float(np.maximum.reduce(np.abs(raw.imag)))
         if imag > _TOL:
             raise InvalidProbabilitiesError(f"outcome trace has imaginary part up to {imag:.3e}")
-    p = raw.real.copy()
+    return _checked_probabilities(raw.real.copy())
+
+
+def _checked_probabilities(p: np.ndarray) -> np.ndarray:
+    """The float64 outcome probabilities ``p``, checked and clamped to [0, 1].
+
+    Each check is one ufunc reduction, the one that ``ndarray.min``, ``max``
+    and ``sum`` call, so it gives the same bits and propagates a NaN alike.
+    ``p`` itself is returned when it needs no clamping.
+    """
     lo, hi = float(np.minimum.reduce(p)), float(np.maximum.reduce(p))
     if lo < -_TOL or hi > 1.0 + _TOL:
         raise InvalidProbabilitiesError(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,8 @@ from zecap import (
     pure_state,
     validate_povm,
 )
-from zecap.errors import NotStochasticError, ValidationError
+from zecap import channels
+from zecap.errors import NotStochasticError, SizeLimitError, ValidationError
 from zecap.formats import parse_channel_spec
 
 from ensembles import random_density_matrix
@@ -146,6 +149,77 @@ def test_embedding_rejects_non_stochastic_rows():
         with pytest.raises(NotStochasticError) as exc:
             embed_classical(np.array(w))
         assert exc.value.row == row
+
+
+def _loop_kraus(w):
+    # One dense matrix per operator, by input, then output, then padded
+    # input, stacked afterwards.
+    m_in, n_out = w.shape
+    dim = max(m_in, n_out)
+    ops = []
+    for i in range(m_in):
+        for j in range(n_out):
+            if w[i, j] > 0.0:
+                k = np.zeros((dim, dim), dtype=np.complex128)
+                k[j, i] = np.sqrt(w[i, j])
+                ops.append(k)
+    for i in range(m_in, dim):
+        k = np.zeros((dim, dim), dtype=np.complex128)
+        k[i, i] = 1.0
+        ops.append(k)
+    return np.array(ops)
+
+
+def test_embedding_stack_has_the_bytes_of_one_matrix_per_operator():
+    rng = np.random.default_rng(4401)
+    cases = [pentagon_matrix(), np.eye(3), np.array([[1.0]])]
+    for _ in range(60):
+        m_in, n_out = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        w = rng.random((m_in, n_out))
+        w[rng.random((m_in, n_out)) < 0.4] = 0.0
+        w[w.sum(axis=1) == 0.0, 0] = 1.0
+        cases.append(w / w.sum(axis=1, keepdims=True))
+    for case, w in enumerate(cases):
+        channel, _, _ = embed_classical(w)
+        assert channel.kraus.tobytes() == _loop_kraus(w).tobytes(), case
+        assert not channel.kraus.flags.writeable, case
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_embedding_builds_its_stack_once():
+    # A dense 32 x 32 W has 1,024 operators of 32 x 32: a 16 MiB stack.
+    # One matrix per operator and a stacked copy of them would peak at twice that.
+    (channel, _, _), peak = _traced_peak(embed_classical, np.full((32, 32), 1.0 / 32))
+    assert channel.kraus.nbytes == 32**4 * 16
+    assert peak < 1.25 * channel.kraus.nbytes
+
+
+def test_embedding_refuses_a_stack_past_the_cap_before_building_it(monkeypatch):
+    # A dense 65 x 65 W: 4,225 operators of 65 x 65, 285,610,000 bytes.
+    message = "^285610000 bytes of Kraus operators exceeds the limit of 268435456$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitError, match=message):
+            embed_classical(np.full((65, 65), 1.0 / 65))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # The cap is inclusive: a dense 4 x 4 W's stack is 16 * 16 * 16 bytes.
+    w = np.full((4, 4), 0.25)
+    monkeypatch.setattr(channels, "KRAUS_BYTES_CAP", 4096)
+    assert embed_classical(w)[0].kraus.nbytes == 4096
+    monkeypatch.setattr(channels, "KRAUS_BYTES_CAP", 4095)
+    with pytest.raises(SizeLimitError, match="^4096 bytes of Kraus operators exceeds the limit of 4095$"):
+        embed_classical(w)
 
 
 def test_channels_of_one_dimension_with_different_kraus_counts_are_unequal():

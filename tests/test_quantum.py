@@ -623,12 +623,233 @@ def test_other_stacks_and_non_finite_states_keep_the_batched_product(monkeypatch
     assert calls == [channel]
 
 
+# ---------------------------------------------------------------------------
+# Diagonal-unit POVMs (classical embeddings)
+# ---------------------------------------------------------------------------
+
+_CHECKED_DISTRIBUTION = quantum._checked_distribution
+
+
+def _product_outcome_probabilities(channel, state, povm):
+    # The complex product with the element stack, checked as
+    # outcome_probabilities checks it: the computation the kernel replaces.
+    sigma = quantum._kraus_sum(channel, state)
+    raw = povm.elements.reshape(len(povm), -1) @ sigma.T.ravel()
+    return _CHECKED_DISTRIBUTION(raw, sigma.dtype != np.float64 or povm._real_elements is None)
+
+
+def _bits_or_error(fn, channel, state, povm):
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return fn(channel, state, povm).tobytes()
+    except InvalidProbabilitiesError as exc:
+        return str(exc)
+
+
+def _record_products(monkeypatch):
+    # Every call that keeps the complex product checks it with
+    # _checked_distribution; the kernel does not.
+    calls = []
+
+    def recorded(raw, check_imag):
+        calls.append(raw.dtype)
+        return _CHECKED_DISTRIBUTION(raw, check_imag)
+
+    monkeypatch.setattr(quantum, "_checked_distribution", recorded)
+    return calls
+
+
+def _assert_product_bits(channel, state, povm):
+    # The distribution is the product's, or the error is the product's; a
+    # finite distribution is the reference's too.
+    got = _bits_or_error(outcome_probabilities, channel, state, povm)
+    assert got == _bits_or_error(_product_outcome_probabilities, channel, state, povm)
+    if isinstance(got, bytes) and np.isfinite(np.frombuffer(got)).all():
+        assert got == _reference_outcome_probabilities(channel, state, povm).tobytes()
+
+
+def _split_povm(dim, rng, zero=False):
+    # Diagonal units in a random order; about half of the basis vectors
+    # split their weight between two elements, and ``zero`` adds an all-zero
+    # element.
+    elements = []
+    for a in range(dim):
+        t = rng.random()
+        for weight in [1.0] if t < 0.5 else [t, 1.0 - t]:
+            e = np.zeros((dim, dim))
+            e[a, a] = weight
+            elements.append(e)
+    if zero:
+        elements.append(np.zeros((dim, dim)))
+    return validate_povm([elements[k] for k in rng.permutation(len(elements))])
+
+
+def _odd_states(dim, rng):
+    # Directly built real states, never validated: a signed-zero or tiny
+    # diagonal entry whose mass moved to another entry (so the distribution
+    # still sums to 1); a NaN, an inf or an entry near overflow anywhere;
+    # and a diagonal near overflow.
+    diagonal = rng.dirichlet(np.ones(dim))
+    matrices = []
+    for tiny in (-0.0, 5e-324, -5e-324, -1e-310):
+        m = np.diag(diagonal)
+        i, j = rng.choice(dim, size=2) if dim > 1 else (0, 0)
+        if i != j:
+            m[j, j] += m[i, i]
+            m[i, i] = tiny
+        matrices.append(m)
+    for bad in (np.nan, np.inf, -np.inf, 1e308, -1.7e308):
+        m = np.diag(diagonal)
+        m[tuple(rng.integers(0, dim, 2))] = bad
+        matrices.append(m)
+    matrices.append(np.diag(diagonal) * 1e308)
+    return [DensityMatrix(dim=dim, matrix=m) for m in matrices]
+
+
+def test_the_diagonal_unit_kernel_equals_the_product_bit_for_bit(monkeypatch):
+    # Classical embeddings, padded both ways and at d = 1, under their
+    # computational POVM, a split-weight one and one with a zero element;
+    # basis states, random real states, and odd ones.
+    products = _record_products(monkeypatch)
+    cases = list(_classical_channels(4401, 48))
+    rng = np.random.default_rng(4401)
+    cases.append((rng, *embed_classical(np.array([[1.0]]))))
+    kernel = total = 0
+    for case, (rng, channel, states, computational) in enumerate(cases):
+        dim = channel.dim
+        povms = [computational, _split_povm(dim, rng), _split_povm(dim, rng, zero=True)]
+        assert [povm._diagonal_units is not None for povm in povms] == [dim > 1, dim > 1, False], case
+        mixed = validate_state(random_density_matrix(dim, rng).matrix.real)
+        for state in states.states + (mixed, *_odd_states(dim, rng)):
+            for povm in povms:
+                products.clear()
+                _assert_product_bits(channel, state, povm)
+                kernel += products == [np.complex128]
+                total += 1
+    assert kernel > total // 3
+
+
+def test_real_non_unit_channels_take_the_kernel_on_a_finite_output(monkeypatch):
+    # A real channel that is not made of matrix units gives a batched
+    # float64 output, which the kernel takes only when every entry is finite.
+    products = _record_products(monkeypatch)
+    rng = np.random.default_rng(4402)
+    channels = [identity_channel(3), dephasing_channel(0.3), bitflip_channel(0.1)]
+    channels += [_real_channel(random_channel(int(d), 2, rng)) for d in rng.integers(2, 6, size=12)]
+    took = {True: 0, False: 0}
+    for channel in channels:
+        assert channel._real_kraus is not None and channel._matrix_units is None
+        dim = channel.dim
+        for povm in (computational_povm(dim), _split_povm(dim, rng)):
+            for state in (validate_state(random_density_matrix(dim, rng).matrix.real), *_odd_states(dim, rng)):
+                products.clear()
+                _assert_product_bits(channel, state, povm)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    finite = np.isfinite(quantum._kraus_sum(channel, state)).all()
+                assert (products == []) == finite
+                took[bool(finite)] += 1
+    assert min(took.values()) > 20
+
+
+def test_an_output_that_would_overflow_keeps_the_product(monkeypatch):
+    # Both inputs reach output 0, so a kernel on the diagonal 1e308, 1e308
+    # would add them to inf there and read only the diagonal, while the
+    # product spreads NaN over every trace.  A state with an entry beyond 1
+    # is not applied on matrix units at all.
+    products = _record_products(monkeypatch)
+    channel, _, povm = embed_classical(np.array([[1.0, 0.0], [1.0, 0.0]]))
+    assert channel._matrix_units is not None and povm._diagonal_units is not None
+    state = DensityMatrix(dim=2, matrix=np.diag([1e308, 1e308]))
+    assert not quantum._on_units(channel, state)
+    _assert_product_bits(channel, state, povm)
+    assert products == [np.complex128]
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert np.isnan(outcome_probabilities(channel, state, povm)).all()
+
+
+def test_other_povms_and_complex_outputs_keep_the_complex_product(monkeypatch):
+    products = _record_products(monkeypatch)
+    rng = np.random.default_rng(4403)
+    y_plus = np.array([[0.5, -0.5j], [0.5j, 0.5]])
+    off_diagonal = np.array([[0.0, 1.0], [0.0, 0.0]])
+    others = [
+        validate_povm([e.real for e in random_general_povm(3, 5, seed=4403).elements]),  # dense real
+        validate_povm([y_plus, np.eye(2) - y_plus]),  # complex
+        validate_povm([np.eye(1)]),  # one outcome, a unit at d = 1
+        validate_povm([np.eye(3)]),  # one outcome
+        validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))]),  # a zero element
+        Povm(dim=2, elements=np.array([off_diagonal, off_diagonal.T])),  # one nonzero entry, off the diagonal
+        Povm(dim=2, elements=np.array([np.diag([np.inf, 0.0]), np.diag([0.0, 1.0])])),  # a non-finite weight
+    ]
+    for povm in others:
+        assert povm._diagonal_units is None
+        dim = povm.dim
+        for channel in (identity_channel(dim), embed_classical(np.eye(dim))[0]):
+            for state in (basis_state(dim, 0), validate_state(random_density_matrix(dim, rng).matrix.real)):
+                products.clear()
+                _assert_product_bits(channel, state, povm)
+                assert products == [np.complex128]
+    # A complex channel output keeps the product under a diagonal POVM.
+    for channel in (depolarizing_channel(0.3), validate_channel([1j * np.eye(2)])):
+        povm = computational_povm(2)
+        assert povm._diagonal_units is not None
+        products.clear()
+        _assert_product_bits(channel, validate_state(random_density_matrix(2, rng).matrix), povm)
+        assert products == [np.complex128]
+
+
+def test_each_povm_decides_its_diagonal_units_once():
+    channel, states, povm = embed_classical(pentagon_matrix())
+    units = povm._diagonal_units
+    where, weights = units
+    assert where.tolist() == [6 * a for a in range(5)] and weights.tolist() == [1.0] * 5
+    for s in states.states:
+        outcome_probabilities(channel, s, povm)
+    assert povm._diagonal_units is units
+    split = validate_povm([np.diag([0.25, 0.0]), np.diag([0.0, 1.0]), np.diag([0.75, 0.0])])
+    assert split._diagonal_units[0].tolist() == [0, 3, 0]
+    assert split._diagonal_units[1].tolist() == [0.25, 1.0, 0.75]
+
+
+def test_a_one_ulp_change_to_the_kernel_shows_as_paths_disagreeing(monkeypatch):
+    # Input 0 reaches outcome 1 with probability v = sqrt(0.3)^2, the
+    # cutoff itself, so outcome 1 is not in its support.  One ulp more from
+    # the kernel puts it there, while the Kronecker path of
+    # verify_zero_error, a dense contraction of its own, still reads v.
+    from zecap import blockcode, confusability_graph
+
+    w = np.array([[0.7, 0.3, 0.0], [0.0, 0.0, 1.0]])
+    channel, states, povm = embed_classical(w)
+    eps = float(np.sqrt(0.3) ** 2)
+    assert outcome_probabilities(channel, states.states[0], povm)[1] == eps
+    graph = confusability_graph(channel, states, povm, eps=eps)
+    code = blockcode.build_code(graph, states, povm, 1)
+    assert code.message_count == 2
+    assert blockcode.verify_zero_error(code, channel, eps).paths_agree is True
+    products = _record_products(monkeypatch)
+    checked = quantum._checked_probabilities
+
+    def one_ulp_up(p):
+        return checked(np.where(p == eps, np.nextafter(eps, 1.0), p))
+
+    monkeypatch.setattr(quantum, "_checked_probabilities", one_ulp_up)
+    report = blockcode.verify_zero_error(code, channel, eps)
+    assert products == []
+    assert report.tensor_path_checked and report.paths_agree is False and not report.passed
+
+
 def test_cached_arrays_are_read_only():
     # A write through a cache would change every later result while the
     # wrapper's own frozen array stays as it was.
     channel, states, povm = embed_classical(pentagon_matrix())
     state = states.states[0]
-    caches = [channel._real_kraus, povm._real_elements, state._real_matrix, *channel._matrix_units]
+    caches = [
+        channel._real_kraus,
+        povm._real_elements,
+        state._real_matrix,
+        *channel._matrix_units,
+        *povm._diagonal_units,
+    ]
     for a in caches:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -663,12 +884,12 @@ def test_copies_and_unpickled_wrappers_keep_frozen_arrays_and_no_cache(copier):
     povm = validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     state = basis_state(2, 0)
     assert channel._real_kraus is not None and povm._real_elements is not None
-    assert state._real_matrix is not None and state._finite
-    assert units._matrix_units is not None
-    for obj, field, caches in ((state, "matrix", ("_real_matrix", "_finite")),
+    assert state._real_matrix is not None and state._bounded
+    assert units._matrix_units is not None and povm._diagonal_units is not None
+    for obj, field, caches in ((state, "matrix", ("_real_matrix", "_bounded")),
                                (channel, "kraus", ("_real_kraus",)),
                                (units, "kraus", ("_real_kraus", "_matrix_units")),
-                               (povm, "elements", ("_real_elements",))):
+                               (povm, "elements", ("_real_elements", "_diagonal_units"))):
         twin = copier(obj)
         assert twin == obj
         arr = getattr(twin, field)
@@ -678,10 +899,11 @@ def test_copies_and_unpickled_wrappers_keep_frozen_arrays_and_no_cache(copier):
         for cache in caches:
             assert cache not in vars(twin)  # recomputed from the frozen array on use
         assert twin == obj
-        if obj is units:
-            again = twin._matrix_units
-            assert again is not obj._matrix_units
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(again, obj._matrix_units))
+        for cache in ("_matrix_units", "_diagonal_units"):
+            if cache in caches:
+                again, first = getattr(twin, cache), getattr(obj, cache)
+                assert again is not first
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(again, first))
     twin = copier(StateSet(dim=2, states=(state, basis_state(2, 1))))
     assert not any(s.matrix.flags.writeable for s in twin.states)
 
