@@ -18,7 +18,14 @@ import numpy as np
 
 from .confusability import StateSet
 from .errors import DimensionMismatchError, NotStochasticError, SizeLimitError
-from .quantum import Povm, QuantumChannel, _projective_povm, basis_state, validate_channel
+from .quantum import (
+    Povm,
+    QuantumChannel,
+    _channel_of_stack,
+    _projective_povm,
+    basis_state,
+    validate_channel,
+)
 
 __all__ = [
     "identity_channel",
@@ -158,8 +165,7 @@ def embed_classical(w: np.ndarray) -> tuple[QuantumChannel, StateSet, Povm]:
     kraus[np.arange(len(inputs)), outputs, inputs] = coef
     # Unused input directions pass through so the channel stays TP.
     kraus[np.arange(len(inputs), count), padded, padded] = 1.0
-    kraus.setflags(write=False)  # so validation wraps it without a copy
-    channel = validate_channel(kraus)
+    channel = _channel_of_stack(kraus)
     states = StateSet(dim=dim, states=tuple(basis_state(dim, i) for i in range(m_in)))
     povm = _projective_povm(np.eye(dim, dtype=np.complex128))
     return channel, states, povm

@@ -17,9 +17,9 @@ of two or more symbols skips both products.  Its stack of matrix units
 c_k |a_k><b_k| is applied to a real state with entries in [-1, 1] by K scalar
 products and one ordered scatter-add into the diagonal, which give the
 product's float64 output bit for bit (``_kraus_sum``).  Its POVM of diagonal
-units e_j |a_j><a_j| is measured on a finite float64 output by one gather
-and one multiply, which give the complex product's probabilities bit for
-bit (``outcome_probabilities``).  The Kronecker path of
+units e_j |a_j><a_j| is measured on that output by one gather and one
+multiply, which give the complex product's probabilities bit for bit
+(``outcome_probabilities``).  The Kronecker path of
 ``verify_zero_error`` keeps its own dense contraction (``_apply_kraus`` and
 the element stack), so each certified classical code checks both kernels.
 
@@ -27,8 +27,9 @@ Matrices are plain ``numpy.ndarray`` of complex128.  A channel whose Kraus
 operators and input are exactly real (imaginary parts identically zero, as in
 every classical embedding) is applied in float64, where a complex product
 would spend three of its four real multiplications on zeros.  That float64
-output is measured as it is: off diagonal-unit POVMs the traces stay one
-complex product, into which numpy promotes it exactly, and when the POVM is
+output is measured as it is: except on the matrix-unit shortcut's output
+under a diagonal-unit POVM, the traces stay one complex product, into
+which numpy promotes it exactly, and when the POVM is
 exactly real too every trace's imaginary part is a sum of products with an
 exact zero, so it is not checked.  Every validated wrapper decides its
 realness once, on first use (a state's matrix, a Kraus stack, a POVM stack),
@@ -81,21 +82,6 @@ _TOL = 1e-9
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """``a`` as a read-only C-ordered complex128 array.
-
-    An array that already is one, and owns its memory, is kept as it is, so
-    a stack built for a wrapper and made read-only by its builder is not
-    copied again (a view taken before that is the builder's to leave
-    alone).  Anything else is copied.
-    """
-    if (
-        isinstance(a, np.ndarray)
-        and a.dtype == np.complex128
-        and a.flags.c_contiguous
-        and a.flags.owndata
-        and not a.flags.writeable
-    ):
-        return a
     out = np.array(a, dtype=np.complex128, order="C")
     out.setflags(write=False)
     return out
@@ -111,9 +97,9 @@ def _read_only(a: np.ndarray | None) -> np.ndarray | None:
 def _restore(obj, state: dict) -> None:
     """``__setstate__`` of the wrappers: a copy or an unpickled object is validated again.
 
-    Only the fields are taken from ``state``, and ``__post_init__`` freezes
-    the array (``_freeze``), so a cache is recomputed, not copied, and no
-    copy holds a writeable array.
+    Only the fields are taken from ``state``, and ``__post_init__`` freezes a
+    copy of the array, so a cache is recomputed, not copied, and no copy
+    holds a writeable array.
     """
     for f in fields(obj):
         object.__setattr__(obj, f.name, state[f.name])
@@ -296,11 +282,9 @@ class Povm:
         d x d matrix.  A stack qualifies when it is exactly real, each element
         has exactly one nonzero entry, on the diagonal, and each weight e_j is
         finite, as in the computational POVM of every classical embedding.
-        A one-element POVM, {I}, never qualifies: it is a unit only at d = 1,
-        where the product has a single term and nothing to skip.
         """
         es = self._real_elements
-        if es is None or len(es) == 1:
+        if es is None:
             return None
         flat = es.reshape(len(es), -1)
         if not (np.count_nonzero(flat, axis=1) == 1).all():
@@ -362,9 +346,7 @@ def validate_channel(kraus: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Quan
     Parameters
     ----------
     kraus : sequence of array_like, each shape (d, d)
-        Kraus operators.  At least one; all the same square dimension.  A
-        read-only complex128 (K, d, d) stack that owns its memory becomes
-        the channel's stack without a copy (``_freeze``).
+        Kraus operators.  At least one; all the same square dimension.
 
     Returns
     -------
@@ -380,12 +362,31 @@ def validate_channel(kraus: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Quan
     if len(kraus) == 0:
         raise DimensionMismatchError("a channel needs at least one Kraus operator")
     ops = _require_squares(kraus, "Kraus operator")
-    d = ops[0].shape[0]
+    _require_trace_preserving(ops)
+    return QuantumChannel(dim=ops[0].shape[0], kraus=ops)
+
+
+def _channel_of_stack(kraus: np.ndarray) -> QuantumChannel:
+    """``validate_channel`` on a finite complex128 (K, d, d) stack built for it, without a copy.
+
+    The channel takes the stack over: it is made read-only and becomes the
+    channel's own, so its builder must hold no other reference to it.
+    """
+    _require_trace_preserving(kraus)
+    kraus.setflags(write=False)
+    channel = object.__new__(QuantumChannel)
+    object.__setattr__(channel, "dim", kraus.shape[1])
+    object.__setattr__(channel, "kraus", kraus)
+    _check_shape(channel, "kraus", stack=True)
+    return channel
+
+
+def _require_trace_preserving(ops) -> None:
+    """Raise ``NotTracePreservingError`` unless ``sum_m K_m^dagger K_m`` is I within ``_TOL``."""
     s = sum(k.conj().T @ k for k in ops)
-    dev = float(np.linalg.norm(s - np.eye(d)))
+    dev = float(np.linalg.norm(s - np.eye(ops[0].shape[0])))
     if dev > _TOL:
         raise NotTracePreservingError(dev, _TOL)
-    return QuantumChannel(dim=d, kraus=kraus)
 
 
 def validate_povm(elements: "list[np.ndarray] | tuple[np.ndarray, ...]") -> Povm:
@@ -522,13 +523,13 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
 
     A POVM of diagonal units e_j |a_j><a_j| (decided once,
     ``Povm._diagonal_units``), such as every classical embedding's, skips
-    the product on a finite float64 output: p_j = e_j sigma[a_j, a_j] from
-    one gather and one multiply (``_diagonal_traces``), on the matrix-unit
-    shortcut's flat output as it is built.  Each trace of the product has
-    that one nonzero term and adds exact zeros, so its real part is that
-    rounding, with a zero as +0.0.  A complex output, any other POVM, and an
-    output with a non-finite entry, which the product spreads as NaN over
-    every trace, keep the product.
+    the product on the matrix-unit shortcut's output, which is finite:
+    p_j = e_j sigma[a_j, a_j] from one gather and one multiply on that flat
+    output as it is built (``_diagonal_traces``).  Each trace of the product
+    has that one nonzero term and adds exact zeros, so its real part is that
+    rounding, with a zero as +0.0.  Any other channel output, whose entries
+    may be non-finite (the product spreads those as NaN over every trace),
+    and any other POVM keep the product.
 
     Every trace's imaginary part is checked, except when the channel output
     is float64 and the POVM is exactly real: each imaginary part is then a
@@ -560,14 +561,9 @@ def outcome_probabilities(channel: QuantumChannel, state: DensityMatrix, povm: P
         raise DimensionMismatchError(
             f"dimensions disagree: channel {channel.dim}, state {state.dim}, POVM {povm.dim}"
         )
-    diagonal = povm._diagonal_units
-    # A matrix-unit output is finite by construction (``_on_units``), and
-    # is measured as it is built; a batched float64 output is checked.
-    if diagonal is not None and _on_units(channel, state):
-        return _diagonal_traces(_unit_kraus_sum(channel, state._real_matrix), diagonal)
+    if povm._diagonal_units is not None and _on_units(channel, state):
+        return _diagonal_traces(_unit_kraus_sum(channel, state._real_matrix), povm._diagonal_units)
     sigma = _kraus_sum(channel, state)
-    if diagonal is not None and sigma.dtype == np.float64 and np.isfinite(sigma).all():
-        return _diagonal_traces(sigma.reshape(-1), diagonal)
     # tr(sigma E_j) = sum_{a,b} E_j[a, b] sigma^T[a, b].  The product stays
     # complex even for a float64 sigma: a float64 product rounds differently.
     raw = povm.elements.reshape(len(povm), -1) @ sigma.T.ravel()

@@ -204,7 +204,7 @@ def test_embedding_builds_its_stack_once():
 
 def test_embedding_refuses_a_stack_past_the_cap_before_building_it(monkeypatch):
     # A dense 65 x 65 W: 4,225 operators of 65 x 65, 285,610,000 bytes.
-    message = "^285610000 bytes of Kraus operators exceeds the limit of 268435456$"
+    message = f"^285610000 bytes of Kraus operators exceeds the limit of {channels.KRAUS_BYTES_CAP}$"
     tracemalloc.start()
     try:
         with pytest.raises(SizeLimitError, match=message):

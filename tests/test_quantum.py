@@ -103,6 +103,27 @@ def test_validated_arrays_are_frozen():
             stack[0, 0, 0] = 9.0
 
 
+def test_wrappers_copy_a_read_only_array_the_caller_owns():
+    # The caller can make an array that owns its memory writeable again, so
+    # a wrapper that kept it would change, and its caches go stale, with it.
+    state = np.eye(2, dtype=np.complex128) / 2
+    kraus = np.array([np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * Z], dtype=np.complex128)
+    elements = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], dtype=np.complex128)
+    for a in (state, kraus, elements):
+        a.setflags(write=False)
+        assert a.flags.owndata and a.flags.c_contiguous
+    wrapped = [
+        (validate_state(state).matrix, state),
+        (DensityMatrix(dim=2, matrix=state).matrix, state),
+        (validate_channel(kraus).kraus, kraus),
+        (QuantumChannel(dim=2, kraus=kraus).kraus, kraus),
+        (validate_povm(elements).elements, elements),
+        (Povm(dim=2, elements=elements).elements, elements),
+    ]
+    for got, own in wrapped:
+        assert not np.shares_memory(got, own)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -718,7 +739,7 @@ def test_the_diagonal_unit_kernel_equals_the_product_bit_for_bit(monkeypatch):
     for case, (rng, channel, states, computational) in enumerate(cases):
         dim = channel.dim
         povms = [computational, _split_povm(dim, rng), _split_povm(dim, rng, zero=True)]
-        assert [povm._diagonal_units is not None for povm in povms] == [dim > 1, dim > 1, False], case
+        assert [povm._diagonal_units is not None for povm in povms] == [True, True, False], case
         mixed = validate_state(random_density_matrix(dim, rng).matrix.real)
         for state in states.states + (mixed, *_odd_states(dim, rng)):
             for povm in povms:
@@ -729,26 +750,23 @@ def test_the_diagonal_unit_kernel_equals_the_product_bit_for_bit(monkeypatch):
     assert kernel > total // 3
 
 
-def test_real_non_unit_channels_take_the_kernel_on_a_finite_output(monkeypatch):
+def test_real_non_unit_channels_keep_the_product(monkeypatch):
     # A real channel that is not made of matrix units gives a batched
-    # float64 output, which the kernel takes only when every entry is finite.
+    # float64 output, which is measured by the product under a diagonal
+    # POVM too.
     products = _record_products(monkeypatch)
     rng = np.random.default_rng(4402)
     channels = [identity_channel(3), dephasing_channel(0.3), bitflip_channel(0.1)]
     channels += [_real_channel(random_channel(int(d), 2, rng)) for d in rng.integers(2, 6, size=12)]
-    took = {True: 0, False: 0}
     for channel in channels:
         assert channel._real_kraus is not None and channel._matrix_units is None
         dim = channel.dim
         for povm in (computational_povm(dim), _split_povm(dim, rng)):
+            assert povm._diagonal_units is not None
             for state in (validate_state(random_density_matrix(dim, rng).matrix.real), *_odd_states(dim, rng)):
                 products.clear()
                 _assert_product_bits(channel, state, povm)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    finite = np.isfinite(quantum._kraus_sum(channel, state)).all()
-                assert (products == []) == finite
-                took[bool(finite)] += 1
-    assert min(took.values()) > 20
+                assert products == [np.complex128]
 
 
 def test_an_output_that_would_overflow_keeps_the_product(monkeypatch):
@@ -775,7 +793,6 @@ def test_other_povms_and_complex_outputs_keep_the_complex_product(monkeypatch):
     others = [
         validate_povm([e.real for e in random_general_povm(3, 5, seed=4403).elements]),  # dense real
         validate_povm([y_plus, np.eye(2) - y_plus]),  # complex
-        validate_povm([np.eye(1)]),  # one outcome, a unit at d = 1
         validate_povm([np.eye(3)]),  # one outcome
         validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.zeros((2, 2))]),  # a zero element
         Povm(dim=2, elements=np.array([off_diagonal, off_diagonal.T])),  # one nonzero entry, off the diagonal
