@@ -57,11 +57,6 @@ def main():
     cfg = SearchConfig(num_states=2, seed=7)
     report("depolarizing p=0.2", optimize_pair(depolarizing_channel(0.2), cfg))
 
-    print("Same search, general POVMs instead of projective ones")
-    print("-----------------------------------------------------")
-    cfg = SearchConfig(num_states=2, seed=7, general_povm=True)
-    report("identity qubit, 4-outcome POVM", optimize_pair(identity_channel(2), cfg))
-
     print("Determinism: the same seed reproduces the same search")
     print("-----------------------------------------------------")
     # The bit-flip search reaches its S-start, the one draw from the seed.

@@ -4,14 +4,14 @@ Subcommands::
 
     zecap validate <spec.json>
     zecap analyze  <spec.json> [--eps 1e-9] [--n-max 2] [--out report.json] [--dot graph.dot]
-    zecap search   <spec.json> [--M <int>] [--seed 7]
-                               [--general-povm] [--allow-overcomplete]
+    zecap search   <spec.json> [--M <int>] [--seed 7] [--allow-overcomplete]
     zecap code     <spec.json> --n <int> [--out code.json]
     zecap theta    <graph.json> [--tol 1e-6]
     zecap builtin  <name>
 
 Environment: ZECAP_SEED overrides the default seed (an explicit --seed still
-wins); a value that is not an integer is rejected.  Exit codes: 0 success,
+wins); a value that is not an integer is rejected, and so is a negative seed
+from either whenever a search runs.  Exit codes: 0 success,
 1 validation failure, 2 file errors.  Reports are written atomically and are
 byte-identical across reruns with the same inputs and seed.
 """
@@ -146,7 +146,6 @@ def _cmd_search(args) -> int:
     cfg = SearchConfig(
         num_states=m,
         seed=args.seed if args.seed is not None else _env_seed(),
-        general_povm=args.general_povm,
         allow_overcomplete=args.allow_overcomplete,
     )
     res = optimize_pair(spec.channel, cfg)
@@ -213,7 +212,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--M", type=int, default=None, help="states to place (default: dim)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--general-povm", action="store_true")
     p.add_argument("--allow-overcomplete", action="store_true")
     p.set_defaults(func=_cmd_search)
 

@@ -386,7 +386,6 @@ def search_result_document(res: SearchResult) -> dict:
         "alpha_1": res.alpha_1,
         "seed": res.config.seed,
         "objective": "pair_count",
-        "general_povm": res.config.general_povm,
         "objective_bound": res.objective_bound,
         "states": _states_json(res.best_states),
         "povm": complex_matrix_to_json(res.best_povm.elements),

@@ -173,7 +173,7 @@ def _require_unit_trace(m: np.ndarray) -> None:
             raise TraceNotOneError(tr.real, _TOL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated d x d density matrix (Hermitian, PSD, unit trace)."""
 
@@ -203,7 +203,7 @@ class DensityMatrix:
     __hash__ = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """A validated trace-preserving channel given by a frozen (K, d, d) Kraus stack.
 
@@ -257,7 +257,7 @@ class QuantumChannel:
     __hash__ = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """A validated POVM: a frozen (N, d, d) stack of PSD elements summing to the identity."""
 

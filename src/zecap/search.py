@@ -23,10 +23,10 @@ The S-start comes from the channel's operator space S = span{K_i^dagger K_j}
 distinguishable by some measurement iff <a|B|b> = 0 for every B in S.  Its
 states are the eigenbasis of a random Hermitian element of S, which is
 exactly zero-error when S is commutative, and its measurement is built from
-the output ranges span{K_i a}.  The element is drawn from the generator
-seeded ``seed``, made only when the S-start is reached, so a run is
-reproducible bit for bit and one that stops at the first start never imports
-``numpy.random``.
+the output ranges span{K_i a}.  Both starts measure with a projective
+rank-one POVM of d outcomes.  The element's coefficients are drawn from the
+standard library's ``random.Random(seed)``, only when the S-start is reached,
+so a run is reproducible bit for bit and no run imports ``numpy.random``.
 
 Each start is scored by the public ``confusability_graph`` and
 ``non_adjacent_pair_count``, so the result's graph is the one its score came
@@ -37,6 +37,7 @@ refused, the search raises the computational start's refusal.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -57,7 +58,6 @@ from .quantum import (
     QuantumChannel,
     _projective_povm,
     pure_state,
-    validate_povm,
 )
 
 __all__ = [
@@ -84,13 +84,10 @@ class SearchConfig:
         States to place (M).  Must satisfy 2 <= M <= dim unless
         ``allow_overcomplete``.
     seed : int
-        Seeds the generator the S-start is drawn from.
+        Seeds the generator the S-start is drawn from.  Must be a
+        non-negative integer.
     eps_support : float
         Support cutoff used when scoring candidate pairs.  Must be positive.
-    general_povm : bool
-        Search over arbitrary POVMs with dim^2 outcomes
-        (isometry-parameterized) instead of projective rank-one
-        measurements.
     allow_overcomplete : bool
         Permit M > dim state sets.
     """
@@ -98,7 +95,6 @@ class SearchConfig:
     num_states: int
     seed: int = 7
     eps_support: float = DEFAULT_EPS
-    general_povm: bool = False
     allow_overcomplete: bool = False
     # Constants, not fields: the benchmark harness's search counter reads
     # them (perfbench/tracing.py), so they stay until that counter reads the
@@ -109,6 +105,13 @@ class SearchConfig:
     def __post_init__(self):
         if self.num_states < 2:
             raise ValueError("num_states must be >= 2: pairs need two states")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
         _check_eps(self.eps_support)
 
 
@@ -134,12 +137,6 @@ class SearchResult:
 # ---------------------------------------------------------------------------
 
 
-def _povm_from_isometry(iso: np.ndarray, dim: int, outcomes: int) -> Povm:
-    """E_j = V_j^dagger V_j for the j-th dim x dim block V_j of the stacked isometry."""
-    blocks = iso.reshape(outcomes, dim, dim)
-    return validate_povm([b.conj().T @ b for b in blocks])
-
-
 def _operator_space(kraus: np.ndarray) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) basis of S = span{K_i^dagger K_j}, shape (dim S, d, d)."""
     d = kraus.shape[1]
@@ -149,28 +146,31 @@ def _operator_space(kraus: np.ndarray) -> np.ndarray:
     return vh[:rank].reshape(rank, d, d)
 
 
-def _objective_bound(
-    kraus: np.ndarray, dim: int, m: int, outcomes: int, eps: float
-) -> float:
-    """Upper bound on the pair count over every (states, measurement) pair.
+def _objective_bound(kraus: np.ndarray, m: int, eps: float) -> float:
+    """Upper bound on the pair count over every (states, d-outcome measurement) pair.
 
     With C = sum_i vec(K_i) vec(K_i)^dagger, tr(E_j E(psi)) >= lambda_min(C)
-    tr(E_j) for every state psi, and some E_j has tr(E_j) >= dim/N.  When
-    lambda_min(C) dim/N exceeds eps, that outcome is in every support and no
-    pair is distinguishable; otherwise all M(M-1)/2 pairs may be.
+    tr(E_j) for every state psi, and some E_j has tr(E_j) >= 1, since the d
+    traces sum to d.  When lambda_min(C) exceeds eps, that outcome is in every
+    support and no pair is distinguishable; otherwise all M(M-1)/2 pairs may be.
     """
     vec = kraus.reshape(len(kraus), -1).T  # (d^2, K)
     lam_min = np.linalg.eigvalsh(vec @ vec.conj().T)[0]
-    return 0.0 if (lam_min - _ROUNDOFF) * dim / outcomes > eps else float(m * (m - 1) // 2)
+    return 0.0 if lam_min - _ROUNDOFF > eps else float(m * (m - 1) // 2)
 
 
-def _s_start(
-    kraus: np.ndarray, m: int, general: bool, outcomes: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """States from the eigenbasis of a random Hermitian element of S, measured on their output ranges."""
+def _s_start(kraus: np.ndarray, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """States from the eigenbasis of a random Hermitian element of S, measured on their output ranges.
+
+    The element's coefficients are c_k = x_k + i y_k, with x_1, y_1, x_2,
+    y_2, ... drawn in turn, uniformly from [-1, 1), by ``random.Random(seed)``.
+    """
+    import random
+
     basis = _operator_space(kraus)
     dim = basis.shape[1]
-    c = rng.standard_normal(len(basis)) + 1j * rng.standard_normal(len(basis))
+    rng = random.Random(seed)
+    c = np.array([complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)) for _ in basis])
     a = np.tensordot(c, basis, axes=1)
     _, eigvecs = np.linalg.eigh(a + a.conj().T)  # in S: S is closed under adjoints
     vecs = eigvecs.T[np.arange(m) % dim]
@@ -183,29 +183,16 @@ def _s_start(
         u, sv, _ = np.linalg.svd(out, full_matrices=False)
         cols = np.hstack([cols, u[:, sv > _RANK_TOL]])
     unitary, _ = np.linalg.qr(np.hstack([cols, np.eye(dim)]))
-    return vecs, _aligned_meas(unitary, dim, general, outcomes)
-
-
-def _aligned_meas(u: np.ndarray, dim: int, general: bool, outcomes: int) -> np.ndarray:
-    if not general:
-        return u
-    # Isometry whose j-th block is |u_j><u_j|, mirroring the projective
-    # alignment; blocks past the dim-th are zero.
-    iso = np.zeros((outcomes, dim, dim), dtype=np.complex128)
-    iso[:dim] = u.T[:, :, None] * u.T.conj()[:, None, :]
-    return iso.reshape(outcomes * dim, dim)
+    return vecs, unitary
 
 
 def _ensemble(
-    cand: tuple[np.ndarray, np.ndarray], general: bool, allow_overcomplete: bool
+    cand: tuple[np.ndarray, np.ndarray], allow_overcomplete: bool
 ) -> tuple[StateSet, Povm]:
-    """The validated (states, POVM) pair a search point stands for."""
-    vecs, meas = cand
-    dim = vecs.shape[1]
-    states = StateSet(dim, tuple(pure_state(v) for v in vecs), allow_overcomplete)
-    if general:
-        return states, _povm_from_isometry(meas, dim, dim * dim)
-    return states, _projective_povm(meas)
+    """The validated (states, POVM) of a start: its state vectors and its measurement's unitary."""
+    vecs, unitary = cand
+    states = StateSet(vecs.shape[1], tuple(pure_state(v) for v in vecs), allow_overcomplete)
+    return states, _projective_povm(unitary)
 
 
 def _scored(
@@ -216,7 +203,7 @@ def _scored(
     A start the graph refuses scores -1 and carries the refusal in place of
     its graph.
     """
-    states, povm = _ensemble(cand, cfg.general_povm, cfg.allow_overcomplete)
+    states, povm = _ensemble(cand, cfg.allow_overcomplete)
     try:
         graph = confusability_graph(channel, states, povm, eps=cfg.eps_support)
     except EmptySupportError as exc:
@@ -255,18 +242,14 @@ def optimize_pair(channel: QuantumChannel, cfg: SearchConfig) -> SearchResult:
         raise DimensionMismatchError(
             f"{m} states exceed dimension {dim}; set allow_overcomplete to permit"
         )
-    general = cfg.general_povm
-    outcomes = dim * dim if general else dim
     kraus = channel.kraus
-    bound = _objective_bound(kraus, dim, m, outcomes, cfg.eps_support)
+    bound = _objective_bound(kraus, m, cfg.eps_support)
     # Basis indices tile cyclically when m > dim; exact repeats are the best
     # an overcomplete aligned start can do.
     eye = np.eye(dim, dtype=np.complex128)
-    computational = (eye[np.arange(m) % dim], _aligned_meas(eye, dim, general, outcomes))
-    best = _scored(channel, cfg, computational)
+    best = _scored(channel, cfg, (eye[np.arange(m) % dim], eye))
     if best[0] < bound:
-        rng = np.random.default_rng(cfg.seed)
-        s_start = _scored(channel, cfg, _s_start(kraus, m, general, outcomes, rng))
+        s_start = _scored(channel, cfg, _s_start(kraus, m, cfg.seed))
         if s_start[0] > best[0]:
             best = s_start
     pair_count, states, povm, graph = best

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from zecap import DensityMatrix, Povm, QuantumChannel, StateSet, pure_state
+from zecap import DensityMatrix, Povm, QuantumChannel, StateSet, pure_state, validate_povm
 from zecap.quantum import _projective_povm
-from zecap.search import _povm_from_isometry
 
 
 def _haar_q(z: np.ndarray) -> np.ndarray:
@@ -71,4 +70,4 @@ def random_general_povm(dim: int, outcomes: int, seed: int) -> Povm:
     """POVM E_j = V_j^dagger V_j over the dim x dim blocks V_j of a random
     (outcomes*dim) x dim isometry, so completeness is V^dagger V = I."""
     iso = random_isometry(outcomes * dim, dim, np.random.default_rng(seed))
-    return _povm_from_isometry(iso, dim, outcomes)
+    return validate_povm([b.conj().T @ b for b in iso.reshape(outcomes, dim, dim)])

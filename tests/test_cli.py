@@ -254,6 +254,25 @@ def test_a_malformed_seed_env_var_is_rejected(tmp_path):
     assert doc["seed"] == 3
 
 
+# bitflip-p0.1 draws its S-start from the seed; identity-d3 stops before it.
+@pytest.mark.parametrize("name", ["bitflip-p0.1", "identity-d3"])
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["search", "--seed", "-1"], None),
+        (["search"], {"ZECAP_SEED": "-1"}),
+        (["analyze"], {"ZECAP_SEED": "-1"}),
+    ],
+    ids=["search-flag", "search-env", "analyze-env"],
+)
+def test_a_negative_seed_is_rejected_whether_or_not_the_search_draws(tmp_path, name, args, env):
+    spec = write_spec(tmp_path / f"{name}.json", name)
+    proc = run_cli([args[0], spec, *args[1:]], env_extra=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_analyze_eps_flag_changes_the_graph(tmp_path):
     # One transition probability of 5e-9 straddles the two cutoffs.
     doc = {"name": "fragile", "classical_matrix": [[1.0 - 5e-9, 5e-9], [0.0, 1.0]]}
@@ -352,11 +371,14 @@ def test_search_overcomplete_requires_the_flag(tmp_path):
     assert doc["pair_count"] == 2
 
 
-def test_search_general_povm_flag(tmp_path):
+def test_the_general_povm_option_is_gone(tmp_path):
+    # Both starts measure with a projective rank-one POVM of d outcomes, so
+    # there is no measurement mode to choose.
     spec = write_spec(tmp_path / "id2.json", "identity-d2")
-    doc = load_stdout_json(run_cli(["search", spec, "--general-povm"]))
-    assert doc["general_povm"] is True
-    assert len(doc["povm"]) == 4
+    proc = run_cli(["search", spec, "--general-povm"])
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --general-povm" in proc.stderr
+    assert "general_povm" not in load_stdout_json(run_cli(["search", spec]))
 
 
 @pytest.mark.parametrize("option", ["--restarts", "--iters"])

@@ -932,6 +932,25 @@ def test_an_unpickled_wrapper_is_validated_again():
         pickle.loads(pickle.dumps(state))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: basis_state(2, 0),
+        lambda: bitflip_channel(0.1),
+        lambda: validate_povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]),
+    ],
+    ids=["DensityMatrix", "QuantumChannel", "Povm"],
+)
+def test_wrappers_compare_by_value_and_are_unhashable(make):
+    # Their arrays are mutable types, so a wrapper is no dictionary key; the
+    # dataclass must not put a field hash back in place of __hash__ = None.
+    a, b = make(), make()
+    assert a == b and not a != b
+    assert a != basis_state(3, 0) and a.__eq__(object()) is NotImplemented
+    with pytest.raises(TypeError, match=f"^unhashable type: '{type(a).__name__}'$"):
+        hash(a)
+
+
 def test_basis_state_bounds():
     with pytest.raises(ValidationError):
         basis_state(2, 2)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
+import re
 import subprocess
 import sys
 
@@ -22,11 +24,13 @@ from zecap import (
     non_adjacent_pair_count,
     optimize_pair,
     pentagon_matrix,
+    pure_state,
 )
 from zecap import search
 from zecap.errors import DimensionMismatchError, EmptySupportError
 from zecap.search import _ensemble, _objective_bound, _operator_space, _s_start
 
+from cliutil import write_spec
 from ensembles import (
     random_channel,
     random_general_povm,
@@ -121,26 +125,30 @@ def test_search_is_deterministic_for_a_seed():
     # Each of these reaches its S-start, the one draw from the seed.
     channels = [bitflip_channel(0.1), random_channel(3, 2, np.random.default_rng(5))]
     for channel in channels:
-        for general in (False, True):
-            cfg = SearchConfig(num_states=2, seed=13, general_povm=general)
-            a, b = optimize_pair(channel, cfg), optimize_pair(channel, cfg)
-            assert same_ensemble(a, b)
-            assert (a.pair_count, a.alpha_1, a.graph) == (b.pair_count, b.alpha_1, b.graph)
+        cfg = SearchConfig(num_states=2, seed=13)
+        a, b = optimize_pair(channel, cfg), optimize_pair(channel, cfg)
+        assert same_ensemble(a, b)
+        assert (a.pair_count, a.alpha_1, a.graph) == (b.pair_count, b.alpha_1, b.graph)
     c = optimize_pair(bitflip_channel(0.1), SearchConfig(num_states=2, seed=14))
     assert c.pair_count == 1
 
 
 def test_the_s_start_is_drawn_from_the_generator_seeded_seed():
     # The bit-flip channel's S-start beats its computational start, so the
-    # result is the S-start of default_rng(seed), bit for bit.
+    # result is the S-start, bit for bit.  Its states are the eigenbasis of
+    # the element of S whose coefficients random.Random(seed) draws: real,
+    # then imaginary part of each in turn, uniform in [-1, 1).
     channel = bitflip_channel(0.1)
+    basis = _operator_space(channel.kraus)
     for seed in (3, 4, 7):
-        for general in (False, True):
-            cfg = SearchConfig(num_states=2, seed=seed, general_povm=general)
-            res = optimize_pair(channel, cfg)
-            outcomes = 4 if general else 2
-            cand = _s_start(channel.kraus, 2, general, outcomes, np.random.default_rng(seed))
-            assert (res.best_states, res.best_povm) == _ensemble(cand, general, False)
+        res = optimize_pair(channel, SearchConfig(num_states=2, seed=seed))
+        assert (res.best_states, res.best_povm) == _ensemble(_s_start(channel.kraus, 2, seed), False)
+        rng = random.Random(seed)
+        draws = [rng.uniform(-1.0, 1.0) for _ in range(2 * len(basis))]
+        coefficients = np.array(draws[0::2]) + 1j * np.array(draws[1::2])
+        a = np.tensordot(coefficients, basis, axes=1)
+        _, eigvecs = np.linalg.eigh(a + a.conj().T)
+        assert res.best_states.states == tuple(pure_state(v) for v in eigvecs.T)
 
 
 def test_bitflip_search_finds_the_x_basis_pair():
@@ -156,8 +164,8 @@ def test_bitflip_search_finds_the_x_basis_pair():
 
 # Seeded random channels from tests/ensembles.py at the default cutoff:
 # (i, d, K) for random_channel(d, K, default_rng(1000 + i)) searched with
-# seed i, then (pair_count, alpha_1) at M = 2 and at M = d, the same under
-# projective and general POVMs.  The 8-restart, 400-iteration hill climb
+# seed i, then (pair_count, alpha_1) at M = 2 and at M = d.  The 8-restart,
+# 400-iteration hill climb
 # that the search replaced gave exactly these values (and the same states
 # and POVM).  A unitary channel (K = 1) is read perfectly in its S-start;
 # with K >= 2 neither start separates a pair, although dim S = 4 <= 2d - 2
@@ -193,10 +201,9 @@ RANDOM_CHANNEL_PINS = [
 )
 def test_pinned_pair_counts_on_seeded_random_channels(i, dim, kraus_count, at_two, at_dim):
     channel = random_channel(dim, kraus_count, np.random.default_rng(1000 + i))
-    for general in (False, True):
-        for m, want in ((2, at_two), (dim, at_dim)):
-            res = optimize_pair(channel, SearchConfig(num_states=m, seed=i, general_povm=general))
-            assert (res.pair_count, res.alpha_1) == want, (general, m)
+    for m, want in ((2, at_two), (dim, at_dim)):
+        res = optimize_pair(channel, SearchConfig(num_states=m, seed=i))
+        assert (res.pair_count, res.alpha_1) == want, m
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +237,7 @@ def test_a_refused_start_scores_below_every_valid_one():
     # S-start reads the X basis with probabilities 1 and 0.
     channel = bitflip_channel(0.3)
     eye = np.eye(2, dtype=np.complex128)
-    states, povm = _ensemble((eye, eye), False, False)
+    states, povm = _ensemble((eye, eye), False)
     with pytest.raises(EmptySupportError):
         confusability_graph(channel, states, povm, eps=0.9)
     res = optimize_pair(channel, SearchConfig(num_states=2, eps_support=0.9))
@@ -245,10 +252,11 @@ def test_a_search_whose_starts_are_both_refused_raises_the_first_refusal():
 
 
 def test_depolarizing_admits_no_pair_in_any_ensemble_as_the_bound_says():
-    # lambda_min(C) = p/2 = 0.15 for every outcome count up to d^2 = 4.
+    # lambda_min(C) = p/2 = 0.15.  Any outcome count N keeps one outcome of
+    # probability at least 0.15 * 2/N in every state, so the sampled general
+    # POVMs of 4 outcomes admit no pair either.
     channel = depolarizing_channel(0.3)
-    for outcomes in (2, 4):
-        assert _objective_bound(channel.kraus, 2, 2, outcomes, DEFAULT_EPS) == 0.0
+    assert _objective_bound(channel.kraus, 2, DEFAULT_EPS) == 0.0
     for s in range(1000):
         states = random_pure_state_set(2, 2, seed=s)
         povm = random_general_povm(2, 4, seed=s) if s % 2 else random_projective_povm(2, seed=s)
@@ -262,7 +270,7 @@ def test_depolarizing_below_the_cutoff_keeps_its_thresholded_pair():
     res = optimize_pair(channel, SearchConfig(num_states=2))
     assert res.objective_bound == 1.0
     assert res.pair_count == 1
-    assert _objective_bound(depolarizing_channel(1e-6).kraus, 2, 2, 2, DEFAULT_EPS) == 0.0
+    assert _objective_bound(depolarizing_channel(1e-6).kraus, 2, DEFAULT_EPS) == 0.0
 
 
 def test_a_computational_start_at_the_bound_is_kept_and_no_s_start_is_drawn(monkeypatch):
@@ -280,7 +288,6 @@ def test_a_computational_start_at_the_bound_is_kept_and_no_s_start_is_drawn(monk
     "channel, cfg",
     [
         (identity_channel(3), SearchConfig(num_states=3)),
-        (identity_channel(2), SearchConfig(num_states=2, general_povm=True)),
         (dephasing_channel(0.5), SearchConfig(num_states=2)),
         # The bound is 0 here, which the computational start's 0 pairs reach.
         (depolarizing_channel(1.0), SearchConfig(num_states=2)),
@@ -298,14 +305,6 @@ def test_stopping_at_the_bound_changes_no_result(monkeypatch, channel, cfg):
     assert (stopped.pair_count, stopped.alpha_1) == (full.pair_count, full.alpha_1)
 
 
-def test_general_povm_search_runs_and_validates():
-    cfg = SearchConfig(num_states=2, general_povm=True)
-    res = optimize_pair(identity_channel(2), cfg)
-    assert len(res.best_povm) == 4
-    assert res.pair_count == 1
-    assert np.allclose(sum(res.best_povm.elements), np.eye(2), atol=1e-9)
-
-
 def test_overcomplete_search_needs_the_flag():
     with pytest.raises(DimensionMismatchError):
         optimize_pair(identity_channel(2), SearchConfig(num_states=3))
@@ -321,10 +320,25 @@ def test_config_rejects_nonsense():
         SearchConfig(num_states=1)
 
 
+@pytest.mark.parametrize("seed", [-1, -7, 1.0, 2.5, "3", None])
+def test_config_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # Refused when the config is made, so the refusal does not depend on
+    # whether the channel's search reaches the S-start's draw.
+    with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {re.escape(repr(seed))}$"):
+        SearchConfig(num_states=2, seed=seed)
+
+
+def test_config_takes_any_integer_seed_as_an_int():
+    # random.Random refuses a numpy integer, so the config converts it.
+    for seed, want in ((0, 0), (np.int64(5), 5), (2**70, 2**70)):
+        cfg = SearchConfig(num_states=2, seed=seed)
+        assert cfg.seed == want and type(cfg.seed) is int
+
+
 def test_restarts_and_iterations_are_constants_not_fields():
     # The benchmark harness reads them; the search makes one run of no proposals.
     names = {f.name for f in dataclasses.fields(SearchConfig)}
-    assert names == {"num_states", "seed", "eps_support", "general_povm", "allow_overcomplete"}
+    assert names == {"num_states", "seed", "eps_support", "allow_overcomplete"}
     cfg = SearchConfig(num_states=2)
     assert (cfg.restarts, cfg.iterations) == (1, 0)
     with pytest.raises(TypeError):
@@ -341,20 +355,28 @@ def test_config_rejects_an_eps_support_that_is_not_positive(eps):
         SearchConfig(num_states=2, eps_support=eps)
 
 
-def test_a_search_that_never_draws_never_imports_numpy_random():
-    # identity-d3 stops at its computational start, and the generator is
-    # made only for the S-start, so numpy.random stays unloaded.
+def test_no_search_imports_numpy_random(tmp_path):
+    # identity-d3 stops at its computational start; bitflip-p0.1 draws its
+    # S-start from the standard library's generator.  Neither loads
+    # numpy.random, through the library or through the CLI.
     code = (
-        "import sys, numpy\n"
+        "import contextlib, io, sys, numpy\n"
         "if 'numpy.random' in sys.modules:\n"
         "    print('preloaded')\n"
         "    raise SystemExit\n"
-        "from zecap import SearchConfig, identity_channel, optimize_pair\n"
-        "res = optimize_pair(identity_channel(3), SearchConfig(num_states=3))\n"
-        "print(res.pair_count, 'numpy.random' in sys.modules)\n"
+        "from zecap import SearchConfig, bitflip_channel, identity_channel, optimize_pair\n"
+        "from zecap.cli import main\n"
+        "a = optimize_pair(identity_channel(3), SearchConfig(num_states=3))\n"
+        "b = optimize_pair(bitflip_channel(0.1), SearchConfig(num_states=2))\n"
+        "print(a.pair_count, b.pair_count, 'numpy.random' in sys.modules)\n"
+        "for cmd in ('analyze', 'search'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([cmd, sys.argv[1]]) == 0\n"
+        "    print(cmd, 'numpy.random' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    spec = write_spec(tmp_path / "bitflip.json", "bitflip-p0.1")
+    proc = subprocess.run([sys.executable, "-c", code, spec], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     if proc.stdout.split() == ["preloaded"]:
         pytest.skip("import numpy alone loads numpy.random")
-    assert proc.stdout.split() == ["3", "False"]
+    assert proc.stdout.split() == ["3", "1", "False", "analyze", "False", "search", "False"]
